@@ -2,7 +2,8 @@
  * @file
  * Microbenchmark of the discrete-event kernel itself: events/sec of the
  * calendar-queue EventQueue vs the seed's priority_queue kernel
- * (LegacyEventQueue, kept verbatim for this comparison).
+ * (LegacyEventQueue in legacy_event_queue.h, kept verbatim for this
+ * comparison).
  *
  * Scenarios model the simulator's event mix:
  *  - near:  self-rescheduling chains with cache/DRAM-scale strides
@@ -19,17 +20,6 @@
  *
  * The trailing report prints events/sec for both kernels and the
  * speedup ratio per scenario (the PR's acceptance gate is >= 2x).
- *
- * --lanes=W[,W,...] additionally runs the multi-lane kernel
- * (common/lane_kernel.h) scaling curve: 64 lane groups of
- * self-rescheduling chains with a flash-scale cross-group hop
- * (post() at +48000 ticks, so the conservative window W = L = 48000
- * amortizes each barrier over thousands of events) executed at each
- * requested worker count. Every run folds a per-group checksum over
- * (event payload, lane clock); the checksums must be bit-identical
- * across worker counts — the bench doubles as a determinism gate.
- * Defaults to 1,2,4 when the flag is omitted so the scaling curve is
- * always in the JSON report.
  */
 
 #include <benchmark/benchmark.h>
@@ -39,16 +29,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.h"
 #include "common/fs.h"
-#include "common/lane_kernel.h"
+#include "legacy_event_queue.h"
 #include "support.h"
 
 using namespace skybyte;
@@ -150,155 +138,6 @@ registerScenario(const std::string &scenario, Tick max_stride,
         });
 }
 
-// ---------------------------------------------------------------------
-// Multi-lane scaling scenario
-// ---------------------------------------------------------------------
-
-/** Lane-group count: models a large multi-core config (64 cores). */
-constexpr std::size_t kLaneGroups = 64;
-/** Cross-group hop latency: flash read scale, so W = L = 48000. */
-constexpr Tick kLaneCrossLatency = 48'000;
-/** Events per group; total events ~= kLaneGroups * this. */
-constexpr std::uint64_t kLanePerGroupEvents = 60'000;
-
-/**
- * Per-group counters, cache-line padded: each group is executed by
- * exactly one worker inside a window, but neighbouring groups run
- * concurrently on other workers.
- */
-struct alignas(64) LaneGroupStat
-{
-    std::uint64_t executed = 0;
-    std::uint64_t checksum = 0;
-};
-
-/**
- * One lane chain: like ChainEvent, but with a heavier payload (64
- * xorshift rounds, standing in for the cache/MSHR work a simulator
- * event does) and a 1/64 chance of hopping to another lane group via
- * post(). The chain dies when its current group reaches its event
- * budget; which groups end where is deterministic, so the total event
- * count and the per-group checksums are too.
- */
-struct LaneChainEvent
-{
-    LaneEventKernel *k;
-    LaneGroupStat *stats; ///< [k->groups()]
-    std::uint32_t group;
-    std::uint32_t rng;
-
-    void
-    operator()()
-    {
-        LaneGroupStat &st = stats[group];
-        if (st.executed >= kLanePerGroupEvents)
-            return;
-        ++st.executed;
-        std::uint32_t x = rng;
-        for (int r = 0; r < 64; ++r) {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-        }
-        rng = x;
-        st.checksum ^= (st.checksum << 1) ^ x
-                       ^ static_cast<std::uint64_t>(k->lane(group).now());
-        if (x % 64 == 0 && k->groups() > 1) {
-            LaneChainEvent next = *this;
-            next.group = static_cast<std::uint32_t>(
-                (group + 1 + (x >> 6) % (k->groups() - 1)) % k->groups());
-            k->post(group, next.group,
-                    k->lane(group).now() + kLaneCrossLatency + x % 1024,
-                    next);
-            return;
-        }
-        k->lane(group).scheduleAfter(1 + x % 2048, *this);
-    }
-};
-
-struct LaneRun
-{
-    double evps = 0;
-    std::uint64_t events = 0;
-    std::uint64_t checksum = 0;
-    std::uint64_t barriers = 0;
-};
-
-/** Run the lane scenario once at @p workers; returns best-effort evps. */
-LaneRun
-runLaneChains(std::size_t workers)
-{
-    LaneEventKernel k(kLaneGroups, workers,
-                      LaneWindow::fromLatencies({kLaneCrossLatency}));
-    std::vector<LaneGroupStat> stats(kLaneGroups);
-    for (std::size_t g = 0; g < kLaneGroups; ++g) {
-        k.schedule(g, static_cast<Tick>(g),
-                   LaneChainEvent{&k, stats.data(),
-                                  static_cast<std::uint32_t>(g),
-                                  0x9e3779b9u
-                                      + static_cast<std::uint32_t>(g)});
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    k.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    LaneRun run;
-    for (std::size_t g = 0; g < kLaneGroups; ++g) {
-        run.events += stats[g].executed;
-        run.checksum = run.checksum * 1315423911u ^ stats[g].checksum;
-    }
-    run.barriers = k.barriers();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    run.evps = secs > 0 ? static_cast<double>(run.events) / secs : 0.0;
-    benchmark::DoNotOptimize(run.checksum);
-    return run;
-}
-
-/**
- * Strip `--lanes=W[,W,...]` before benchmark::Initialize. Returns the
- * worker counts to sweep (always starting with 1, the speedup
- * baseline); defaults to 1,2,4 when the flag is absent.
- */
-std::vector<std::size_t>
-extractLaneWorkers(int &argc, char **argv)
-{
-    std::string spec = "1,2,4";
-    int out_argc = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--lanes=", 0) == 0)
-            spec = arg.substr(8);
-        else
-            argv[out_argc++] = argv[i];
-    }
-    argc = out_argc;
-
-    std::vector<std::size_t> workers{1};
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        const std::size_t comma = spec.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? spec.size() : comma;
-        if (end > begin) {
-            const std::string tok = spec.substr(begin, end - begin);
-            char *tail = nullptr;
-            const unsigned long v = std::strtoul(tok.c_str(), &tail, 10);
-            if (tail == nullptr || *tail != '\0' || v < 1 || v > 64) {
-                std::fprintf(stderr,
-                             "bench_kernel_hotpath: bad --lanes value"
-                             " '%s' (want 1..64)\n",
-                             tok.c_str());
-                std::exit(1);
-            }
-            if (v != 1)
-                workers.push_back(v);
-        }
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
-    }
-    return workers;
-}
-
 } // namespace
 
 int
@@ -306,8 +145,6 @@ main(int argc, char **argv)
 {
     const std::string json_path =
         skybyte::bench::extractJsonPath(argc, argv);
-    const std::vector<std::size_t> lane_workers =
-        extractLaneWorkers(argc, argv);
 
     registerScenario("near", 256, 0);
     registerScenario("spread", EventQueue::kWindowTicks, 0);
@@ -344,67 +181,6 @@ main(int argc, char **argv)
     std::printf("target: >= 2.00x per scenario — %s\n",
                 all_pass ? "PASS" : "FAIL");
 
-    // Multi-lane scaling: best-of-2 per worker count, checksum pinned
-    // across all of them (the in-bench determinism gate).
-    std::printf("\n================================================================\n");
-    std::printf("Multi-lane kernel: %zu groups, cross-latency %llu"
-                " ticks (window = L)\n",
-                kLaneGroups,
-                static_cast<unsigned long long>(kLaneCrossLatency));
-    std::printf("================================================================\n");
-    std::printf("%-8s %16s %10s %10s\n", "workers", "events/sec",
-                "speedup", "barriers");
-    std::map<std::size_t, LaneRun> lane_runs;
-    for (const std::size_t w : lane_workers) {
-        LaneRun best = runLaneChains(w);
-        const LaneRun again = runLaneChains(w);
-        if (again.checksum != best.checksum) {
-            std::printf("lane checksum unstable at workers=%zu — FAIL\n",
-                        w);
-            return 1;
-        }
-        if (again.evps > best.evps)
-            best = again;
-        lane_runs[w] = best;
-    }
-    const double lane_base = lane_runs[1].evps;
-    double lane_best_speedup = 0;
-    bool lane_deterministic = true;
-    for (const std::size_t w : lane_workers) {
-        const LaneRun &r = lane_runs[w];
-        const double s = lane_base > 0 ? r.evps / lane_base : 0.0;
-        lane_best_speedup = std::max(lane_best_speedup, s);
-        if (r.checksum != lane_runs[1].checksum
-            || r.events != lane_runs[1].events)
-            lane_deterministic = false;
-        std::printf("%-8zu %16.0f %9.2fx %10llu\n", w, r.evps, s,
-                    static_cast<unsigned long long>(r.barriers));
-    }
-    std::printf("checksum 0x%016llx, %llu events — %s across worker"
-                " counts\n",
-                static_cast<unsigned long long>(lane_runs[1].checksum),
-                static_cast<unsigned long long>(lane_runs[1].events),
-                lane_deterministic ? "identical" : "MISMATCH");
-    if (!lane_deterministic)
-        all_pass = false;
-    // The speedup gate only binds where the host can actually run the
-    // requested workers in parallel; a saturated CI runner still gates
-    // on determinism above.
-    const std::size_t max_workers =
-        *std::max_element(lane_workers.begin(), lane_workers.end());
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (max_workers >= 2 && hw >= 2 * max_workers) {
-        std::printf("target: > 1.00x best lane speedup (%u hw threads)"
-                    " — %s\n",
-                    hw, lane_best_speedup > 1.0 ? "PASS" : "FAIL");
-        if (lane_best_speedup <= 1.0)
-            all_pass = false;
-    } else {
-        std::printf("lane speedup gate skipped (%u hw threads for"
-                    " %zu workers)\n",
-                    hw, max_workers);
-    }
-
     if (!json_path.empty()) {
         // Machine-readable events/sec per (kernel, scenario): the CI
         // bench job archives this per commit so the perf trajectory
@@ -420,24 +196,7 @@ main(int argc, char **argv)
                 << g_evps[{"legacy", scenario}] << "}"
                 << (++i < 3 ? ",\n" : "\n");
         }
-        out << "  },\n  \"lanes\": {\n    \"groups\": " << kLaneGroups
-            << ",\n    \"window_ticks\": " << kLaneCrossLatency
-            << ",\n    \"events_per_sec\": {";
-        i = 0;
-        for (const std::size_t w : lane_workers) {
-            out << (i++ > 0 ? ", " : "") << "\"" << w
-                << "\": " << lane_runs[w].evps;
-        }
-        out << "},\n    \"scaling\": {";
-        i = 0;
-        for (const std::size_t w : lane_workers) {
-            out << (i++ > 0 ? ", " : "") << "\"" << w << "\": "
-                << (lane_base > 0 ? lane_runs[w].evps / lane_base : 0.0);
-        }
-        // "scaling", not "speedup": the lane curve depends on host
-        // cores, and the CI benchdiff gate pins --keys=speedup.
-        out << "},\n    \"deterministic\": "
-            << (lane_deterministic ? 1 : 0) << "\n  },\n"
+        out << "  },\n"
             << "  \"speedup_geomean\": " << geomean << "\n}\n";
         try {
             skybyte::writeFileAtomic(json_path, out.str());

@@ -275,16 +275,6 @@ struct KernelConfig
     std::uint32_t calendarWindowTicks = EventQueue::kWindowTicks;
     /** EventRecords carved per slab chunk. */
     std::uint32_t slabChunkRecords = detail::EventSlab::kChunkRecords;
-    /**
-     * Parallel-kernel lane count (`lanes=` / SKYBYTE_SIM_LANES): host
-     * worker threads a single simulation may use. 1 (the default) is
-     * the serial kernel, byte-for-byte the pre-knob behaviour; higher
-     * values enable lane-parallel execution (common/lane_kernel.h for
-     * event lanes, sim/lane_stage.h for core-group workload staging)
-     * whose results are bit-identical to lanes=1 — the knob only
-     * changes wall-clock. Valid range [1, 64].
-     */
-    std::uint32_t lanes = 1;
 };
 
 /**

@@ -32,8 +32,8 @@
  * copied the whole Entry — including its std::function — out of top()
  * before pop() on every step(), adding an allocation + copy per event.
  * The calendar kernel executes the callback in place, so the copy is
- * structurally impossible now. LegacyEventQueue below preserves the seed
- * implementation verbatim so bench_kernel_hotpath can measure the
+ * structurally impossible now. bench/legacy_event_queue.h preserves the
+ * seed implementation verbatim so bench_kernel_hotpath can measure the
  * before/after events/sec ratio.
  */
 
@@ -45,10 +45,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -58,9 +56,6 @@
 #include "common/types.h"
 
 namespace skybyte {
-
-/** Callback executed when an event fires (type-erased convenience). */
-using EventFn = std::function<void()>;
 
 namespace detail {
 
@@ -451,95 +446,6 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::size_t size_ = 0;
     std::size_t bucketed_ = 0; ///< events in buckets (rest: overflow)
-};
-
-/**
- * The seed kernel, frozen verbatim: std::priority_queue of Entry
- * records holding std::function callbacks, with the full-Entry copy out
- * of top() in step(). Kept only so bench_kernel_hotpath and the kernel
- * tests can measure and pin the old behaviour; simulator code must use
- * EventQueue.
- */
-class LegacyEventQueue
-{
-  public:
-    LegacyEventQueue() = default;
-
-    LegacyEventQueue(const LegacyEventQueue &) = delete;
-    LegacyEventQueue &operator=(const LegacyEventQueue &) = delete;
-
-    Tick now() const { return now_; }
-    std::size_t pending() const { return heap_.size(); }
-
-    void
-    schedule(Tick when, EventFn fn)
-    {
-        if (when < now_)
-            when = now_;
-        heap_.push(Entry{when, seq_++, std::move(fn)});
-    }
-
-    void
-    scheduleAfter(Tick delay, EventFn fn)
-    {
-        schedule(now_ + delay, std::move(fn));
-    }
-
-    bool
-    step()
-    {
-        if (heap_.empty())
-            return false;
-        // Seed behaviour: copies the Entry (and its std::function) out
-        // before popping so the callback may schedule.
-        Entry e = heap_.top();
-        heap_.pop();
-        now_ = e.when;
-        e.fn();
-        return true;
-    }
-
-    void
-    run(Tick limit = kTickMax)
-    {
-        while (!heap_.empty() && heap_.top().when <= limit) {
-            if (!step())
-                break;
-        }
-        if (heap_.empty() && limit != kTickMax && now_ < limit)
-            now_ = limit;
-    }
-
-    void
-    reset()
-    {
-        heap_ = {};
-        now_ = 0;
-        seq_ = 0;
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        EventFn fn;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    Tick now_ = 0;
-    std::uint64_t seq_ = 0;
 };
 
 } // namespace skybyte

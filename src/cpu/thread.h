@@ -18,7 +18,8 @@
 namespace skybyte {
 
 /**
- * One software thread replaying one lane of the workload trace.
+ * One software thread replaying its own per-thread stream of the
+ * workload trace.
  */
 class ThreadContext
 {
@@ -46,23 +47,11 @@ class ThreadContext
             replay_.pop_front();
             return true;
         }
-        if (batch_.drained()) {
-            const std::uint32_t n =
-                source_ != nullptr ? source_->nextBatch(threadId_, batch_)
-                                   : workload_->refill(threadId_, batch_);
-            if (n == 0)
-                return false;
-        }
+        if (batch_.drained() && workload_->refill(threadId_, batch_) == 0)
+            return false;
         rec = batch_.records[batch_.cursor++];
         return true;
     }
-
-    /**
-     * Route batch refills through @p source instead of the workload
-     * (lane-parallel prestaging); nullptr restores the direct path.
-     * The record stream must be identical either way.
-     */
-    void setBatchSource(BatchSource *source) { source_ = source; }
 
     /**
      * Return squashed records (oldest first) to the front of the stream
@@ -94,7 +83,6 @@ class ThreadContext
   private:
     int threadId_;
     Workload *workload_;
-    BatchSource *source_ = nullptr;
     TraceBatch batch_;
     std::deque<TraceRecord> replay_;
     bool finished_ = false;

@@ -130,10 +130,6 @@ nondeterminismRule()
             {"src/sim/experiment.cc", "getenv"},
             // SKYBYTE_SWEEP_SHARD / SKYBYTE_BENCH_INSTR presence test.
             {"src/sim/sweep.cc", "getenv"},
-            // SKYBYTE_SIM_LANES: lane count is result-invariant (the
-            // parallel kernel is bit-identical for every value), so
-            // this knob can only change wall-clock.
-            {"src/sim/lane_stage.cc", "getenv"},
             // SKYBYTE_BACKOFF_MS / SKYBYTE_FAULT driver knobs.
             {"src/sim/run_executor.cc", "getenv"},
             // Child wall-clock timeouts and retry backoff pacing:
@@ -259,37 +255,31 @@ hotPathAllocRule()
 }
 
 /**
- * Rule family 5 — no mutable `static` state in lane-concurrent code.
+ * Rule family 5 — no mutable `static` state in workload generators.
  *
- * The multi-lane kernel (common/lane_kernel.h) and the batch-staging
- * pipeline (sim/lane_stage.h) run workload refills and lane groups on
- * concurrent host threads. A mutable function-local or namespace-scope
- * `static` in those layers is shared state that would race (or need a
- * lock the hot path cannot afford) the moment two lanes touch it —
- * and, being invisible at the call site, it is exactly the kind of
- * hidden coupling the per-tid-state audit for concurrentRefillSafe()
- * cannot see. `static const`/`static constexpr` data is immutable and
- * fine; intentionally synchronized singletons (the workload registry)
- * carry justified allow pragmas.
+ * The in-process sweep pool (runSweep, `skybyte_sweep -j`) runs whole
+ * points on concurrent host threads, so workload refills of different
+ * points execute at the same time. A mutable function-local or
+ * namespace-scope `static` in a generator is state shared across those
+ * points: it races, and it makes one point's trace depend on which
+ * other points happened to run beside it. `static const`/`static
+ * constexpr` data is immutable and fine; intentionally synchronized
+ * singletons (the workload registry) carry justified allow pragmas.
  *
- * Scope is the .cc files of the lane-concurrent layers: declarations
- * in headers are member functions or `static constexpr` constants,
- * while local statics — the hazard — live in function bodies.
+ * Scope is the .cc files under src/trace: declarations in headers are
+ * member functions or `static constexpr` constants, while local
+ * statics — the hazard — live in function bodies.
  */
 LintRule
-laneSharedStateRule()
+sharedStaticStateRule()
 {
     LintRule rule;
-    rule.name = "lane-shared-state";
-    rule.title = "no mutable `static` locals in lane-concurrent code";
+    rule.name = "shared-static-state";
+    rule.title = "no mutable `static` state in workload generators";
     rule.inScope = [](const std::string &path) {
-        if (path.size() < 3
-            || path.compare(path.size() - 3, 3, ".cc") != 0) {
-            return false;
-        }
-        return underAny(path, {"src/trace/"})
-               || path == "src/sim/lane_stage.cc"
-               || path == "src/common/lane_kernel.cc";
+        return path.size() >= 3
+               && path.compare(path.size() - 3, 3, ".cc") == 0
+               && underAny(path, {"src/trace/"});
     };
     rule.check = [](const SourceFile &file,
                     std::vector<LintFinding> &out) {
@@ -305,13 +295,14 @@ laneSharedStateRule()
                 continue;
             }
             LintFinding f;
-            f.rule = "lane-shared-state";
+            f.rule = "shared-static-state";
             f.line = i + 1;
             f.message =
-                "mutable 'static' in lane-concurrent code: refills and "
-                "lane groups run on concurrent host threads, so hidden "
-                "shared state races; make it const/constexpr, per-tid, "
-                "or justify the synchronization with an allow pragma";
+                "mutable 'static' in a workload generator: the sweep "
+                "pool runs points' refills on concurrent host threads, "
+                "so hidden shared state races and couples points; make "
+                "it const/constexpr, per-instance, or justify the "
+                "synchronization with an allow pragma";
             out.push_back(std::move(f));
         }
     };
@@ -327,7 +318,7 @@ registerBuiltinLintRules()
     registerLintRuleUnlocked(unorderedContainerRule());
     registerLintRuleUnlocked(rawFileWriteRule());
     registerLintRuleUnlocked(hotPathAllocRule());
-    registerLintRuleUnlocked(laneSharedStateRule());
+    registerLintRuleUnlocked(sharedStaticStateRule());
 }
 
 } // namespace detail

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tolerance-aware comparison of two bench JSON reports (the BENCH_*.json
- * files bench/*.cc emit): the library behind tools/skybyte_benchdiff and
+ * files the bench/ programs emit): the library behind tools/skybyte_benchdiff and
  * the CI bench-baselines gate.
  *
  * The comparison is the sweep-report idiom (sim/report.h

@@ -180,15 +180,6 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         }
         cfg.kernel.calendarWindowTicks =
             static_cast<std::uint32_t>(ticks);
-    } else if (key == "lanes") {
-        // Parallel-kernel worker count; results are bit-identical for
-        // every value, so this is a wall-clock knob like the two above.
-        const std::uint64_t lanes = parseU64(value, key);
-        if (lanes == 0 || lanes > 64) {
-            throw std::invalid_argument(
-                "lanes must be in [1, 64]: " + value);
-        }
-        cfg.kernel.lanes = static_cast<std::uint32_t>(lanes);
     } else if (key == "qos_policy") {
         if (value == "none")
             cfg.qos.weightedAdmission = false;

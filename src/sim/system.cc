@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/flat_map.h"
-#include "sim/lane_stage.h"
 #include "trace/mix_workload.h"
 
 namespace skybyte {
@@ -241,21 +240,6 @@ System::buildSystem(
                 core->addPenalty(cost);
         });
     }
-
-    // Lane-parallel staging: with lanes=N the simulation thread gets
-    // N-1 producers prestaging trace batches. Batch content is a pure
-    // function of (workload, tid, batch index), so this changes where
-    // batches are produced — never their contents or consumption time —
-    // and results stay bit-identical to lanes=1 (pinned by
-    // tests/test_lane_kernel.cc). Workloads that cannot take
-    // concurrent refills simply stay on the serial path.
-    const std::uint32_t lanes = resolvedKernelLanes(cfg_.kernel);
-    if (lanes > 1 && params_.numThreads > 1
-        && workload_->concurrentRefillSafe()) {
-        stager_ = std::make_unique<LaneBatchStager>(*workload_, lanes - 1);
-        for (auto &thread : threads_)
-            thread->setBatchSource(stager_.get());
-    }
 }
 
 System::~System() = default;
@@ -377,11 +361,6 @@ System::run(Tick max_ticks)
     while (!timed_out && eq_.pending() > 0 && eq_.now() <= drain_limit)
         eq_.step();
 
-    // Quiesce the staging producers before stats assembly so the run's
-    // host threads are gone by the time the result is read.
-    if (stager_ != nullptr)
-        stager_->stop();
-
     SimResult res;
     res.variant = cfg_.name;
     res.workload = workloadLabel_;
@@ -465,15 +444,8 @@ System::run(Tick max_ticks)
                     != static_cast<int>(i)) {
                     continue;
                 }
-                // Staged runs count at delivery time: the workload's
-                // refill-time counter would include batches produced
-                // ahead but never consumed (visible on timeouts).
                 tr.instructions +=
-                    stager_ != nullptr
-                        ? stager_->instructionsDelivered(
-                              static_cast<int>(tid))
-                        : workload_->instructionsEmitted(
-                              static_cast<int>(tid));
+                    workload_->instructionsEmitted(static_cast<int>(tid));
                 tr.execTime =
                     std::max(tr.execTime, threads_[tid]->finishTime());
             }

@@ -232,7 +232,6 @@ struct SimResult
 
 class System;
 class MixWorkload;
-class LaneBatchStager;
 
 /**
  * Host physical-address router (the MemoryBackend the uncore sees).
@@ -376,13 +375,6 @@ class System
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<std::unique_ptr<ThreadContext>> threads_;
     std::unique_ptr<CxlAwareScheduler> sched_;
-    /**
-     * Lane-parallel batch prestaging (sim/lane_stage.h); non-null only
-     * when the resolved `lanes` knob is > 1 and the workload allows
-     * concurrent refills. Declared after workload_ so its producer
-     * threads join before the workload they refill from destructs.
-     */
-    std::unique_ptr<LaneBatchStager> stager_;
 };
 
 /** Convenience: build + run in one call. */

@@ -117,31 +117,12 @@ class Workload
 
     /**
      * May refill() be called for *distinct* tids from different host
-     * threads concurrently? The lane-parallel kernel (sim/lane_stage.h)
-     * prestages batches on worker threads only when this holds; the
-     * conservative default keeps unknown user workloads on the serial
-     * path. Implementations returning true must keep all cross-thread
-     * state immutable after construction (or internally synchronized)
-     * and all mutable refill state strictly per-tid.
+     * threads concurrently? The conservative default is false.
+     * Implementations returning true must keep all cross-thread state
+     * immutable after construction (or internally synchronized) and all
+     * mutable refill state strictly per-tid.
      */
     virtual bool concurrentRefillSafe() const { return false; }
-};
-
-/**
- * Indirection point for where a thread's next TraceBatch comes from:
- * the serial path calls Workload::refill() at consumption time, while
- * the lane-parallel staging pipeline (sim/lane_stage.h) hands out
- * batches that were produced ahead of time on worker threads. Both
- * must yield the byte-identical record stream — staging may only move
- * *where* a batch is produced, never its contents.
- */
-class BatchSource
-{
-  public:
-    virtual ~BatchSource() = default;
-
-    /** Fill @p batch for @p tid; same contract as Workload::refill. */
-    virtual std::uint32_t nextBatch(int tid, TraceBatch &batch) = 0;
 };
 
 /**

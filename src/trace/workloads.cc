@@ -763,7 +763,7 @@ paperEntry(const char *name, const char *summary, WorkloadInfo info)
 std::mutex &
 registryMutex()
 {
-    // skybyte-lint: allow(lane-shared-state) the registry lock itself
+    // skybyte-lint: allow(shared-static-state) the registry lock itself
     static std::mutex m;
     return m;
 }
@@ -771,7 +771,7 @@ registryMutex()
 std::map<std::string, WorkloadRegistration> &
 registryLocked()
 {
-    // skybyte-lint: allow(lane-shared-state) guarded by registryMutex()
+    // skybyte-lint: allow(shared-static-state) guarded by registryMutex()
     static std::map<std::string, WorkloadRegistration> entries;
     return entries;
 }
@@ -949,7 +949,7 @@ registerBuiltinWorkloads()
 void
 ensureBuiltins()
 {
-    // skybyte-lint: allow(lane-shared-state) call_once is the sync
+    // skybyte-lint: allow(shared-static-state) call_once is the sync
     static std::once_flag once;
     std::call_once(once, [] {
         std::lock_guard<std::mutex> lock(registryMutex());

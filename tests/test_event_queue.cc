@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/legacy_event_queue.h"
 #include "common/event_queue.h"
 
 namespace skybyte {

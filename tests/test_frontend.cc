@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/config_file.h"
 #include "sim/experiment.h"
@@ -191,9 +193,20 @@ TEST(ConfigFile, WorkloadSpecErrorsCarryLineNumbers)
 
 TEST(ConfigFile, RejectsUnknownKeys)
 {
-    ExperimentSpec spec;
-    std::istringstream in("no_such_knob=1\n");
-    EXPECT_THROW(applyConfigStream(in, spec), std::invalid_argument);
+    // A retired knob (lanes=) must fail loudly like any stray key, not
+    // be silently ignored.
+    for (const std::string key : {"no_such_knob", "lanes"}) {
+        SCOPED_TRACE(key);
+        ExperimentSpec spec;
+        std::istringstream in(key + "=4\n");
+        try {
+            applyConfigStream(in, spec);
+            ADD_FAILURE() << "accepted unknown key " << key;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ConfigFile, RejectsMalformedValues)

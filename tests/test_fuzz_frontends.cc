@@ -127,7 +127,6 @@ TEST(FuzzFrontends, ConfigStreamsThrowNotCrash)
                               "num_threads=16\n"
                               "workload=zipf:theta=0.99\n"
                               "instr_per_thread=100000\n"
-                              "lanes=4\n"
                               "qos_policy=weighted\n"
                               "qos_epoch_us=5\n"
                               "qos_credits_per_epoch=64\n"
@@ -139,25 +138,6 @@ TEST(FuzzFrontends, ConfigStreamsThrowNotCrash)
         ExperimentSpec spec;
         applyConfigStream(in, spec);
     });
-}
-
-TEST(FuzzFrontends, LanesKnobGarbageThrowsNotCrash)
-{
-    // The parallel-kernel knob's front-end contract: out-of-range or
-    // malformed lane counts are an invalid_argument, never a crash or
-    // a silently clamped value.
-    for (const std::string bad :
-         {"lanes=0", "lanes=65", "lanes=abc", "lanes=",
-          "lanes=18446744073709551616", "lanes=-4", "lanes=4.0"}) {
-        SCOPED_TRACE(bad);
-        std::istringstream in(bad + "\n");
-        ExperimentSpec spec;
-        EXPECT_THROW(applyConfigStream(in, spec), std::invalid_argument);
-    }
-    std::istringstream ok("lanes=8\n");
-    ExperimentSpec spec;
-    applyConfigStream(ok, spec);
-    EXPECT_EQ(spec.config.kernel.lanes, 8u);
 }
 
 TEST(FuzzFrontends, QosKnobGarbageThrowsNotCrash)

@@ -293,6 +293,34 @@ TEST(LintRules, HotPathAllocPragmaMissingJustification)
     EXPECT_EQ(byRule(findings, "pragma").size(), 1u);
 }
 
+// ------------------------------------------------ rule: shared-static-state
+
+TEST(LintRules, SharedStaticStatePositive)
+{
+    const auto findings = byRule(
+        lintSnippet("src/trace/x.cc", "static int calls = 0;\n"),
+        "shared-static-state");
+    ASSERT_EQ(findings.size(), 1u);
+}
+
+TEST(LintRules, SharedStaticStateNegative)
+{
+    // Immutable statics and static_cast are fine, and only the .cc files
+    // under src/trace are in scope.
+    EXPECT_TRUE(byRule(lintSnippet("src/trace/x.cc",
+                                   "static const int k = 1;\n"
+                                   "static constexpr int n = 2;\n"
+                                   "int c = static_cast<int>(k);\n"),
+                       "shared-static-state")
+                    .empty());
+    for (const char *path : {"src/sim/x.cc", "src/trace/x.h"}) {
+        EXPECT_TRUE(byRule(lintSnippet(path, "static int calls = 0;\n"),
+                           "shared-static-state")
+                        .empty())
+            << path;
+    }
+}
+
 // ---------------------------------------------------------- pragma hygiene
 
 TEST(LintPragma, UnknownRuleNameIsAFinding)
@@ -384,7 +412,8 @@ TEST(LintPragma, BlockCommentProseAboutPragmasIsInert)
 TEST(LintRegistry, BuiltinRulesRegistered)
 {
     for (const char *name : {"nondeterminism", "unordered-container",
-                             "raw-file-write", "hot-path-alloc"}) {
+                             "raw-file-write", "hot-path-alloc",
+                             "shared-static-state"}) {
         const LintRule *rule = findLintRule(name);
         ASSERT_NE(rule, nullptr) << name;
         EXPECT_EQ(rule->name, name);

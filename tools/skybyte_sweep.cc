@@ -91,11 +91,7 @@ usage()
         "            4 diff drift; 5 partial failure (manifest"
         " written);\n"
         "            6 run-dir/resume state error or --require-complete"
-        " violation\n"
-        "env: SKYBYTE_SIM_LANES=N spends N host threads per point via\n"
-        "     the parallel kernel (1..64; results are bit-identical"
-        " for\n"
-        "     every value — a wall-clock knob, like lanes= in configs)\n");
+        " violation\n");
 }
 
 int
