@@ -27,6 +27,7 @@
 #include <string>
 
 #include "common/fs.h"
+#include "support.h"
 #include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/trace_log/trace_log_workload.h"
@@ -155,27 +156,12 @@ fileSizeOf(const std::string &path)
     return readFileText(path).size();
 }
 
-std::string
-extractJsonPath(int &argc, char **argv)
-{
-    std::string json_path;
-    int out_argc = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json" && i + 1 < argc)
-            json_path = argv[++i];
-        else
-            argv[out_argc++] = argv[i];
-    }
-    argc = out_argc;
-    return json_path;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string json_path = extractJsonPath(argc, argv);
+    const std::string json_path = bench::extractJsonPath(argc, argv);
     const Corpus corpus = buildCorpus();
     g_flat.fileBytes = fileSizeOf(corpus.flatPath);
     g_log.fileBytes = fileSizeOf(corpus.logPath);

@@ -1,202 +1,23 @@
 /**
  * @file
- * Shared support for the benchmark harness. A bench binary is a thin
- * shell around the sweep registry (sim/sweep.h): it registers its named
- * sweep as one google-benchmark case via registerRegistrySweep() — the
- * whole point grid then executes on the runSweep() worker pool — and
- * owns only the paper-style table printer that reads the results back
- * from the process-wide (row, col) table. The grid itself (axes,
- * variants, knob values) lives in the library's sweep registry, shared
- * with the skybyte_sweep CLI and CI, so a grid change lands everywhere
- * at once.
- *
- * Result-table convention: a point's row is its first-axis label (the
- * workload in every paper sweep) and its column the remaining axis
- * labels joined with '/' (LabeledPoint::col()).
- *
- * Scale knobs: SKYBYTE_BENCH_INSTR (instructions per thread at 8
- * threads; default comes from the sweep spec), SKYBYTE_BENCH_THREADS,
- * SKYBYTE_BENCH_FOOTPRINT_MB, SKYBYTE_BENCH_NTHREADS (worker pool).
+ * Shared support for the microbenchmarks: the `--json <path>` flag the
+ * baseline-emitting benches (bench_kernel_hotpath, bench_request_path,
+ * bench_trace_replay) accept, so the CI artifact plumbing stays in one
+ * place. The paper figures and tables are not benches: they print from
+ * `skybyte_sweep --run <name>` (sim/sweep.h SweepSpec::table).
  */
 
 #ifndef SKYBYTE_BENCH_SUPPORT_H
 #define SKYBYTE_BENCH_SUPPORT_H
 
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
 #include <string>
-#include <vector>
-
-#include "sim/sweep.h"
 
 namespace skybyte::bench {
-
-/** Result store keyed by an arbitrary row/column label pair. */
-inline std::map<std::pair<std::string, std::string>, SimResult> &
-results()
-{
-    static std::map<std::pair<std::string, std::string>, SimResult> store;
-    return store;
-}
-
-inline SimResult &
-resultAt(const std::string &row, const std::string &col)
-{
-    return results()[{row, col}];
-}
-
-/** The registered spec for @p name, or exit with a clear error. */
-inline const SweepSpec &
-requireSweep(const std::string &name)
-{
-    const SweepSpec *spec = findSweep(name);
-    if (spec == nullptr) {
-        std::fprintf(stderr, "bench: unknown sweep: %s\n", name.c_str());
-        std::exit(1);
-    }
-    return *spec;
-}
-
-/** Value labels of axis @p axis of the named sweep (printer input). */
-inline std::vector<std::string>
-sweepAxisLabels(const std::string &name, std::size_t axis)
-{
-    return requireSweep(name).axes.at(axis).labels();
-}
-
-/**
- * Register the named registry sweep as a single google-benchmark case:
- * the expanded points run concurrently on the runSweep() pool, results
- * land at (row(), col()), and the reported manual time is the summed
- * simulated execution time. Output is identical to a serial run (each
- * point is seeded solely from its own config).
- */
-inline void
-registerRegistrySweep(const std::string &name)
-{
-    const SweepSpec &spec = requireSweep(name);
-    benchmark::RegisterBenchmark(
-        (name + "/sweep").c_str(),
-        [&spec](benchmark::State &state) {
-            const ExperimentOptions opt = spec.optionsFromEnv();
-            for (auto _ : state) {
-                const SweepExecution exec = runSweepShard(spec, opt);
-                double sim_ms = 0;
-                std::uint64_t instr = 0;
-                std::uint64_t flash_pgm = 0;
-                for (std::size_t i = 0; i < exec.points.size(); ++i) {
-                    const LabeledPoint &lp = exec.points[i];
-                    const SimResult &res = exec.results[i];
-                    resultAt(lp.row(), lp.col()) = res;
-                    sim_ms += res.execMs();
-                    instr += res.committedInstructions;
-                    flash_pgm += res.flashHostPrograms
-                                 + res.flashGcPrograms;
-                }
-                state.SetIterationTime(sim_ms / 1000.0);
-                state.counters["sim_exec_ms"] = sim_ms;
-                state.counters["points"] =
-                    static_cast<double>(exec.points.size());
-                state.counters["threads"] = static_cast<double>(
-                    sweepThreads(0, exec.points.size()));
-                state.counters["instructions"] =
-                    static_cast<double>(instr);
-                state.counters["flash_pgm"] =
-                    static_cast<double>(flash_pgm);
-            }
-        })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
-}
-
-/** Print a separator + table title. */
-inline void
-printHeader(const std::string &title)
-{
-    std::printf("\n================================================================\n");
-    std::printf("%s\n", title.c_str());
-    std::printf("================================================================\n");
-}
-
-/**
- * Print a matrix of doubles: rows x cols with a value extractor.
- */
-inline void
-printMatrix(const std::string &corner,
-            const std::vector<std::string> &rows,
-            const std::vector<std::string> &cols,
-            const std::function<double(const SimResult &)> &value,
-            const char *fmt = "%12.3f")
-{
-    std::printf("%-16s", corner.c_str());
-    for (const auto &c : cols)
-        std::printf("%12s", c.substr(0, 12).c_str());
-    std::printf("\n");
-    for (const auto &r : rows) {
-        std::printf("%-16s", r.c_str());
-        for (const auto &c : cols)
-            std::printf(fmt, value(resultAt(r, c)));
-        std::printf("\n");
-    }
-}
-
-/**
- * Print rows normalized to a baseline column (e.g., exec time vs
- * Base-CSSD), plus a geometric-mean row across workloads.
- */
-inline void
-printNormalized(const std::vector<std::string> &workloads,
-                const std::vector<std::string> &variants,
-                const std::string &baseline,
-                const std::function<double(const SimResult &)> &value,
-                bool lower_is_better = true)
-{
-    std::printf("%-16s", "workload");
-    for (const auto &v : variants)
-        std::printf("%14s", v.substr(0, 14).c_str());
-    std::printf("\n");
-    std::vector<std::vector<double>> norm(variants.size());
-    for (const auto &w : workloads) {
-        std::printf("%-16s", w.c_str());
-        const double base = value(resultAt(w, baseline));
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-            const double x = value(resultAt(w, variants[i]));
-            const double n = base > 0 ? x / base : 0.0;
-            norm[i].push_back(n);
-            std::printf("%14.3f", n);
-        }
-        std::printf("\n");
-    }
-    std::printf("%-16s", "geo.mean");
-    for (std::size_t i = 0; i < variants.size(); ++i)
-        std::printf("%14.3f", geoMean(norm[i]));
-    std::printf("\n");
-    std::printf("(normalized to %s; %s is better)\n", baseline.c_str(),
-                lower_is_better ? "lower" : "higher");
-}
-
-/** Standard main body: run benchmarks, then call the table printer. */
-inline int
-runBenchMain(int argc, char **argv, const std::function<void()> &report)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    report();
-    return 0;
-}
 
 /**
  * Strip `--json <path>` from the arg list before it reaches
  * benchmark::Initialize (which rejects unknown flags). Returns the
- * path, or "" when absent. Shared by the baseline-emitting benches
- * (bench_kernel_hotpath, bench_request_path) so the CI artifact
- * plumbing stays in one place.
+ * path, or "" when absent.
  */
 inline std::string
 extractJsonPath(int &argc, char **argv)

@@ -32,8 +32,9 @@ struct BenchLex
 /**
  * Single-pass lexer with key-path tracking: '"key":' pushes context,
  * '{'/'}' scope it, and array elements inherit the array's key. This
- * is not a JSON validator — both inputs come from the benches' own
- * writers — but malformed nesting still ends as a skeleton mismatch.
+ * is not a JSON validator — both inputs come from one writer (a
+ * bench's, or the sweep report's) — but malformed nesting still ends
+ * as a skeleton mismatch.
  */
 BenchLex
 lexBenchJson(const std::string &text)
@@ -155,8 +156,8 @@ diffBenchJson(const std::string &baseline, const std::string &current,
             return s.substr(begin, 48);
         };
         throw std::runtime_error(
-            "benchdiff: reports differ structurally near \""
-            + context(a.skeleton) + "\" vs \"" + context(b.skeleton)
+            "JSON layout differs near \"" + context(a.skeleton)
+            + "\" vs \"" + context(b.skeleton)
             + "\" (metric added/removed/renamed? regenerate the "
               "baseline)");
     }

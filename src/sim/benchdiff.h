@@ -1,14 +1,15 @@
 /**
  * @file
- * Tolerance-aware comparison of two bench JSON reports (the BENCH_*.json
- * files the bench/ programs emit): the library behind tools/skybyte_benchdiff and
- * the CI bench-baselines gate.
+ * Tolerance-aware comparison of two JSON documents: the one diff
+ * engine behind tools/skybyte_benchdiff and the CI bench-baselines gate
+ * (the BENCH_*.json files the bench/ programs emit) and behind
+ * `skybyte_sweep --diff`, which compares each pair of sweep report
+ * entries through it (sim/report.h diffSweepReports).
  *
- * The comparison is the sweep-report idiom (sim/report.h
- * diffSweepReports) applied to bench output: both documents are lexed
- * into a structural skeleton plus a sequence of numbers, the skeletons
- * must match exactly (a renamed or added metric is a structural error,
- * not a drift), and paired numbers compare under a relative tolerance.
+ * Both documents are lexed into a structural skeleton plus a sequence
+ * of numbers, the skeletons must match exactly (a renamed or added
+ * metric is a structural error, not a drift; whitespace is ignored),
+ * and paired numbers compare under a relative tolerance.
  * Each number carries its dotted JSON key path ("scenarios.near.speedup")
  * so drifts are reported by name and a key filter can gate only the
  * machine-independent ratio metrics while ignoring absolute

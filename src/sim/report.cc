@@ -1,16 +1,13 @@
 #include "sim/report.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/fs.h"
+#include "sim/benchdiff.h"
 
 namespace skybyte {
 
@@ -460,90 +457,6 @@ parseSweepReport(const std::string &text)
     return report;
 }
 
-namespace {
-
-/** One lexed token of an entry text: a number, or a literal chunk. */
-struct EntryToken
-{
-    bool isNumber = false;
-    double number = 0;
-    std::string text; ///< literal chunk, or the number's spelling
-};
-
-/**
- * Split an entry text into alternating literal/number tokens. Quoted
- * strings are atomic literals (workload spec ids contain digits that
- * must compare exactly); numbers are JSON numbers outside strings.
- */
-std::vector<EntryToken>
-lexEntry(const std::string &text)
-{
-    std::vector<EntryToken> tokens;
-    std::string chunk;
-    std::size_t i = 0;
-    auto flush = [&] {
-        if (!chunk.empty()) {
-            tokens.push_back({false, 0, std::move(chunk)});
-            chunk.clear();
-        }
-    };
-    while (i < text.size()) {
-        const char c = text[i];
-        if (c == '"') {
-            chunk += c;
-            for (++i; i < text.size() && text[i] != '"'; ++i) {
-                if (text[i] == '\\' && i + 1 < text.size())
-                    chunk += text[i++];
-                chunk += text[i];
-            }
-            if (i < text.size())
-                chunk += text[i++]; // closing quote
-            continue;
-        }
-        const bool starts_number =
-            (c >= '0' && c <= '9')
-            || (c == '-' && i + 1 < text.size() && text[i + 1] >= '0'
-                && text[i + 1] <= '9');
-        if (starts_number) {
-            std::size_t end = i + 1;
-            while (end < text.size()
-                   && (std::isdigit(static_cast<unsigned char>(text[end]))
-                       || text[end] == '.' || text[end] == 'e'
-                       || text[end] == 'E' || text[end] == '+'
-                       || text[end] == '-')) {
-                end++;
-            }
-            flush();
-            EntryToken tok;
-            tok.isNumber = true;
-            tok.text = text.substr(i, end - i);
-            tok.number = std::strtod(tok.text.c_str(), nullptr);
-            tokens.push_back(std::move(tok));
-            i = end;
-            continue;
-        }
-        chunk += c;
-        ++i;
-    }
-    flush();
-    return tokens;
-}
-
-/** The last "key": spelled out in a literal chunk (drift context). */
-std::string
-lastKeyIn(const std::string &chunk, const std::string &fallback)
-{
-    const auto close = chunk.rfind("\":");
-    if (close == std::string::npos)
-        return fallback;
-    const auto open = chunk.rfind('"', close - 1);
-    if (open == std::string::npos)
-        return fallback;
-    return chunk.substr(open + 1, close - open - 1);
-}
-
-} // namespace
-
 std::vector<std::string>
 diffSweepReports(const SweepReport &a, const SweepReport &b,
                  double tol_pct)
@@ -564,47 +477,29 @@ diffSweepReports(const SweepReport &a, const SweepReport &b,
             + std::to_string(b.entries.size()) + "/"
             + std::to_string(b.totalPoints));
     }
-    const double tol = tol_pct / 100.0;
+    BenchDiffOptions opt;
+    opt.tolPct = tol_pct;
     std::vector<std::string> drifts;
 
     auto compareEntries = [&](const SweepReportEntry &ea,
                               const SweepReportEntry &eb) {
-        const std::vector<EntryToken> ta = lexEntry(ea.text);
-        const std::vector<EntryToken> tb = lexEntry(eb.text);
-        if (ta.size() != tb.size()) {
-            throw std::runtime_error(
-                "diff: point " + std::to_string(ea.index)
-                + " has a different layout (metric added/removed?)");
+        std::vector<BenchDrift> found;
+        try {
+            found = diffBenchJson(ea.text, eb.text, opt);
+        } catch (const std::runtime_error &e) {
+            throw std::runtime_error("diff: point "
+                                     + std::to_string(ea.index)
+                                     + " differs structurally: "
+                                     + e.what());
         }
-        std::string key = "?";
-        for (std::size_t t = 0; t < ta.size(); ++t) {
-            if (!ta[t].isNumber) {
-                if (ta[t].text != tb[t].text) {
-                    throw std::runtime_error(
-                        "diff: point " + std::to_string(ea.index)
-                        + " differs structurally near \"" + ta[t].text
-                        + "\"");
-                }
-                key = lastKeyIn(ta[t].text, key);
-                continue;
-            }
-            const double va = ta[t].number;
-            const double vb = tb[t].number;
-            if (va == vb)
-                continue;
-            const double scale =
-                std::max(std::abs(va), std::abs(vb));
-            const double rel =
-                scale > 0 ? std::abs(va - vb) / scale : 0.0;
-            if (rel > tol) {
-                std::ostringstream os;
-                os << std::setprecision(12);
-                os << a.sweep << "[" << ea.index << "] " << key << ": "
-                   << va << " vs " << vb << " ("
-                   << std::setprecision(3) << rel * 100.0
-                   << "% > " << tol_pct << "%)";
-                drifts.push_back(os.str());
-            }
+        for (const BenchDrift &d : found) {
+            std::ostringstream os;
+            os << std::setprecision(12);
+            os << a.sweep << "[" << ea.index << "] " << d.path << ": "
+               << d.baseline << " vs " << d.current << " ("
+               << std::setprecision(3) << d.relPct << "% > " << tol_pct
+               << "%)";
+            drifts.push_back(os.str());
         }
     };
 

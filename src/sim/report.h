@@ -129,14 +129,16 @@ SweepReport mergeSweepReports(const std::vector<SweepReport> &shards);
  * that replaces byte-exact diffs, which a runner libm/toolchain update
  * can break through low-order float digits).
  *
- * Matched point entries are compared token-by-token: non-numeric text
- * (keys, ids, structure) must match exactly; every numeric value —
- * scalars and CDF points alike — may differ by at most @p tol_pct
- * percent relative difference (0 = numerically equal, which still
- * tolerates formatting differences like 1e3 vs 1000).
+ * Matched point entries are compared by diffBenchJson()
+ * (sim/benchdiff.h): non-numeric text (keys, ids, structure) must match
+ * exactly, whitespace aside; every numeric value — scalars and CDF
+ * points alike — may differ by at most @p tol_pct percent relative
+ * difference (0 = numerically equal, which still tolerates formatting
+ * differences like 1e3 vs 1000). A drift names the number by its
+ * dotted key path within the entry ("result.committed_instructions").
  *
  * Partial reports compare gracefully: points with entries in both
- * reports are token-compared as usual, and a point that succeeded in
+ * reports are compared as usual, and a point that succeeded in
  * one report but failed (or is absent) in the other — or whose failure
  * status differs — is reported as a drift instead of throwing. Two
  * complete reports with different entry counts remain incomparable.

@@ -293,4 +293,14 @@ runSweepShard(const SweepSpec &spec, const ExperimentOptions &opt,
     return exec;
 }
 
+const SimResult &
+SweepExecution::at(const std::string &row, const std::string &col) const
+{
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (points[i].row() == row && points[i].col() == col)
+            return results.at(i);
+    }
+    throw std::out_of_range("sweep: no point at " + row + "/" + col);
+}
+
 } // namespace skybyte

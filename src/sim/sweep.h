@@ -6,9 +6,10 @@
  * values applied through a cfg-mutating setter — and its cross product
  * expands into labeled, self-contained SweepPoints that run on the
  * runSweep() worker pool. Every figure/table/ablation sweep of the
- * paper is registered here under a stable name (registerSweeps() in
- * sweep_registry.cc), so the bench binaries, the skybyte_sweep CLI and
- * CI all execute the exact same point grids.
+ * paper is registered here under a stable name (registerBuiltinSweeps()
+ * in sweep_registry.cc), together with the printer of its paper-style
+ * table, so the skybyte_sweep CLI and CI execute the exact same point
+ * grids.
  *
  * Sharding: a ShardSpec ("i/N" from --shard or SKYBYTE_SWEEP_SHARD)
  * partitions the expanded points round-robin by index. Shards are
@@ -22,6 +23,7 @@
 #define SKYBYTE_SIM_SWEEP_H
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -62,13 +64,23 @@ struct LabeledPoint
     std::vector<std::string> labels;
     SweepPoint point;
 
-    /** First-axis label: the result-table row every bench prints. */
+    /** First-axis label: the result-table row every table prints. */
     const std::string &row() const { return labels.front(); }
     /** Remaining labels joined with '/': the result-table column. */
     std::string col() const;
     /** row()/col(): the stable point id used in report manifests. */
     std::string id() const;
 };
+
+struct SweepSpec;
+struct SweepExecution;
+
+/**
+ * Paper-style table printer: reads a complete (unsharded) execution
+ * back through SweepExecution::at() and writes the table to @p out.
+ */
+using SweepTable = std::function<void(
+    const SweepSpec &spec, const SweepExecution &exec, std::FILE *out)>;
 
 /** A named, declarative parameter sweep. */
 struct SweepSpec
@@ -82,6 +94,8 @@ struct SweepSpec
     /** Default run scale (SKYBYTE_BENCH_INSTR still overrides). */
     std::uint64_t defaultInstrPerThread = 100'000;
     std::vector<SweepAxis> axes;
+    /** The figure/table this sweep reproduces; null = none. */
+    SweepTable table;
 
     /** Size of the full cross product. */
     std::size_t pointCount() const;
@@ -162,6 +176,14 @@ struct SweepExecution
     std::vector<SimResult> results;
     /** Size of the unsharded cross product (the report manifest). */
     std::size_t totalPoints = 0;
+
+    /**
+     * Result of the point at (@p row, @p col) — LabeledPoint::row()
+     * and col().
+     * @throws std::out_of_range when no point carries that label pair.
+     */
+    const SimResult &at(const std::string &row,
+                        const std::string &col) const;
 };
 
 /**

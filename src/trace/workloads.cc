@@ -6,7 +6,7 @@
  * published footprint (scaled 1/64 by default), write ratio and locality
  * class of its namesake; the mixes below are tuned so the measured write
  * ratios and LLC MPKI ordering match Table I (verified by
- * tests/test_trace.cc and bench_table1).
+ * tests/test_trace.cc and `skybyte_sweep --run table1`).
  *
  * Generators derive from SyntheticWorkload and implement a per-record
  * emit(); the base class batches emit() into TraceBatch refills, so the

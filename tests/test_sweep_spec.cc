@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the declarative sweep API: the global registry holds every
- * figure/table/ablation sweep, the cross-product expansion applies
- * axes in order, and the shard selector partitions any sweep into
- * disjoint, complete subsets for adversarial shard counts.
+ * figure/table/ablation sweep with its table printer, every printer
+ * looks up only points its grid contains, the cross-product expansion
+ * applies axes in order, and the shard selector partitions any sweep
+ * into disjoint, complete subsets for adversarial shard counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,7 +29,8 @@ TEST(SweepRegistry, EnumeratesEveryPaperSweep)
         EXPECT_FALSE(spec->title.empty()) << spec->name;
         EXPECT_GT(spec->pointCount(), 0u) << spec->name;
     }
-    // Every multi-run bench binary's grid must be registered.
+    // Every paper figure/table/ablation grid must be registered, with
+    // the printer of its table.
     for (const char *required :
          {"fig02", "fig03", "fig04", "fig05", "fig06", "fig09",
           "fig10", "fig14", "fig15", "fig16", "fig17", "fig18",
@@ -34,8 +38,51 @@ TEST(SweepRegistry, EnumeratesEveryPaperSweep)
           "table3", "abl_dram_model", "abl_gc_wear", "abl_hugepage",
           "abl_mshr_free", "abl_promotion", "abl_reclaim", "smoke"}) {
         EXPECT_TRUE(names.count(required)) << required;
+        const SweepSpec *spec = findSweep(required);
+        if (spec != nullptr && std::string(required) != "smoke") {
+            EXPECT_TRUE(spec->table) << required;
+        }
     }
     EXPECT_EQ(findSweep("no-such-sweep"), nullptr);
+}
+
+TEST(SweepRegistry, EveryTableLooksUpOnlyRealPoints)
+{
+    // Pair every point with an empty result and print each table
+    // without simulating: SweepExecution::at() throws on any (row, col)
+    // the grid does not contain, so a label typo in a printer fails.
+    ExperimentOptions opt;
+    opt.instrPerThread = 1'000;
+    for (const SweepSpec *spec : registeredSweeps()) {
+        if (!spec->table)
+            continue;
+        SweepExecution exec;
+        exec.points = spec->expand(opt);
+        exec.results.resize(exec.points.size());
+        exec.totalPoints = exec.points.size();
+        std::FILE *out = std::tmpfile();
+        ASSERT_NE(out, nullptr);
+        EXPECT_NO_THROW(spec->table(*spec, exec, out)) << spec->name;
+        EXPECT_GT(std::ftell(out), 0) << spec->name;
+        std::fclose(out);
+    }
+}
+
+TEST(SweepExecution, AtThrowsOnUnknownLabels)
+{
+    const SweepSpec *spec = findSweep("smoke");
+    ASSERT_NE(spec, nullptr);
+    ExperimentOptions opt;
+    opt.instrPerThread = 1'000;
+    SweepExecution exec;
+    exec.points = spec->expand(opt);
+    exec.results.resize(exec.points.size());
+    exec.results[3].execTime = 42;
+    // Row-major: point 3 is the second workload x second variant.
+    EXPECT_EQ(exec.at("srad", "SkyByte-Full").execTime, 42u);
+    EXPECT_THROW(exec.at("srad", "SkyByte-Fulll"), std::out_of_range);
+    EXPECT_THROW(exec.at("no-such-row", "Base-CSSD"), std::out_of_range);
+    EXPECT_THROW(exec.at("Base-CSSD", "ycsb"), std::out_of_range);
 }
 
 TEST(SweepRegistry, RegistersUserSweepsAndRejectsDuplicates)

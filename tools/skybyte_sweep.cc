@@ -10,7 +10,10 @@
  *       Run one sweep (or one shard of it) on the in-process worker
  *       pool and write the mergeable JSON report. "-o -" writes to
  *       stdout. Reports are committed write-temp-then-rename, so an
- *       interrupted run never leaves a truncated file.
+ *       interrupted run never leaves a truncated file. When the
+ *       in-process run covered every point (no shard), the sweep's
+ *       paper-style table (figure/table/ablation sweeps) follows on
+ *       stdout — on stderr with "-o -". --run-dir runs print none.
  *   skybyte_sweep --run <name> --run-dir <dir> [--timeout-s S]
  *                 [--retries N] [--backoff-ms MS] [--resume]
  *                 [--require-complete]
@@ -87,6 +90,9 @@ usage()
         "       skybyte_sweep --merge a.json b.json... [-o out.json]"
         " [--require-complete]\n"
         "       skybyte_sweep --diff a.json b.json [--tol pct]\n"
+        "an unsharded in-process --run prints the sweep's paper table"
+        " after the report\n"
+        "(stdout; stderr with -o -)\n"
         "exit codes: 0 ok; 1 usage; 2 error; 3 sim-timeout point(s);\n"
         "            4 diff drift; 5 partial failure (manifest"
         " written);\n"
@@ -255,6 +261,8 @@ runSweepCmd(const std::string &name, const std::string &shard_arg,
         timed_out = timed_out || exec.results[i].timedOut;
     }
     writeReport(report, out_path);
+    if (spec->table && shard.count == 1)
+        spec->table(*spec, exec, out_path == "-" ? stderr : stdout);
     std::fprintf(stderr, "%s: %zu/%zu points (shard %u/%u)%s\n",
                  spec->name.c_str(), exec.points.size(),
                  exec.totalPoints, shard.index, shard.count,
