@@ -1,17 +1,17 @@
 /**
  * @file
- * Trace-replay pipeline benchmark: records/sec of the flat SKYTRC01
- * replay (eager whole-file load, then iterate) vs the streaming STRC
- * trace-log replay (background block decode into per-thread rings,
- * O(blocks-in-flight) memory). Both paths drain the same capture of
- * the same workload through the TraceCursor contract, so the numbers
- * isolate the pipeline, not the generator.
+ * Trace-replay pipeline benchmark: records/sec of the streaming STRC
+ * replay (background block decode into per-thread rings,
+ * O(blocks-in-flight) memory). The capture is drained through the
+ * TraceCursor contract, so the number isolates the pipeline, not the
+ * generator.
  *
- * The table reports both rates, the stored size of each encoding, and
- * the peak number of simultaneously live decoded STRC blocks — the
- * bounded-memory witness (flat replay holds the whole trace; the
- * streaming path a handful of blocks). `--json <path>` emits the
- * machine-readable report CI archives as BENCH_trace_replay.json.
+ * The table reports the rate, the capture's size on disk, its
+ * compression against 16 raw bytes per record, and the peak number
+ * of simultaneously live decoded blocks — the bounded-memory witness
+ * (a handful of blocks however long the trace). `--json <path>`
+ * emits the machine-readable report CI archives as
+ * BENCH_trace_replay.json.
  *
  * Scale knob: SKYBYTE_BENCH_TRACE_INSTR (instructions per thread,
  * default 400k at 4 threads).
@@ -28,7 +28,6 @@
 
 #include "common/fs.h"
 #include "support.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/trace_log/trace_log_workload.h"
 #include "trace/workload.h"
@@ -37,24 +36,25 @@ using namespace skybyte;
 
 namespace {
 
+/** Raw bytes per record: the in-memory TraceRecord (16 B). */
+constexpr std::uint64_t kRawRecordBytes = sizeof(TraceRecord);
+
 struct Corpus
 {
-    std::string flatPath;
-    std::string logPath;
+    std::string path;
     std::uint64_t records = 0;
     int threads = 0;
 };
 
-/** Rate + footprint results, keyed by path name ("flat"/"tracelog"). */
-struct PathResult
+/** Best rate and bounded-memory witness over all iterations. */
+struct Result
 {
     double recordsPerSec = 0;
     std::uint64_t fileBytes = 0;
     std::uint64_t peakBlocks = 0;
 };
 
-PathResult g_flat;
-PathResult g_log;
+Result g_log;
 
 std::string
 tmpDir()
@@ -63,13 +63,12 @@ tmpDir()
     return env != nullptr && *env != '\0' ? env : "/tmp";
 }
 
-/** Capture one workload in both encodings; returns the file pair. */
+/** Capture one workload to an STRC file. */
 Corpus
 buildCorpus()
 {
     Corpus c;
-    c.flatPath = tmpDir() + "/bench_trace_replay.trace";
-    c.logPath = tmpDir() + "/bench_trace_replay.strc";
+    c.path = tmpDir() + "/bench_trace_replay.strc";
     WorkloadParams params;
     params.numThreads = 4;
     params.instrPerThread = 400'000;
@@ -77,9 +76,7 @@ buildCorpus()
         params.instrPerThread = std::strtoull(env, nullptr, 10);
     auto workload = makeWorkload("zipf:theta=0.99", params);
     c.threads = workload->numThreads();
-    c.records = writeTraceFile(c.flatPath, *workload);
-    auto workload2 = makeWorkload("zipf:theta=0.99", params);
-    writeTraceLog(c.logPath, *workload2);
+    c.records = writeTraceLog(c.path, *workload);
     return c;
 }
 
@@ -99,34 +96,17 @@ drain(Workload &workload)
     return n;
 }
 
-/** Construct + fully drain one replay; returns records/sec including
- *  the load/decode cost (that asymmetry is the point). */
-template <typename MakeFn>
+/** Open + fully drain one replay; returns records/sec including the
+ *  header/index parse and every block decode. */
 double
-timeReplay(const MakeFn &make)
+timeReplay(const std::string &path)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    auto workload = make();
-    const std::uint64_t n = drain(*workload);
+    TraceLogWorkload workload(path);
+    const std::uint64_t n = drain(workload);
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     return secs > 0 ? static_cast<double>(n) / secs : 0.0;
-}
-
-void
-benchFlat(benchmark::State &state, const Corpus &corpus)
-{
-    double best = 0;
-    for (auto _ : state) {
-        best = std::max(best, timeReplay([&] {
-            return std::make_unique<TraceFileWorkload>(corpus.flatPath);
-        }));
-        state.SetItemsProcessed(
-            state.items_processed()
-            + static_cast<std::int64_t>(corpus.records));
-    }
-    g_flat.recordsPerSec = std::max(g_flat.recordsPerSec, best);
-    state.counters["records_per_sec"] = best;
 }
 
 void
@@ -135,9 +115,7 @@ benchTraceLog(benchmark::State &state, const Corpus &corpus)
     double best = 0;
     for (auto _ : state) {
         resetPeakLiveDecodedBlocks();
-        best = std::max(best, timeReplay([&] {
-            return std::make_unique<TraceLogWorkload>(corpus.logPath);
-        }));
+        best = std::max(best, timeReplay(corpus.path));
         g_log.peakBlocks =
             std::max(g_log.peakBlocks, peakLiveDecodedBlocks());
         state.SetItemsProcessed(
@@ -163,13 +141,8 @@ main(int argc, char **argv)
 {
     const std::string json_path = bench::extractJsonPath(argc, argv);
     const Corpus corpus = buildCorpus();
-    g_flat.fileBytes = fileSizeOf(corpus.flatPath);
-    g_log.fileBytes = fileSizeOf(corpus.logPath);
+    g_log.fileBytes = fileSizeOf(corpus.path);
 
-    benchmark::RegisterBenchmark("replay/flat",
-                                 [&](benchmark::State &s) {
-                                     benchFlat(s, corpus);
-                                 });
     benchmark::RegisterBenchmark("replay/tracelog",
                                  [&](benchmark::State &s) {
                                      benchTraceLog(s, corpus);
@@ -179,32 +152,24 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    const double ratio = g_flat.recordsPerSec > 0
-                             ? g_log.recordsPerSec / g_flat.recordsPerSec
-                             : 0.0;
     const double compression =
         g_log.fileBytes > 0
-            ? static_cast<double>(g_flat.fileBytes)
+            ? static_cast<double>(corpus.records * kRawRecordBytes)
                   / static_cast<double>(g_log.fileBytes)
             : 0.0;
     std::printf("\n================================================================\n");
-    std::printf("Trace replay: flat eager load vs streaming STRC decode"
+    std::printf("Trace replay: streaming STRC decode"
                 " (%llu records, %d threads)\n",
                 static_cast<unsigned long long>(corpus.records),
                 corpus.threads);
     std::printf("================================================================\n");
-    std::printf("%-10s %16s %14s %20s\n", "path", "records/sec",
-                "file bytes", "peak decoded blocks");
-    std::printf("%-10s %16.0f %14llu %20s\n", "flat",
-                g_flat.recordsPerSec,
-                static_cast<unsigned long long>(g_flat.fileBytes),
-                "(whole trace)");
-    std::printf("%-10s %16.0f %14llu %20llu\n", "tracelog",
+    std::printf("%-10s %16s %14s %20s %12s\n", "path", "records/sec",
+                "file bytes", "peak decoded blocks", "compression");
+    std::printf("%-10s %16.0f %14llu %20llu %11.2fx\n", "tracelog",
                 g_log.recordsPerSec,
                 static_cast<unsigned long long>(g_log.fileBytes),
-                static_cast<unsigned long long>(g_log.peakBlocks));
-    std::printf("tracelog/flat rate %.2fx, on-disk compression %.2fx\n",
-                ratio, compression);
+                static_cast<unsigned long long>(g_log.peakBlocks),
+                compression);
 
     if (!json_path.empty()) {
         // Archived per commit by the CI bench-baselines job, like
@@ -214,14 +179,10 @@ main(int argc, char **argv)
             << "  \"unit\": \"records_per_sec\",\n"
             << "  \"records\": " << corpus.records << ",\n"
             << "  \"paths\": {\n"
-            << "    \"flat\": {\"records_per_sec\": "
-            << g_flat.recordsPerSec << ", \"file_bytes\": "
-            << g_flat.fileBytes << "},\n"
             << "    \"tracelog\": {\"records_per_sec\": "
             << g_log.recordsPerSec << ", \"file_bytes\": "
             << g_log.fileBytes << ", \"peak_decoded_blocks\": "
             << g_log.peakBlocks << "}\n  },\n"
-            << "  \"rate_ratio\": " << ratio << ",\n"
             << "  \"compression\": " << compression << "\n}\n";
         try {
             writeFileAtomic(json_path, out.str());
@@ -231,7 +192,6 @@ main(int argc, char **argv)
                          json_path.c_str(), e.what());
         }
     }
-    std::remove(corpus.flatPath.c_str());
-    std::remove(corpus.logPath.c_str());
+    std::remove(corpus.path.c_str());
     return 0;
 }

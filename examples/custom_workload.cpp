@@ -3,7 +3,7 @@
  * Scenario: bringing your own application to the simulator.
  *
  * Implements a custom Workload (a pointer-chasing index join with a hot
- * build side and a streamed probe side), captures it to a trace file —
+ * build side and a streamed probe side), captures it to an STRC trace —
  * the analogue of the artifact's PIN capture step — then replays the
  * identical trace under three device configurations via System's
  * bring-your-own-workload constructor.
@@ -16,7 +16,8 @@
 #include "common/rng.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
-#include "trace/trace_file.h"
+#include "trace/trace_log/trace_log.h"
+#include "trace/trace_log/trace_log_workload.h"
 
 using namespace skybyte;
 
@@ -105,11 +106,11 @@ main()
     params.instrPerThread = 80'000;
 
     // Step 1: "capture" the custom application once (the PIN step).
-    const std::string trace_path = "/tmp/index_join.skytrace";
+    const std::string trace_path = "/tmp/index_join.strc";
     {
         IndexJoinWorkload capture(params);
         const std::uint64_t records =
-            writeTraceFile(trace_path, capture);
+            writeTraceLog(trace_path, capture);
         std::printf("captured %lu records to %s\n",
                     static_cast<unsigned long>(records),
                     trace_path.c_str());
@@ -125,9 +126,9 @@ main()
          {"Base-CSSD", "SkyByte-WP", "SkyByte-Full"}) {
         SimConfig cfg = makeBenchConfig(variant);
         System system(cfg,
-                      std::make_unique<TraceFileWorkload>(trace_path),
+                      std::make_unique<TraceLogWorkload>(trace_path),
                       [&trace_path] {
-                          return std::make_unique<TraceFileWorkload>(
+                          return std::make_unique<TraceLogWorkload>(
                               trace_path);
                       });
         SimResult res = system.run();

@@ -151,13 +151,13 @@ class EventQueue
      * @param window_ticks near-future window size (power of two >= 64);
      *                     the sweet spot depends on the event-stride
      *                     distribution, hence the SimConfig knob
-     * @param slab_chunk_records EventRecords carved per slab chunk
+     * @param chunk_records EventRecords carved per slab chunk
      */
     explicit EventQueue(
         std::size_t window_ticks = kWindowTicks,
-        std::size_t slab_chunk_records = detail::EventSlab::kChunkRecords)
+        std::size_t chunk_records = detail::EventSlab::kChunkRecords)
         : head_(window_ticks, nullptr), tail_(window_ticks, nullptr),
-          bitmap_(window_ticks / 64, 0), slab_(slab_chunk_records),
+          bitmap_(window_ticks / 64, 0), slab_(chunk_records),
           window_(window_ticks), mask_(window_ticks - 1),
           words_(window_ticks / 64)
     {

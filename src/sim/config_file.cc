@@ -169,17 +169,6 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
             cfg.hostDram.bank = DramBankTiming{};
             cfg.ssdDram.bank = DramBankTiming{};
         }
-    } else if (key == "calendar_window_ticks") {
-        // Event-kernel near-window size; wall-clock tuning only.
-        const std::uint64_t ticks = parseU64(value, key);
-        if (ticks < 64 || ticks > 0xffffffffULL
-            || (ticks & (ticks - 1)) != 0) {
-            throw std::invalid_argument(
-                "calendar_window_ticks must be a 32-bit power of two "
-                ">= 64: " + value);
-        }
-        cfg.kernel.calendarWindowTicks =
-            static_cast<std::uint32_t>(ticks);
     } else if (key == "qos_policy") {
         if (value == "none")
             cfg.qos.weightedAdmission = false;
@@ -205,14 +194,6 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         cfg.qos.writeLogQuota = parseBool(value, key);
     } else if (key == "qos_migration_share") {
         cfg.qos.migrationShare = parseBool(value, key);
-    } else if (key == "slab_chunk_records") {
-        const std::uint64_t records = parseU64(value, key);
-        if (records == 0 || records > 0xffffffffULL) {
-            throw std::invalid_argument(
-                "slab_chunk_records must be in [1, 2^32): " + value);
-        }
-        cfg.kernel.slabChunkRecords =
-            static_cast<std::uint32_t>(records);
     } else if (key == "numa_sockets") {
         cfg.numa.sockets =
             static_cast<std::uint32_t>(parseU64(value, key));

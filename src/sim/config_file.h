@@ -14,7 +14,6 @@
  *   workload=ycsb                 num_threads=24
  *   instr_per_thread=100000       footprint_byte=134217728
  *   seed=42                       dram_only=0
- *   calendar_window_ticks=8192    slab_chunk_records=512
  *
  * workload= accepts any registered workload spec string
  * (trace/workload_spec.h), so parameterized synthetic scenarios work

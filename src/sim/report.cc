@@ -94,13 +94,26 @@ printSummary(const SimResult &res, std::ostream &out)
 }
 
 std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+std::string
 toJson(const SimResult &res)
 {
     std::ostringstream os;
     os << std::setprecision(12);
     os << "{\n";
-    os << "  \"variant\": \"" << res.variant << "\",\n";
-    os << "  \"workload\": \"" << res.workload << "\",\n";
+    os << "  \"variant\": \"" << jsonEscape(res.variant) << "\",\n";
+    os << "  \"workload\": \"" << jsonEscape(res.workload) << "\",\n";
     os << "  \"timed_out\": " << (res.timedOut ? "true" : "false")
        << ",\n";
     appendKv(os, "exec_time_ticks", res.execTime);
@@ -157,8 +170,9 @@ toJson(const SimResult &res)
         for (std::size_t i = 0; i < res.tenants.size(); ++i) {
             const TenantResult &t = res.tenants[i];
             os << (i == 0 ? "\n" : ",\n");
-            os << "    {\"name\": \"" << t.name << "\", \"spec\": \""
-               << t.spec << "\", \"threads\": " << t.threads
+            os << "    {\"name\": \"" << jsonEscape(t.name)
+               << "\", \"spec\": \"" << jsonEscape(t.spec)
+               << "\", \"threads\": " << t.threads
                << ", \"instructions\": " << t.instructions
                << ", \"exec_time_ticks\": " << t.execTime
                << ", \"ipc\": " << t.ipc()
@@ -253,7 +267,7 @@ class JsonScanner
         std::string out;
         while (pos_ < text_.size() && text_[pos_] != '"') {
             if (text_[pos_] == '\\' && pos_ + 1 < text_.size())
-                pos_++; // report strings never need escapes, but cope
+                pos_++; // undo jsonEscape
             out += text_[pos_++];
         }
         consume('"');
@@ -337,7 +351,7 @@ sweepEntryJsonFromText(std::size_t index, const std::string &id,
     std::ostringstream os;
     os << "{\n"
        << "\"index\": " << index << ",\n"
-       << "\"id\": \"" << id << "\",\n"
+       << "\"id\": \"" << jsonEscape(id) << "\",\n"
        << "\"result\": " << result_json << "\n"
        << "}";
     return os.str();
@@ -350,31 +364,13 @@ sweepEntryJson(std::size_t index, const std::string &id,
     return sweepEntryJsonFromText(index, id, toJson(res));
 }
 
-namespace {
-
-/** Escape '"' and '\\' (failure details may quote shell text). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 toJson(const SweepReport &report)
 {
     std::ostringstream os;
     os << "{\n"
        << "\"skybyte_sweep_report\": 1,\n"
-       << "\"sweep\": \"" << report.sweep << "\",\n"
+       << "\"sweep\": \"" << jsonEscape(report.sweep) << "\",\n"
        << "\"total_points\": " << report.totalPoints << ",\n"
        << "\"shard_index\": " << report.shardIndex << ",\n"
        << "\"shard_count\": " << report.shardCount << ",\n"

@@ -29,6 +29,13 @@ namespace skybyte {
 void printSummary(const SimResult &res, std::ostream &out);
 
 /**
+ * Escape '"' and '\\' for embedding @p text in a JSON string. Every
+ * free-form string a report or run-dir journal writes (labels, specs,
+ * point ids, failure details) goes through it; the readers unescape.
+ */
+std::string jsonEscape(const std::string &text);
+
+/**
  * Serialize every scalar field plus the latency/locality CDFs as JSON.
  * Deterministic key order; no external dependencies.
  */

@@ -250,7 +250,8 @@ std::string
 journalHeaderLine(const JournalHeader &header)
 {
     std::ostringstream os;
-    os << "{\"skybyte_sweep_journal\": 1, \"sweep\": \"" << header.sweep
+    os << "{\"skybyte_sweep_journal\": 1, \"sweep\": \""
+       << jsonEscape(header.sweep)
        << "\", \"total_points\": " << header.totalPoints
        << ", \"shard_index\": " << header.shardIndex
        << ", \"shard_count\": " << header.shardCount << "}";
@@ -261,10 +262,11 @@ std::string
 journalRecordLine(const JournalRecord &rec)
 {
     std::ostringstream os;
-    os << "{\"point\": " << rec.index << ", \"id\": \"" << rec.id
-       << "\", \"attempt\": " << rec.attempt << ", \"status\": \""
-       << rec.status << "\", \"ms\": " << rec.durationMs
-       << ", \"detail\": \"" << rec.detail << "\"}";
+    os << "{\"point\": " << rec.index << ", \"id\": \""
+       << jsonEscape(rec.id) << "\", \"attempt\": " << rec.attempt
+       << ", \"status\": \"" << jsonEscape(rec.status)
+       << "\", \"ms\": " << rec.durationMs << ", \"detail\": \""
+       << jsonEscape(rec.detail) << "\"}";
     return os.str();
 }
 

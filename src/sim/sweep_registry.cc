@@ -1413,14 +1413,12 @@ registerBuiltinSweeps()
     }
 
     // Trace-capture replay: the workload axis is a tracelog: spec
-    // pointing at a file the runner materializes first (skybyte_
-    // tracegen / tracepack). The spec replays either encoding by
-    // magic, so CI runs this sweep against a flat capture, rewrites
-    // the same path as STRC, reruns, and `skybyte_sweep --diff`
-    // proves the two reports byte-identical.
+    // pointing at an STRC capture the runner materializes first with
+    // skybyte_tracegen. CI runs it in-process and under --run-dir and
+    // `cmp`s the two reports.
     registerSweepUnlocked(variantGrid(
         "tracereplay",
-        "replay a trace capture (flat or STRC) at ./replay.trace",
+        "replay an STRC trace capture at ./replay.trace",
         {"tracelog:path=replay.trace"},
         {"Base-CSSD", "SkyByte-Full"}, 4'000));
 }

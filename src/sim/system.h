@@ -296,7 +296,7 @@ class System
            const WorkloadParams &params);
 
     /**
-     * Bring-your-own-workload constructor (e.g., a TraceFileWorkload or
+     * Bring-your-own-workload constructor (e.g., a TraceLogWorkload or
      * a user-defined generator). @p warm_factory, when given, produces
      * an identically-distributed fresh instance for the SSD cache
      * warmup pass; without it warmup is skipped for custom workloads.

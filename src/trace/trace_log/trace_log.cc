@@ -408,7 +408,8 @@ TraceLogReader::parse()
             if (count < 1 || count > blockRecords_)
                 throw TraceLogError("trace log block record count out "
                                     "of range");
-            // O(1) seek depends on every non-final block being full.
+            // O(1) record lookup depends on every non-final block
+            // being full.
             if (b + 1 < blocks && count != blockRecords_)
                 throw TraceLogError("trace log interior block not "
                                     "full");
@@ -420,7 +421,6 @@ TraceLogReader::parse()
         if (records != t.totalRecords)
             throw TraceLogError("trace log index record total "
                                 "mismatch");
-        t.curIdx = 0; // cursor starts at the first block
     }
     if (pos != index.size())
         throw TraceLogError("trace log index has trailing bytes");
@@ -474,60 +474,6 @@ TraceLogReader::readBlock(int tid, std::uint64_t block_idx)
     }
     ++blocksDecoded_;
     return block;
-}
-
-void
-TraceLogReader::seek(int tid, std::uint64_t record_index)
-{
-    if (tid < 0 || static_cast<std::size_t>(tid) >= threads_.size())
-        throw TraceLogError("trace log seek: bad tid");
-    PerThread &t = threads_[static_cast<std::size_t>(tid)];
-    if (record_index >= t.totalRecords) {
-        t.cur.reset();
-        t.curIdx = t.blockOffsets.size();
-        t.pos = 0;
-        return;
-    }
-    const std::uint64_t block_idx = record_index / blockRecords_;
-    t.cur = std::make_unique<DecodedBlock>(readBlock(tid, block_idx));
-    t.curIdx = block_idx;
-    t.pos = static_cast<std::size_t>(record_index
-                                     - t.cur->firstRecord);
-}
-
-bool
-TraceLogReader::next(int tid, TraceRecord &rec)
-{
-    if (tid < 0 || static_cast<std::size_t>(tid) >= threads_.size())
-        throw TraceLogError("trace log next: bad tid");
-    PerThread &t = threads_[static_cast<std::size_t>(tid)];
-    if (t.cur == nullptr || t.pos >= t.cur->records.size()) {
-        const std::uint64_t next_idx =
-            t.cur == nullptr ? t.curIdx : t.curIdx + 1;
-        if (next_idx >= t.blockOffsets.size()) {
-            t.cur.reset();
-            t.curIdx = t.blockOffsets.size();
-            return false;
-        }
-        t.cur = std::make_unique<DecodedBlock>(readBlock(tid,
-                                                         next_idx));
-        t.curIdx = next_idx;
-        t.pos = 0;
-    }
-    rec = t.cur->records[t.pos++];
-    return true;
-}
-
-bool
-isTraceLogFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    return in.gcount() == sizeof(magic)
-           && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
 } // namespace skybyte

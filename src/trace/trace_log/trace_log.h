@@ -1,23 +1,22 @@
 /**
  * @file
- * STRC: the seekable compressed trace-log format, the "real trace
- * pipeline" successor to the flat SKYTRC01 file (trace/trace_file.h).
- * A capture is a fixed header, per-thread record streams chunked into
- * independently decodable blocks, and a footer index that maps
- * (thread, record range) to a file offset so seek(tid, recordIndex)
- * is O(1):
+ * STRC: the seekable compressed trace-capture format every trace
+ * replay reads. A capture is a fixed header, per-thread record
+ * streams chunked into independently decodable blocks, and a footer
+ * index that maps (thread, record range) to a file offset so reaching
+ * any record is O(1):
  *
  *   [header | name][block]...[block][index][trailer]
  *
  * Every block but a thread's last holds exactly blockRecords()
  * records, so the block containing record r of thread t is simply
- * r / blockRecords() — no search. Inside a block the three record
- * columns are packed separately (zigzag-varint vaddr deltas, varint
- * computeOps, a packed isWrite bitmap) and the whole payload is
- * SLZ-compressed when that wins, stored raw when it does not; either
- * way a CRC-32 covers the stored bytes. The footer index itself is
- * varint-packed and CRC-protected, and a fixed 32-byte trailer at EOF
- * locates it, so readers never scan the file.
+ * readBlock(t, r / blockRecords()) — no search. Inside a block the
+ * three record columns are packed separately (zigzag-varint vaddr
+ * deltas, varint computeOps, a packed isWrite bitmap) and the whole
+ * payload is SLZ-compressed when that wins, stored raw when it does
+ * not; either way a CRC-32 covers the stored bytes. The footer index
+ * itself is varint-packed and CRC-protected, and a fixed 32-byte
+ * trailer at EOF locates it, so readers never scan the file.
  *
  * TraceLogWriter streams blocks through common/fs AtomicFileWriter
  * (temp + rename), so an interrupted capture never leaves a torn file
@@ -33,7 +32,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,9 +145,9 @@ std::uint64_t writeTraceLog(const std::string &path, Workload &workload,
 
 /**
  * STRC reader: header + footer index are parsed (and CRC-checked)
- * up front; record data is fetched one block at a time, either via
- * readBlock() or the per-thread seek()/next() cursor. Not
- * thread-safe — the replay workload gives it to one decode thread.
+ * up front; record data is fetched one block at a time via
+ * readBlock(). Not thread-safe — the replay workload gives it to one
+ * decode thread.
  */
 class TraceLogReader
 {
@@ -185,28 +183,12 @@ class TraceLogReader
      *  block header, CRC mismatch, or malformed payload. */
     DecodedBlock readBlock(int tid, std::uint64_t block_idx);
 
-    /**
-     * Position thread @p tid's cursor at @p record_index — O(1): the
-     * footer index maps straight to the containing block, which is
-     * the only one decoded. An index at/past the end of the stream is
-     * allowed and makes next() return false.
-     */
-    void seek(int tid, std::uint64_t record_index);
-
-    /** Pull the next record for @p tid; false at end of stream. */
-    bool next(int tid, TraceRecord &rec);
-
   private:
     struct PerThread
     {
         std::vector<std::uint64_t> blockOffsets;
         std::vector<std::uint32_t> blockCounts;
         std::uint64_t totalRecords = 0;
-        /** @name Cursor state. @{ */
-        std::unique_ptr<DecodedBlock> cur;
-        std::uint64_t curIdx = 0;
-        std::size_t pos = 0;
-        /** @} */
     };
 
     void readAt(std::uint64_t offset, void *dest, std::size_t size);
@@ -225,9 +207,6 @@ class TraceLogReader
     std::vector<PerThread> threads_;
     std::uint64_t blocksDecoded_ = 0;
 };
-
-/** True when the file at @p path starts with the STRC magic. */
-bool isTraceLogFile(const std::string &path);
 
 } // namespace skybyte
 

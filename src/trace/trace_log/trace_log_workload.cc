@@ -1,16 +1,8 @@
 #include "trace/trace_log/trace_log_workload.h"
 
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
-
-#include "trace/trace_file.h"
-
 namespace skybyte {
 
-TraceLogWorkload::TraceLogWorkload(const std::string &path,
-                                   std::size_t ring_blocks)
-    : ringBlocks_(ring_blocks < 1 ? 1 : ring_blocks)
+TraceLogWorkload::TraceLogWorkload(const std::string &path)
 {
     // Header + index parse happens here on the caller's thread so a
     // corrupt capture fails at construction; only block decode runs
@@ -55,7 +47,7 @@ TraceLogWorkload::producerLoop()
                         return true;
                     for (std::size_t t = 0; t < rings_.size(); ++t) {
                         if (!rings_[t].done
-                            && rings_[t].blocks.size() < ringBlocks_)
+                            && rings_[t].blocks.size() < kRingBlocks)
                             return true;
                     }
                     return false;
@@ -64,7 +56,7 @@ TraceLogWorkload::producerLoop()
                     return;
                 for (std::size_t t = 0; t < rings_.size(); ++t) {
                     if (!rings_[t].done
-                        && rings_[t].blocks.size() < ringBlocks_) {
+                        && rings_[t].blocks.size() < kRingBlocks) {
                         target = static_cast<int>(t);
                         break;
                     }
@@ -145,25 +137,6 @@ TraceLogWorkload::blocksDecoded() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return blocksDecoded_;
-}
-
-std::unique_ptr<Workload>
-makeTraceReplayWorkload(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot open trace capture: " + path);
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic))
-        throw std::runtime_error("trace capture too small: " + path);
-    in.close();
-    if (std::memcmp(magic, "STRCLOG1", sizeof(magic)) == 0)
-        return std::make_unique<TraceLogWorkload>(path);
-    if (std::memcmp(magic, "SKYTRC01", sizeof(magic)) == 0)
-        return std::make_unique<TraceFileWorkload>(path);
-    throw std::runtime_error("not a trace capture (unknown magic): "
-                             + path);
 }
 
 } // namespace skybyte

@@ -8,16 +8,11 @@
  * simulated cores never stall on I/O or decompression, and peak
  * memory is O(threads × ring depth) blocks regardless of trace size.
  *
- * The record stream per thread is byte-identical to what
- * TraceFileWorkload yields for a flat capture of the same workload —
- * the fingerprint tests in tests/test_trace_log.cc pin that, which is
- * what makes the two encodings interchangeable in sweep specs.
- *
- * makeTraceReplayWorkload() sniffs the file magic and returns the
- * matching replay workload (STRC → TraceLogWorkload, flat SKYTRC01 →
- * TraceFileWorkload), so the `tracelog:path=...` spec replays either
- * encoding — CI uses that to diff sweep reports across formats
- * without the spec text (and thus the point labels) changing.
+ * The record stream per thread is byte-identical to what the live
+ * generator yields for the captured workload — the fingerprint test
+ * in tests/test_trace_log.cc pins a replayed run's report against the
+ * generator's, so a `tracelog:path=...` spec stands in for the spec
+ * it captured.
  */
 
 #ifndef SKYBYTE_TRACE_TRACE_LOG_TRACE_LOG_WORKLOAD_H
@@ -43,12 +38,10 @@ class TraceLogWorkload : public Workload
 {
   public:
     /** Decoded blocks buffered per thread before the producer waits. */
-    static constexpr std::size_t kDefaultRingBlocks = 4;
+    static constexpr std::size_t kRingBlocks = 4;
 
     /** @throws TraceLogError / std::runtime_error on a bad capture. */
-    explicit TraceLogWorkload(const std::string &path,
-                              std::size_t ring_blocks =
-                                  kDefaultRingBlocks);
+    explicit TraceLogWorkload(const std::string &path);
     ~TraceLogWorkload() override;
 
     std::string name() const override { return name_; }
@@ -84,7 +77,6 @@ class TraceLogWorkload : public Workload
 
     std::string name_;
     std::uint64_t footprint_ = 0;
-    std::size_t ringBlocks_;
 
     mutable std::mutex mu_;
     std::condition_variable producerCv_; ///< space freed / stop
@@ -103,15 +95,6 @@ class TraceLogWorkload : public Workload
     std::unique_ptr<TraceLogReader> reader_; ///< producer-owned
     std::thread producer_;
 };
-
-/**
- * Open a capture for replay, sniffing the format from the file magic:
- * STRC → streaming TraceLogWorkload, flat SKYTRC01 →
- * TraceFileWorkload.
- * @throws std::runtime_error when the file has neither magic.
- */
-std::unique_ptr<Workload>
-makeTraceReplayWorkload(const std::string &path);
 
 } // namespace skybyte
 

@@ -3,7 +3,7 @@
  * Offline trace analysis: the workload-side statistics the paper uses to
  * motivate SkyByte (Table I's write ratio, Figure 5/6's per-page
  * cacheline-coverage CDFs, hot-page concentration for §III-C's migration
- * policy). Works on any Workload, including TraceFileWorkload replays,
+ * policy). Works on any Workload, including TraceLogWorkload replays,
  * and backs the skybyte_traceinfo tool.
  */
 

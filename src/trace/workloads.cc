@@ -917,7 +917,7 @@ registerBuiltinWorkloads()
     WorkloadRegistration tracelog;
     tracelog.name = "tracelog";
     tracelog.summary =
-        "replay a trace capture (STRC streaming or flat, by magic)";
+        "stream-replay an STRC trace capture";
     tracelog.argHelp = "path=";
     tracelog.replay = true;
     tracelog.info = {"replay", 0.0, 0.0, 0.0};
@@ -926,8 +926,8 @@ registerBuiltinWorkloads()
         const std::string path = args.str("path", "");
         if (path.empty()) {
             throw std::invalid_argument(
-                "workload tracelog requires path= (a capture from "
-                "skybyte_tracegen or skybyte_tracepack)");
+                "workload tracelog requires path= (an STRC capture "
+                "from skybyte_tracegen)");
         }
         // Thread count, footprint and record streams all come from the
         // capture itself. The common keys were already consumed by the
@@ -941,7 +941,7 @@ registerBuiltinWorkloads()
                     + "= (the capture defines it)");
             }
         }
-        return makeTraceReplayWorkload(path);
+        return std::make_unique<TraceLogWorkload>(path);
     };
     insertRegistration(std::move(tracelog));
 }

@@ -81,35 +81,6 @@ numa_sockets=2
     EXPECT_EQ(spec.config.numa.sockets, 2u);
 }
 
-TEST(ConfigFile, ParsesKernelKnobs)
-{
-    ExperimentSpec spec;
-    std::istringstream in(R"(
-calendar_window_ticks=1024
-slab_chunk_records=64
-)");
-    applyConfigStream(in, spec);
-    EXPECT_EQ(spec.config.kernel.calendarWindowTicks, 1024u);
-    EXPECT_EQ(spec.config.kernel.slabChunkRecords, 64u);
-}
-
-TEST(ConfigFile, RejectsBadKernelKnobs)
-{
-    for (const char *bad :
-         {"calendar_window_ticks=1000", // not a power of two
-          "calendar_window_ticks=32",   // below the bitmap word size
-          "calendar_window_ticks=0",
-          "calendar_window_ticks=4294967296", // 2^32: truncates to 0
-          "slab_chunk_records=0",
-          "slab_chunk_records=4294967808"}) { // 2^32+512
-
-        ExperimentSpec spec;
-        std::istringstream in(bad);
-        EXPECT_THROW(applyConfigStream(in, spec), std::invalid_argument)
-            << bad;
-    }
-}
-
 TEST(KernelKnobs, SimulationResultsAreWindowInvariant)
 {
     // The calendar window / slab chunk knobs tune wall-clock only:
@@ -193,9 +164,12 @@ TEST(ConfigFile, WorkloadSpecErrorsCarryLineNumbers)
 
 TEST(ConfigFile, RejectsUnknownKeys)
 {
-    // A retired knob (lanes=) must fail loudly like any stray key, not
-    // be silently ignored.
-    for (const std::string key : {"no_such_knob", "lanes"}) {
+    // Retired knobs (lanes=, and the event-kernel sizes now set only
+    // through SimConfig::kernel) must fail loudly like any stray key,
+    // not be silently ignored.
+    for (const std::string key :
+         {"no_such_knob", "lanes", "calendar_window_ticks",
+          "slab_chunk_records"}) {
         SCOPED_TRACE(key);
         ExperimentSpec spec;
         std::istringstream in(key + "=4\n");

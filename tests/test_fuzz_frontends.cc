@@ -244,15 +244,13 @@ TEST(FuzzFrontends, TraceLogDecoderThrowsNotCrash)
     const std::string valid = readFileText(path);
 
     // The decode must visit every byte that can be visited: parse,
-    // then drain all three streams through the seek/next cursor.
+    // then decode every block of all three streams.
     fuzzInput(valid, 0x57acULL, 600, [](const std::string &text) {
         TraceLogReader reader(
             std::vector<std::uint8_t>(text.begin(), text.end()));
-        TraceRecord rec{};
         for (int tid = 0; tid < reader.numThreads(); ++tid) {
-            reader.seek(tid, 0);
-            while (reader.next(tid, rec)) {
-            }
+            for (std::uint64_t b = 0; b < reader.blockCount(tid); ++b)
+                reader.readBlock(tid, b);
         }
     });
 }

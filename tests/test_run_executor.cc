@@ -373,6 +373,37 @@ TEST(RunExecutor, JournalToleratesTornTrailingRecord)
               toJson(inProcessReport()));
 }
 
+TEST(RunExecutor, QuotesAndBackslashesInPointIdsSurviveTheJournal)
+{
+    TempDir dir;
+    std::size_t total = 0;
+    std::vector<LabeledPoint> points = smokePoints(total);
+    // Row labels are free text (a replay spec names a file path).
+    points[0].labels[0] = "q\"x\\y";
+    const std::string id = points[0].id();
+    const IsolatedExecution exec = runSweepIsolated(
+        "smoke", total, {0, 1}, points, fastOptions(dir.path));
+    ASSERT_TRUE(exec.complete());
+
+    JournalHeader header;
+    std::vector<JournalRecord> records;
+    ASSERT_TRUE(readJournal(journalPath(dir.path), header, records));
+    ASSERT_EQ(records.size(), points.size());
+    bool saw_point = false;
+    for (const JournalRecord &rec : records) {
+        if (rec.index == 0) {
+            EXPECT_EQ(rec.id, id);
+            EXPECT_EQ(rec.status, "ok");
+            saw_point = true;
+        }
+    }
+    EXPECT_TRUE(saw_point);
+
+    // The isolated report carries the same id and still parses.
+    const std::string text = toJson(isolatedReport(exec, total));
+    EXPECT_EQ(toJson(parseSweepReport(text)), text);
+}
+
 TEST(RunExecutor, RunDirStateErrors)
 {
     TempDir dir;

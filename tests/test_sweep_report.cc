@@ -69,6 +69,44 @@ TEST(SweepReport, ParseRoundTripsVerbatim)
     EXPECT_EQ(toJson(parsed), text);
 }
 
+TEST(SweepReport, QuotesAndBackslashesInLabelsAreEscaped)
+{
+    // A replay spec's path is free text: a '"' or '\' in it must not
+    // end the JSON string early.
+    const std::string label = "tracelog:path=q\"x\\y.strc";
+    const std::string id = label + "/Base-CSSD";
+    SimResult res;
+    res.variant = "Base-CSSD";
+    res.workload = label;
+    SweepReport report;
+    report.sweep = "tracereplay";
+    report.totalPoints = 2;
+    report.entries.push_back({0, sweepEntryJson(0, id, res)});
+    SweepPointFailure failure;
+    failure.index = 1;
+    failure.id = id;
+    failure.status = "failed";
+    failure.attempts = 1;
+    failure.detail = "exit 7";
+    report.failures.push_back(failure);
+
+    const std::string text = toJson(report);
+    EXPECT_NE(text.find(R"("workload": "tracelog:path=q\"x\\y.strc")"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(R"("id": "tracelog:path=q\"x\\y.strc/Base-CSSD")"),
+              std::string::npos)
+        << text;
+
+    const SweepReport parsed = parseSweepReport(text);
+    ASSERT_EQ(parsed.entries.size(), 1u);
+    EXPECT_EQ(parsed.entries[0].text, report.entries[0].text);
+    ASSERT_EQ(parsed.failures.size(), 1u);
+    EXPECT_EQ(parsed.failures[0].id, id);
+    EXPECT_EQ(toJson(parsed), text);
+    EXPECT_TRUE(diffSweepReports(parsed, report, 0).empty());
+}
+
 TEST(SweepReport, ThreeShardFig09MergeIsByteIdenticalToUnsharded)
 {
     const SweepSpec *spec = findSweep("fig09");

@@ -1,18 +1,14 @@
 /**
  * @file
  * Tests for the workload generators: determinism, instruction budgets,
- * address ranges, write ratios matching Table I, locality skew, and the
- * trace file round trip.
+ * address ranges, write ratios matching Table I, and locality skew.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "trace/trace_file.h"
 #include "trace/workload.h"
 
 namespace skybyte {
@@ -226,93 +222,6 @@ TEST(WorkloadErrors, UnknownNameThrows)
     EXPECT_THROW(makeWorkload("nope", smallParams()),
                  std::invalid_argument);
     EXPECT_THROW(workloadInfo("nope"), std::invalid_argument);
-}
-
-TEST(TraceFile, RoundTripPreservesRecords)
-{
-    WorkloadParams p = smallParams();
-    p.instrPerThread = 5'000;
-    auto original = makeWorkload("ycsb", p);
-    const std::string path = "/tmp/skybyte_trace_test.bin";
-    const std::uint64_t written = writeTraceFile(path, *original);
-    EXPECT_GT(written, 0u);
-
-    TraceFileWorkload replay(path);
-    EXPECT_EQ(replay.name(), "ycsb");
-    EXPECT_EQ(replay.numThreads(), 2);
-    EXPECT_EQ(replay.footprintBytes(), original->footprintBytes());
-
-    auto fresh = makeWorkload("ycsb", p);
-    TraceCursor fresh_cursor(*fresh, 0);
-    TraceCursor replay_cursor(replay, 0);
-    TraceRecord a, b;
-    std::uint64_t records = 0;
-    while (fresh_cursor.next(a)) {
-        ASSERT_TRUE(replay_cursor.next(b));
-        EXPECT_EQ(a.vaddr, b.vaddr);
-        EXPECT_EQ(a.isWrite, b.isWrite);
-        EXPECT_EQ(a.computeOps, b.computeOps);
-        records++;
-    }
-    EXPECT_FALSE(replay_cursor.next(b));
-    EXPECT_GT(records, 100u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, CorruptMagicRejected)
-{
-    const std::string path = ::testing::TempDir() + "/bad_magic.skytrc";
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTATRACEFILE_________________";
-    out.close();
-    EXPECT_THROW(TraceFileWorkload{path}, std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, TruncatedFileRejected)
-{
-    WorkloadParams params;
-    params.instrPerThread = 2'000;
-    params.numThreads = 2;
-    auto wl = makeWorkload("uniform", params);
-    const std::string path = ::testing::TempDir() + "/trunc.skytrc";
-    writeTraceFile(path, *wl);
-    // Chop the file in half: the per-thread sections become short.
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
-    out.close();
-    EXPECT_THROW(TraceFileWorkload{path}, std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, AbsurdLengthFieldsRejectedWithoutAllocating)
-{
-    // A header claiming 2^32-1 threads / a giant name must be rejected
-    // by the file-size bound, not by attempting the allocation.
-    const std::string path = ::testing::TempDir() + "/absurd.skytrc";
-    std::ofstream out(path, std::ios::binary);
-    const char magic[8] = {'S', 'K', 'Y', 'T', 'R', 'C', '0', '1'};
-    out.write(magic, sizeof(magic));
-    const std::uint32_t threads = 0xffffffffu;
-    const std::uint32_t name_len = 0xffffffffu;
-    const std::uint64_t footprint = 1 << 20;
-    out.write(reinterpret_cast<const char *>(&threads), 4);
-    out.write(reinterpret_cast<const char *>(&name_len), 4);
-    out.write(reinterpret_cast<const char *>(&footprint), 8);
-    out.close();
-    EXPECT_THROW(TraceFileWorkload{path}, std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, MissingFileThrows)
-{
-    EXPECT_THROW(TraceFileWorkload("/tmp/does_not_exist.skytrc"),
-                 std::runtime_error);
 }
 
 } // namespace

@@ -2,17 +2,15 @@
  * @file
  * Tests for the STRC trace-log pipeline (trace/trace_log/): codec
  * units, writer/reader round trips across block-boundary record
- * counts, O(1) seek vs linear scan, corrupt/truncated-file error
- * paths, the bounded-memory guarantee of the streaming replay
+ * counts, O(1) block lookup by record index, corrupt/truncated-file
+ * error paths, the bounded-memory guarantee of the streaming replay
  * workload, and the headline equivalence — a System replaying an STRC
- * capture through `tracelog:path=` produces a byte-identical
- * SimResult fingerprint to the same System replaying the flat capture
- * of the same workload.
+ * capture produces a byte-identical SimResult report to the same
+ * System running the live generator the capture was taken from.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -24,7 +22,6 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/system.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/codec.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/trace_log/trace_log_workload.h"
@@ -187,6 +184,19 @@ makeRecords(std::size_t n, std::uint64_t seed)
     return records;
 }
 
+/** Every record of thread @p tid, decoded block by block. */
+std::vector<TraceRecord>
+readStream(TraceLogReader &reader, int tid)
+{
+    std::vector<TraceRecord> records;
+    for (std::uint64_t b = 0; b < reader.blockCount(tid); ++b) {
+        const DecodedBlock block = reader.readBlock(tid, b);
+        records.insert(records.end(), block.records.begin(),
+                       block.records.end());
+    }
+    return records;
+}
+
 void
 expectSameRecords(const std::vector<TraceRecord> &a,
                   const std::vector<TraceRecord> &b)
@@ -228,13 +238,8 @@ TEST(TraceLogRoundTrip, BlockBoundaryRecordCounts)
         EXPECT_EQ(reader.totalRecords(t), counts[t]) << t;
         EXPECT_EQ(reader.blockCount(t), (counts[t] + kBlock - 1) / kBlock)
             << t;
-        std::vector<TraceRecord> got;
-        TraceRecord rec;
-        while (reader.next(t, rec))
-            got.push_back(rec);
-        expectSameRecords(streams[static_cast<std::size_t>(t)], got);
-        // The stream must stay exhausted.
-        EXPECT_FALSE(reader.next(t, rec));
+        expectSameRecords(streams[static_cast<std::size_t>(t)],
+                          readStream(reader, t));
     }
     std::remove(path.c_str());
 }
@@ -255,17 +260,12 @@ TEST(TraceLogRoundTrip, CaptureMatchesGeneratorStream)
     auto fresh = makeWorkload("ycsb", p);
     for (int t = 0; t < 3; ++t) {
         TraceCursor cursor(*fresh, t);
-        TraceRecord want, got;
-        std::uint64_t n = 0;
-        while (cursor.next(want)) {
-            ASSERT_TRUE(reader.next(t, got)) << t << ":" << n;
-            EXPECT_EQ(want.vaddr, got.vaddr);
-            EXPECT_EQ(want.computeOps, got.computeOps);
-            EXPECT_EQ(want.isWrite, got.isWrite);
-            ++n;
-        }
-        EXPECT_FALSE(reader.next(t, got));
-        EXPECT_EQ(n, reader.totalRecords(t));
+        std::vector<TraceRecord> want;
+        TraceRecord rec;
+        while (cursor.next(rec))
+            want.push_back(rec);
+        expectSameRecords(want, readStream(reader, t));
+        EXPECT_EQ(want.size(), reader.totalRecords(t));
     }
     std::remove(path.c_str());
 }
@@ -281,9 +281,9 @@ TEST(TraceLogWriter, AbandonedWriterLeavesNoFile)
     EXPECT_FALSE(fileExists(path));
 }
 
-// --- Seek -------------------------------------------------------------
+// --- Block lookup -----------------------------------------------------
 
-TEST(TraceLogSeek, SeekMatchesLinearScanAndDecodesOneBlock)
+TEST(TraceLogSeek, RecordIndexMapsToOneBlock)
 {
     constexpr std::uint32_t kBlock = 16;
     const std::size_t n = 1000;
@@ -297,28 +297,25 @@ TEST(TraceLogSeek, SeekMatchesLinearScanAndDecodesOneBlock)
     }
 
     TraceLogReader reader(path);
-    // Boundary-heavy probe set: block starts, ends, interior, EOF.
-    const std::uint64_t probes[] = {0,  1,  15, 16, 17,  31, 32,
-                                    500, 767, 999, 1000, 2000};
-    for (const std::uint64_t at : probes) {
+    ASSERT_EQ(reader.blockRecords(), kBlock);
+    // Boundary-heavy probe set: block starts, ends, interior, last.
+    for (const std::uint64_t r :
+         {0, 1, 15, 16, 17, 31, 32, 500, 767, 991, 992, 999}) {
         const std::uint64_t before = reader.blocksDecoded();
-        reader.seek(0, at);
-        // O(1): a seek decodes at most the one containing block.
-        EXPECT_LE(reader.blocksDecoded() - before, 1u) << at;
-        TraceRecord rec;
-        if (at >= n) {
-            EXPECT_FALSE(reader.next(0, rec)) << at;
-            continue;
-        }
-        // The cursor must continue exactly like the linear scan,
-        // across the next block boundary too.
-        for (std::uint64_t i = at; i < std::min<std::uint64_t>(
-                                       at + 2 * kBlock + 1, n);
-             ++i) {
-            ASSERT_TRUE(reader.next(0, rec)) << at << "+" << i;
-            EXPECT_EQ(rec.vaddr, stream[i].vaddr) << at << "+" << i;
-        }
+        const DecodedBlock block =
+            reader.readBlock(0, r / reader.blockRecords());
+        // O(1): reaching record r decodes exactly its own block.
+        EXPECT_EQ(reader.blocksDecoded() - before, 1u) << r;
+        ASSERT_LE(block.firstRecord, r);
+        ASSERT_LT(r - block.firstRecord, block.records.size()) << r;
+        const TraceRecord &rec = block.records[r - block.firstRecord];
+        EXPECT_EQ(rec.vaddr, stream[r].vaddr) << r;
+        EXPECT_EQ(rec.computeOps, stream[r].computeOps) << r;
+        EXPECT_EQ(rec.isWrite, stream[r].isWrite) << r;
     }
+    // Past the last block is an error, not an empty block.
+    EXPECT_THROW(reader.readBlock(0, reader.blockCount(0)),
+                 TraceLogError);
     std::remove(path.c_str());
 }
 
@@ -350,12 +347,9 @@ class TraceLogCorruption : public ::testing::Test
         try {
             TraceLogReader reader(std::move(mutated));
             // Header/index parse alone may not see a block-level
-            // corruption; draining the streams must then hit it.
-            TraceRecord rec;
-            for (int t = 0; t < reader.numThreads(); ++t) {
-                while (reader.next(t, rec)) {
-                }
-            }
+            // corruption; decoding every block must then hit it.
+            for (int t = 0; t < reader.numThreads(); ++t)
+                readStream(reader, t);
             FAIL() << "not rejected: " << what;
         } catch (const TraceLogError &) {
         }
@@ -469,82 +463,48 @@ TEST(TraceLogWorkload, ReplayMatchesReaderAndBoundsMemory)
     // O(threads × ring depth) were ever alive at once — per thread:
     // ring buffer + consumer-held block + producer in-flight block.
     const std::uint64_t per_thread =
-        TraceLogWorkload::kDefaultRingBlocks + 2;
+        TraceLogWorkload::kRingBlocks + 2;
     EXPECT_LE(peakLiveDecodedBlocks() - live_before,
               4 * per_thread + 1);
     EXPECT_EQ(liveDecodedBlocks(), live_before);
     std::remove(path.c_str());
 }
 
-TEST(TraceLogWorkload, SniffsFlatAndStrcMagic)
-{
-    WorkloadParams p;
-    p.numThreads = 2;
-    p.instrPerThread = 2'000;
-    p.footprintBytes = 1 << 20;
-    auto gen = makeWorkload("uniform", p);
-    const std::string flat = tmpPath("sniff.skytrc");
-    const std::string strc = tmpPath("sniff.strc");
-    writeTraceFile(flat, *gen);
-    auto gen2 = makeWorkload("uniform", p);
-    writeTraceLog(strc, *gen2);
-
-    auto a = makeTraceReplayWorkload(flat);
-    auto b = makeTraceReplayWorkload(strc);
-    EXPECT_NE(dynamic_cast<TraceFileWorkload *>(a.get()), nullptr);
-    EXPECT_NE(dynamic_cast<TraceLogWorkload *>(b.get()), nullptr);
-    EXPECT_EQ(a->name(), b->name());
-    EXPECT_EQ(a->footprintBytes(), b->footprintBytes());
-    EXPECT_TRUE(isTraceLogFile(strc));
-    EXPECT_FALSE(isTraceLogFile(flat));
-
-    const std::string junk = tmpPath("sniff.junk");
-    writeFileAtomic(junk, "this is not a capture at all");
-    EXPECT_THROW(makeTraceReplayWorkload(junk), std::runtime_error);
-    EXPECT_THROW(makeTraceReplayWorkload(tmpPath("missing.strc")),
-                 std::runtime_error);
-    std::remove(flat.c_str());
-    std::remove(strc.c_str());
-    std::remove(junk.c_str());
-}
-
 // --- Full-system fingerprint equivalence ------------------------------
 
 /**
- * The gate for the whole pipeline: a System driven by
- * `tracelog:path=P` must produce a byte-identical SimResult
- * fingerprint whether P holds the flat SKYTRC01 capture or the STRC
- * capture of the same workload. The spec text (and hence the report
- * label) is the same for both runs — the same trick the CI
- * trace-pipeline job uses to diff sweep reports across encodings.
+ * The gate for the whole pipeline: a System replaying an STRC capture
+ * must produce a byte-identical report to the same System running the
+ * live generator the capture was taken from. The replay goes through
+ * the bring-your-own-workload constructor with the generator's spec
+ * as its label, so even the report's workload string matches.
  */
 class TraceLogFingerprint : public ::testing::TestWithParam<std::string>
 {};
 
-TEST_P(TraceLogFingerprint, StrcReplayMatchesFlatReplay)
+TEST_P(TraceLogFingerprint, ReplayMatchesLiveGenerator)
 {
     const std::string gen_spec = GetParam();
+    const SimConfig cfg = makeBenchConfig("SkyByte-Full");
     WorkloadParams p;
     p.numThreads = 2;
     p.instrPerThread = 4'000;
     p.footprintBytes = 8 * 1024 * 1024;
+    // The spec constructor seeds the generator from the config, so the
+    // capture must use the same seed to record the same stream.
+    p.seed = cfg.seed;
 
-    const std::string path = tmpPath("fingerprint.trace");
-    const std::string spec = "tracelog:path=" + path;
-    SimConfig cfg = makeBenchConfig("SkyByte-Full");
-    WorkloadParams replay_params; // ignored by replay workloads
+    System live(cfg, gen_spec, p);
+    const std::string live_json = toJson(live.run());
 
-    auto gen_flat = makeWorkload(gen_spec, p);
-    writeTraceFile(path, *gen_flat);
-    System flat_sys(cfg, spec, replay_params);
-    const std::string flat_json = toJson(flat_sys.run());
-
-    auto gen_strc = makeWorkload(gen_spec, p);
-    writeTraceLog(path, *gen_strc, 128);
-    System strc_sys(cfg, spec, replay_params);
-    const std::string strc_json = toJson(strc_sys.run());
-
-    EXPECT_EQ(flat_json, strc_json) << gen_spec;
+    const std::string path = tmpPath("fingerprint.strc");
+    auto gen = makeWorkload(gen_spec, p);
+    writeTraceLog(path, *gen, 128);
+    System replay(
+        cfg, std::make_unique<TraceLogWorkload>(path),
+        [&path] { return std::make_unique<TraceLogWorkload>(path); },
+        gen_spec);
+    EXPECT_EQ(live_json, toJson(replay.run())) << gen_spec;
     std::remove(path.c_str());
 }
 
@@ -552,6 +512,29 @@ INSTANTIATE_TEST_SUITE_P(ThreeWorkloads, TraceLogFingerprint,
                          ::testing::Values("zipf:theta=0.9",
                                            "scan:stride=128",
                                            "ptrchase:chain=16"));
+
+TEST(TraceLogSpec, NonStrcCaptureThrowsNamingPath)
+{
+    const std::string junk = tmpPath("junk.strc");
+    writeFileAtomic(junk, std::string(128, 'x'));
+    // A file in the retired flat format: its 8-byte magic, then zeros.
+    const char flat_magic[8] = {'S', 'K', 'Y', 'T', 'R', 'C', '0', '1'};
+    const std::string flat = tmpPath("flat.trace");
+    writeFileAtomic(flat, std::string(flat_magic, sizeof(flat_magic))
+                              + std::string(120, '\0'));
+    for (const std::string &path :
+         {junk, flat, tmpPath("missing.strc")}) {
+        try {
+            makeWorkload("tracelog:path=" + path, WorkloadParams{});
+            ADD_FAILURE() << "accepted " << path;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(junk.c_str());
+    std::remove(flat.c_str());
+}
 
 TEST(TraceLogSpec, RejectsMissingPathAndForeignKeys)
 {

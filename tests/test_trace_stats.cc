@@ -3,7 +3,7 @@
  * Tests for the offline trace analyzer (src/trace/trace_stats.h): exact
  * accounting on a hand-built workload, CDF monotonicity, Table I write
  * ratios for every paper workload, Figure 5-style locality claims, and
- * equivalence between analyzing a generator and its trace-file replay.
+ * equivalence between analyzing a generator and its STRC replay.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,8 @@
 #include <cstdio>
 #include <deque>
 
-#include "trace/trace_file.h"
+#include "trace/trace_log/trace_log.h"
+#include "trace/trace_log/trace_log_workload.h"
 #include "trace/trace_stats.h"
 
 namespace skybyte {
@@ -170,19 +171,19 @@ TEST(TraceStats, MaxRecordsBoundsTheScan)
     EXPECT_EQ(s.records, 1000u);
 }
 
-TEST(TraceStats, TraceFileReplayMatchesGenerator)
+TEST(TraceStats, TraceLogReplayMatchesGenerator)
 {
     WorkloadParams params;
     params.instrPerThread = 20'000;
     params.numThreads = 2;
     auto original = makeWorkload("radix", params);
     const std::string path =
-        ::testing::TempDir() + "/trace_stats_roundtrip.skytrc";
-    writeTraceFile(path, *original);
+        ::testing::TempDir() + "/trace_stats_roundtrip.strc";
+    writeTraceLog(path, *original);
 
     auto fresh = makeWorkload("radix", params);
     const TraceSummary from_gen = summarizeWorkload(*fresh);
-    TraceFileWorkload replay(path);
+    TraceLogWorkload replay(path);
     const TraceSummary from_file = summarizeWorkload(replay);
     std::remove(path.c_str());
 

@@ -326,8 +326,9 @@ TEST(BatchedFingerprintCoverage, EveryBuiltinWorkloadIsPinned)
     for (const std::string &name : registeredWorkloadNames()) {
         if (name.rfind("test-", 0) == 0)
             continue;
-        // Replay workloads have no default record stream to pin; their
-        // tracelog-vs-flat fingerprints live in tests/test_trace_log.cc.
+        // Replay workloads have no default record stream to pin; the
+        // replay-vs-live-generator fingerprint lives in
+        // tests/test_trace_log.cc.
         if (findWorkload(name)->replay)
             continue;
         EXPECT_NE(std::find(pinned.begin(), pinned.end(), name),

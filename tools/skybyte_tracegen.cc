@@ -2,22 +2,18 @@
  * @file
  * Trace generator, standing in for the artifact's PIN capture pipeline
  * (appendix §G "Capturing Custom Program's Traces"): renders any
- * registered workload spec into the binary trace file format of
- * src/trace/trace_file.h so it can be replayed repeatedly — by
- * skybyte_sim, by TraceFileWorkload-based experiments, or by
- * skybyte_traceinfo for offline analysis. The workload is drained
- * through the batched TraceBatch contract (TraceCursor per thread).
+ * registered workload spec into an STRC capture
+ * (trace/trace_log/trace_log.h) so it can be replayed repeatedly — by
+ * skybyte_sim or a sweep through the "tracelog:path=..." workload
+ * spec, or by skybyte_traceinfo for offline analysis. The workload is
+ * drained through the batched TraceBatch contract (TraceCursor per
+ * thread).
  *
  *   skybyte_tracegen -w <workload-spec> -o <path> [-n threads]
  *                    [-i instr-per-thread] [-m footprint-mb] [-s seed]
- *                    [--format=flat|tracelog] [--block-records=N]
  *
  * <workload-spec> is a registered name, optionally parameterized:
  * "ycsb", "zipf:theta=0.99,footprint=64M", ...
- *
- * --format=tracelog writes the seekable compressed STRC format
- * (trace/trace_log/trace_log.h) instead of the flat SKYTRC01 file;
- * both replay through the same "tracelog:path=..." workload spec.
  */
 
 #include <cstdio>
@@ -26,7 +22,6 @@
 #include <string>
 
 #include "trace/mix_workload.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/workload.h"
 
@@ -43,8 +38,6 @@ usage()
         " [-n threads]\n"
         "                        [-i instr-per-thread] [-m footprint-mb]"
         " [-s seed]\n"
-        "                        [--format=flat|tracelog]"
-        " [--block-records=N]\n"
         "workload specs: name[:key=value,...], e.g."
         " zipf:theta=0.99,footprint=64M\n"
         "co-location:    mix:tenant=spec[;tenant=spec]..., e.g."
@@ -61,8 +54,6 @@ main(int argc, char **argv)
 {
     std::string workload_name;
     std::string out_path;
-    std::string format = "flat";
-    std::uint32_t block_records = kTraceLogDefaultBlockRecords;
     WorkloadParams params;
     params.instrPerThread = 200'000;
 
@@ -88,18 +79,12 @@ main(int argc, char **argv)
                     std::stoull(next()) * 1024 * 1024;
             } else if (arg == "-s") {
                 params.seed = std::stoull(next());
-            } else if (arg.rfind("--format=", 0) == 0) {
-                format = arg.substr(9);
-            } else if (arg.rfind("--block-records=", 0) == 0) {
-                block_records = static_cast<std::uint32_t>(
-                    std::stoul(arg.substr(16)));
             } else {
                 usage();
                 return 2;
             }
         }
-        if (workload_name.empty() || out_path.empty()
-            || (format != "flat" && format != "tracelog")) {
+        if (workload_name.empty() || out_path.empty()) {
             usage();
             return 2;
         }
@@ -112,17 +97,14 @@ main(int argc, char **argv)
             for (const MixTenant &t : mix->tenants())
                 std::fputs(describeMixTenant(t).c_str(), stdout);
         }
-        const std::uint64_t records =
-            format == "tracelog"
-                ? writeTraceLog(out_path, *workload, block_records)
-                : writeTraceFile(out_path, *workload);
+        const std::uint64_t records = writeTraceLog(out_path, *workload);
         std::printf("wrote %llu records (%d threads, %s, %.1f MB "
-                    "footprint, %s) to %s\n",
+                    "footprint) to %s\n",
                     static_cast<unsigned long long>(records),
                     workload->numThreads(), workload->name().c_str(),
                     static_cast<double>(workload->footprintBytes())
                         / (1024.0 * 1024.0),
-                    format.c_str(), out_path.c_str());
+                    out_path.c_str());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "skybyte_tracegen: %s\n", e.what());
         return 1;

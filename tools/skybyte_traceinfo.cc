@@ -3,18 +3,16 @@
  * Offline trace inspector: prints the workload-side statistics the
  * paper's motivation section is built on (write ratio as in Table I,
  * per-page cacheline-coverage CDFs as in Figures 5/6, and hot-page
- * concentration relevant to §III-C's migration policy) for either a
- * binary trace file produced by skybyte_tracegen or a named synthetic
+ * concentration relevant to §III-C's migration policy) for either an
+ * STRC capture produced by skybyte_tracegen or a named synthetic
  * workload generated on the fly.
  *
  *   skybyte_traceinfo <trace-file>
  *   skybyte_traceinfo -w <workload-spec> [-n threads] [-i instr] [-m mb]
  *
  * <workload-spec> is any registered workload spec string ("ycsb",
- * "scan:stride=256", ...); trace files may be either the flat
- * SKYTRC01 format or the seekable compressed STRC log (sniffed by
- * magic). For an STRC capture a block/index/compression stats section
- * is printed ahead of the workload statistics.
+ * "scan:stride=256", ...). For a capture, a block/index/compression
+ * stats section is printed ahead of the workload statistics.
  */
 
 #include <cstdio>
@@ -22,7 +20,6 @@
 #include <string>
 
 #include "trace/mix_workload.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/trace_log/trace_log_workload.h"
 #include "trace/trace_stats.h"
@@ -140,9 +137,8 @@ main(int argc, char **argv)
         std::unique_ptr<Workload> workload;
         std::string name;
         if (!trace_path.empty()) {
-            if (isTraceLogFile(trace_path))
-                printTraceLogStats(trace_path);
-            workload = makeTraceReplayWorkload(trace_path);
+            printTraceLogStats(trace_path);
+            workload = std::make_unique<TraceLogWorkload>(trace_path);
             name = trace_path;
         } else {
             workload = makeWorkload(workload_name, params);
