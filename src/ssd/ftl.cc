@@ -1,7 +1,8 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
-#include <cassert>
+#include <sstream>
+#include <stdexcept>
 
 namespace skybyte {
 
@@ -15,8 +16,9 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
         ch.flash = std::make_unique<FlashChannel>(static_cast<int>(c),
                                                   cfg_, eq_);
         ch.blocks.resize(blocks);
-        for (auto &blk : ch.blocks)
-            blk.slotLpn.assign(cfg_.pagesPerBlock, kInvalidLpn);
+        ch.slotLpn.assign(static_cast<std::size_t>(blocks)
+                              * cfg_.pagesPerBlock,
+                          kInvalidLpn);
         // All blocks initially free except the first, which opens.
         for (std::uint32_t b = blocks; b > 1; --b)
             ch.freeList.push_back(b - 1);
@@ -71,8 +73,14 @@ Ftl::ensureOpenBlock(Channel &ch)
     Block &open = ch.blocks[ch.openBlock];
     if (open.isOpen && open.writeCursor < cfg_.pagesPerBlock)
         return;
+    if (ch.freeList.empty()) {
+        throw std::runtime_error(
+            "flash channel " + std::to_string(&ch - channels_.data())
+            + " has no free block: host footprint spans "
+            + std::to_string(mapping_.size()) + " pages, device holds "
+            + std::to_string(cfg_.totalPages()) + " pages");
+    }
     open.isOpen = false;
-    assert(!ch.freeList.empty() && "flash device out of free blocks");
     std::uint32_t next;
     if (cfg_.wearAwareAllocation) {
         // Dynamic wear leveling: open the least-erased free block so
@@ -96,47 +104,61 @@ Ftl::ensureOpenBlock(Channel &ch)
     blk.isOpen = true;
     blk.writeCursor = 0;
     blk.validCount = 0;
-    std::fill(blk.slotLpn.begin(), blk.slotLpn.end(), kInvalidLpn);
+    std::fill_n(ch.slotLpn.begin() + slotIndex(next), cfg_.pagesPerBlock,
+                kInvalidLpn);
     ch.openBlock = next;
+}
+
+void
+Ftl::requireHostLpn(std::uint64_t lpn)
+{
+    if (lpn >= kColdLpnBase) {
+        throw std::out_of_range("FTL: LPN " + std::to_string(lpn)
+                                + " is outside the host range");
+    }
 }
 
 void
 Ftl::invalidate(std::uint64_t lpn)
 {
-    Ppa *ppa = mapping_.find(lpn);
-    if (ppa == nullptr || !ppa->valid)
+    if (lpn >= mapping_.size() || !mapping_[lpn].valid())
         return;
+    Ppa &ppa = mapping_[lpn];
     Channel &ch = channels_[channelIdx(lpn)];
-    Block &blk = ch.blocks[ppa->block];
-    if (blk.slotLpn[ppa->slot] == lpn) {
-        blk.slotLpn[ppa->slot] = kInvalidLpn;
+    std::uint64_t &slot = ch.slotLpn[slotIndex(ppa.block, ppa.slot)];
+    if (slot == lpn) {
+        slot = kInvalidLpn;
+        Block &blk = ch.blocks[ppa.block];
         if (blk.validCount > 0)
             blk.validCount--;
     }
-    ppa->valid = false;
+    ppa.slot = Ppa::kUnmapped;
 }
 
-void
+Ftl::Ppa
 Ftl::mapToOpenBlock(Channel &ch, std::uint64_t lpn)
 {
     ensureOpenBlock(ch);
     Block &blk = ch.blocks[ch.openBlock];
-    const std::uint32_t slot = blk.writeCursor++;
-    blk.slotLpn[slot] = lpn;
+    const Ppa ppa{ch.openBlock, blk.writeCursor++};
+    ch.slotLpn[slotIndex(ppa.block, ppa.slot)] = lpn;
     blk.validCount++;
-    mapping_[lpn] = Ppa{ch.openBlock, slot, true};
-    stats_.mappingUpdates++;
+    if (lpn < kColdLpnBase) {
+        if (lpn >= mapping_.size())
+            mapping_.resize(lpn + 1);
+        mapping_[lpn] = ppa;
+    }
+    return ppa;
 }
 
 void
 Ftl::readPage(std::uint64_t lpn, Tick when, FlashDoneFn cb)
 {
+    requireHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
-    const Ppa *ppa = mapping_.find(lpn);
-    if (ppa == nullptr || !ppa->valid) {
+    if (lpn >= mapping_.size() || !mapping_[lpn].valid()) {
         // First touch of a never-written page: map it in place
         // (the paper's simulator warms all data into the SSD first).
-        invalidate(lpn);
         mapToOpenBlock(ch, lpn);
     }
     stats_.hostReads++;
@@ -147,6 +169,7 @@ void
 Ftl::writePage(std::uint64_t lpn, Tick when, const PageData &data,
                FlashDoneFn cb)
 {
+    requireHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
     invalidate(lpn);
     mapToOpenBlock(ch, lpn);
@@ -217,14 +240,15 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 
     // Relocate valid pages: read + program per page, sharing the FIFO.
     Block &blk = ch.blocks[victim];
+    std::uint64_t *slots = ch.slotLpn.data() + slotIndex(victim);
     Tick cursor = when;
     for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
-        const std::uint64_t lpn = blk.slotLpn[s];
+        const std::uint64_t lpn = slots[s];
         if (lpn == kInvalidLpn)
             continue;
         ch.flash->enqueue(FlashOpKind::Read, cursor, nullptr);
         // Remap before enqueueing the program so the open block advances.
-        blk.slotLpn[s] = kInvalidLpn;
+        slots[s] = kInvalidLpn;
         blk.validCount--;
         mapToOpenBlock(ch, lpn);
         ch.flash->enqueue(FlashOpKind::Program, cursor, nullptr);
@@ -240,7 +264,8 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
         vb.validCount = 0;
         vb.writeCursor = 0;
         vb.eraseCount++;
-        std::fill(vb.slotLpn.begin(), vb.slotLpn.end(), kInvalidLpn);
+        std::fill_n(chn.slotLpn.begin() + slotIndex(victim),
+                    cfg_.pagesPerBlock, kInvalidLpn);
         chn.freeList.push_back(victim);
         stats_.gcErases++;
         if (chn.freeList.size()
@@ -258,6 +283,9 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 void
 Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
 {
+    if (footprint_pages > mapping_.size())
+        mapping_.resize(footprint_pages);
+
     // 1. Map every host LPN once (no timing; boot-time state).
     for (std::uint64_t lpn = 0; lpn < footprint_pages; ++lpn)
         mapToOpenBlock(channels_[channelIdx(lpn)], lpn);
@@ -275,19 +303,22 @@ Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
     //    the GC threshold, so host writes soon push it into GC. A
     //    quarter of the cold pages are dead (over-written data), leaving
     //    GC victims with reclaimable space — a steady-state device, not
-    //    a pathological 100%-valid one.
+    //    a pathological 100%-valid one. Nothing can have moved a cold
+    //    page yet, so its slot is killed directly.
     const std::uint32_t target_free = gcThresholdBlocks() + 2;
+    std::vector<Ppa> cold_pages;
     for (auto &ch : channels_) {
-        std::vector<std::uint64_t> cold_pages;
+        cold_pages.clear();
         while (ch.freeList.size() > target_free) {
             const std::uint64_t cold = ch.coldLpnNext;
             ch.coldLpnNext += cfg_.channels;
-            mapToOpenBlock(ch, cold);
-            cold_pages.push_back(cold);
+            cold_pages.push_back(mapToOpenBlock(ch, cold));
         }
-        for (std::uint64_t cold : cold_pages) {
-            if (rng_.chance(0.25))
-                invalidate(cold);
+        for (const Ppa &at : cold_pages) {
+            if (rng_.chance(0.25)) {
+                ch.slotLpn[slotIndex(at.block, at.slot)] = kInvalidLpn;
+                ch.blocks[at.block].validCount--;
+            }
         }
     }
 }
@@ -329,9 +360,62 @@ Ftl::wearSummary() const
     return summary;
 }
 
+std::string
+Ftl::audit() const
+{
+    std::ostringstream why;
+    std::uint64_t valid_sum = 0;
+    std::uint64_t live_cold = 0;
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+        const Channel &ch = channels_[c];
+        for (std::uint32_t b = 0; b < ch.blocks.size(); ++b) {
+            const Block &blk = ch.blocks[b];
+            std::uint32_t live = 0;
+            for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
+                const std::uint64_t lpn = ch.slotLpn[slotIndex(b, s)];
+                if (lpn == kInvalidLpn)
+                    continue;
+                live++;
+                if (lpn >= kColdLpnBase)
+                    live_cold++;
+            }
+            if (blk.validCount != live || (blk.isFree && live > 0)) {
+                why << "channel " << c << " block " << b
+                    << (blk.isFree ? " (free)" : "") << " counts "
+                    << blk.validCount << " valid pages and holds " << live
+                    << " live slots";
+                return why.str();
+            }
+            valid_sum += blk.validCount;
+        }
+    }
+    std::uint64_t mapped = 0;
+    for (std::uint64_t lpn = 0; lpn < mapping_.size(); ++lpn) {
+        const Ppa &ppa = mapping_[lpn];
+        if (!ppa.valid())
+            continue;
+        mapped++;
+        const Channel &ch = channels_[channelIdx(lpn)];
+        if (ppa.block >= ch.blocks.size() || ppa.slot >= cfg_.pagesPerBlock
+            || ch.slotLpn[slotIndex(ppa.block, ppa.slot)] != lpn) {
+            why << "LPN " << lpn << " maps to block " << ppa.block
+                << " slot " << ppa.slot << ", which does not hold it";
+            return why.str();
+        }
+    }
+    if (mapped + live_cold != valid_sum) {
+        why << mapped << " host mappings + " << live_cold
+            << " live cold slots != " << valid_sum << " valid pages";
+    }
+    return why.str();
+}
+
 PageData &
 Ftl::pageData(std::uint64_t lpn)
 {
+    requireHostLpn(lpn);
+    if (lpn >= data_.size())
+        data_.resize(lpn + 1);
     auto &slot = data_[lpn];
     if (!slot)
         slot = std::make_unique<PageData>(PageData{});
@@ -342,10 +426,9 @@ LineValue
 Ftl::peekLine(Addr line_addr)
 {
     const std::uint64_t lpn = pageNumber(line_addr);
-    const auto *slot = data_.find(lpn);
-    if (slot == nullptr)
+    if (lpn >= data_.size() || !data_[lpn])
         return 0;
-    return (**slot)[lineInPage(line_addr)];
+    return (*data_[lpn])[lineInPage(line_addr)];
 }
 
 } // namespace skybyte

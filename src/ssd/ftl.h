@@ -5,6 +5,17 @@
  * store. Logical pages stripe across channels; each channel appends into
  * an open block and GCs locally, with GC operations sharing the channel
  * FIFO so they delay host requests (§II-C).
+ *
+ * All FTL state is dense. The mapping table and the page store are
+ * vectors indexed by host LPN, grown to the highest LPN touched
+ * (precondition() sizes the mapping once for its footprint). Each
+ * channel keeps the LPN held by every page slot in one block-major
+ * array, which is the reverse map GC walks. Cold preconditioning pages
+ * live at LPNs from kColdLpnBase up and only ever appear in that slot
+ * array: no host access can reach them, GC finds them through their
+ * slots, and precondition() kills its dead quarter by slot, so they
+ * need no mapping entry. At fig16 scale that keeps ~85% of the
+ * boot-time page writes out of the mapping table.
  */
 
 #ifndef SKYBYTE_SSD_FTL_H
@@ -13,11 +24,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/rng.h"
 #include "ssd/flash.h"
 
@@ -31,7 +42,6 @@ struct FtlStats
     std::uint64_t gcPageMoves = 0;    ///< valid pages relocated by GC
     std::uint64_t gcErases = 0;
     std::uint64_t gcRuns = 0;
-    std::uint64_t mappingUpdates = 0;
 };
 
 /**
@@ -40,6 +50,13 @@ struct FtlStats
 class Ftl
 {
   public:
+    /**
+     * Cold preconditioning data lives at LPNs from here up; host LPNs
+     * must stay below it (readPage, writePage and pageData throw
+     * std::out_of_range otherwise).
+     */
+    static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
+
     Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed);
 
     /**
@@ -70,6 +87,7 @@ class Ftl
      * host LPNs, re-writes @p rewrite_fraction of them to create dead
      * pages, and pads remaining blocks with cold data until each
      * channel's free-block count sits just above the GC threshold.
+     * Throws std::runtime_error when the footprint does not fit.
      */
     void precondition(std::uint64_t footprint_pages,
                       double rewrite_fraction = 0.3);
@@ -77,7 +95,7 @@ class Ftl
     /** Functional page contents (zero-filled on first touch). */
     PageData &pageData(std::uint64_t lpn);
 
-    /** Functional single-line peek. */
+    /** Functional single-line peek (0 for a never-written page). */
     LineValue peekLine(Addr line_addr);
 
     const FtlStats &stats() const { return stats_; }
@@ -109,6 +127,15 @@ class Ftl
     };
     WearSummary wearSummary() const;
 
+    /**
+     * Consistency check of the mapping state: every block's valid count
+     * equals its live slots, every valid host mapping points at a slot
+     * holding that LPN, free blocks hold no live slots, and valid host
+     * mappings plus live cold slots sum to the valid counts. Returns ""
+     * when consistent, else a description of the first violation.
+     */
+    std::string audit() const;
+
   private:
     struct Block
     {
@@ -117,14 +144,26 @@ class Ftl
         std::uint32_t eraseCount = 0;  ///< lifetime wear (P/E cycles)
         bool isFree = true;
         bool isOpen = false;
-        /** LPN stored in each page slot; kInvalidLpn when dead/empty. */
-        std::vector<std::uint64_t> slotLpn;
+    };
+
+    /** A channel-local page location; slot kUnmapped = no mapping. */
+    struct Ppa
+    {
+        static constexpr std::uint32_t kUnmapped = ~0u;
+        std::uint32_t block = 0;
+        std::uint32_t slot = kUnmapped;
+        bool valid() const { return slot != kUnmapped; }
     };
 
     struct Channel
     {
         std::unique_ptr<FlashChannel> flash;
         std::vector<Block> blocks;
+        /**
+         * LPN stored in each page slot, block-major
+         * (block * pagesPerBlock + slot); kInvalidLpn when dead/empty.
+         */
+        std::vector<std::uint64_t> slotLpn;
         std::vector<std::uint32_t> freeList;
         std::uint32_t openBlock = 0;
         bool gcRunning = false;
@@ -132,18 +171,29 @@ class Ftl
     };
 
     static constexpr std::uint64_t kInvalidLpn = ~0ULL;
-    /** Cold preconditioning data lives in this LPN range. */
-    static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
 
     std::uint32_t channelIdx(std::uint64_t lpn) const
     {
         return static_cast<std::uint32_t>(lpn % cfg_.channels);
     }
 
-    /** Map/remap @p lpn to a fresh page on its channel (no timing). */
-    void mapToOpenBlock(Channel &ch, std::uint64_t lpn);
+    /** Index of page @p slot of @p block in its channel's slotLpn. */
+    std::size_t
+    slotIndex(std::uint32_t block, std::uint32_t slot = 0) const
+    {
+        return static_cast<std::size_t>(block) * cfg_.pagesPerBlock + slot;
+    }
 
-    /** Invalidate @p lpn's current mapping if any. */
+    /** Throw std::out_of_range unless @p lpn is a host LPN. */
+    static void requireHostLpn(std::uint64_t lpn);
+
+    /**
+     * Map/remap @p lpn to a fresh page on its channel (no timing) and
+     * return where it landed. Only host LPNs get a mapping entry.
+     */
+    Ppa mapToOpenBlock(Channel &ch, std::uint64_t lpn);
+
+    /** Invalidate host @p lpn's current mapping if any. */
     void invalidate(std::uint64_t lpn);
 
     /** Ensure the channel has an open block with space. */
@@ -161,20 +211,14 @@ class Ftl
     EventQueue &eq_;
     Rng rng_;
     std::vector<Channel> channels_;
-    /** lpn -> (channel-local block, slot); channel implied by lpn. */
-    struct Ppa
-    {
-        std::uint32_t block = 0;
-        std::uint32_t slot = 0;
-        bool valid = false;
-    };
+    /** Host lpn -> its page on channel channelIdx(lpn). */
+    std::vector<Ppa> mapping_;
     /**
-     * Hot indices, probed per flash op / per functional page access.
-     * data_ holds unique_ptrs so PageData addresses survive rehashes
+     * Functional page store by host lpn; null until first touched.
+     * unique_ptrs keep PageData addresses stable across growth
      * (pageData() hands out references).
      */
-    FlatMap<Ppa> mapping_;
-    FlatMap<std::unique_ptr<PageData>> data_;
+    std::vector<std::unique_ptr<PageData>> data_;
     FtlStats stats_;
 };
 

@@ -2,11 +2,14 @@
  * @file
  * Tests for the flash substrate: channel timing per NAND family
  * (Table IV), die/bus queueing, the Algorithm 1 delay estimator, FTL
- * mapping with out-of-place updates, GC triggering and reclamation, and
- * preconditioning (§VI-A).
+ * mapping with out-of-place updates, GC triggering and reclamation,
+ * preconditioning (§VI-A), the dense host-LPN maps, and the FTL's
+ * consistency audit.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "common/event_queue.h"
 #include "ssd/flash.h"
@@ -130,6 +133,56 @@ TEST(Ftl, FunctionalLinePeek)
     EXPECT_EQ(ftl.peekLine(9 * kPageBytes), 0u);
 }
 
+TEST(Ftl, DenseMapsReadZeroBeyondTheirEnd)
+{
+    EventQueue eq;
+    Ftl ftl(tinyFlash(), eq, 1);
+    // Nothing touched yet: any LPN reads as zero, however far out.
+    EXPECT_EQ(ftl.peekLine(1000 * kPageBytes), 0u);
+    PageData &low = ftl.pageData(1);
+    low[0] = 11;
+    // Growing the page store past its end zero-fills the new page and
+    // keeps earlier pages (and references to them) intact.
+    PageData &far = ftl.pageData(5000);
+    EXPECT_EQ(far[3], 0u);
+    far[3] = 77;
+    EXPECT_EQ(&ftl.pageData(1), &low);
+    EXPECT_EQ(ftl.peekLine(1 * kPageBytes), 11u);
+    EXPECT_EQ(ftl.peekLine(5000 * kPageBytes + 3 * kCachelineBytes), 77u);
+    EXPECT_EQ(ftl.peekLine(4999 * kPageBytes), 0u);
+    EXPECT_EQ(ftl.peekLine(5001 * kPageBytes), 0u);
+}
+
+TEST(Ftl, HostWriteBeyondPreconditionFootprintGrowsTheMap)
+{
+    EventQueue eq;
+    FlashConfig cfg = tinyFlash();
+    Ftl ftl(cfg, eq, 1);
+    ftl.precondition(16);
+    PageData data{};
+    data[5] = 99;
+    ftl.writePage(40, 0, data, nullptr);
+    Tick done = 0;
+    ftl.readPage(41, 0, [&](Tick t) { done = t; }); // first touch
+    eq.run();
+    EXPECT_GT(done, 0u);
+    EXPECT_EQ(ftl.pageData(40)[5], 99u);
+    EXPECT_EQ(ftl.audit(), "");
+}
+
+TEST(Ftl, ColdLpnRangeIsNotHostAddressable)
+{
+    EventQueue eq;
+    Ftl ftl(tinyFlash(), eq, 1);
+    EXPECT_THROW(ftl.readPage(Ftl::kColdLpnBase, 0, nullptr),
+                 std::out_of_range);
+    EXPECT_THROW(ftl.writePage(Ftl::kColdLpnBase, 0, PageData{}, nullptr),
+                 std::out_of_range);
+    EXPECT_THROW(ftl.pageData(Ftl::kColdLpnBase), std::out_of_range);
+    EXPECT_EQ(ftl.peekLine(Ftl::kColdLpnBase * kPageBytes), 0u);
+    EXPECT_EQ(ftl.audit(), "");
+}
+
 TEST(Ftl, GcTriggersAndReclaims)
 {
     EventQueue eq;
@@ -152,6 +205,7 @@ TEST(Ftl, GcTriggersAndReclaims)
     EXPECT_GT(done, 0u);
     // Free blocks recovered above zero.
     EXPECT_GT(ftl.freeBlocks(0), 0u);
+    EXPECT_EQ(ftl.audit(), "");
 }
 
 TEST(Ftl, PreconditionLeavesFreeBlocksNearThreshold)
@@ -165,6 +219,48 @@ TEST(Ftl, PreconditionLeavesFreeBlocksNearThreshold)
     for (std::uint32_t c = 0; c < cfg.channels; ++c) {
         EXPECT_GE(ftl.freeBlocks(c), threshold);
         EXPECT_LE(ftl.freeBlocks(c), threshold + 3);
+    }
+    EXPECT_EQ(ftl.audit(), "");
+}
+
+TEST(Ftl, PreconditionedDefaultGeometryIsConsistent)
+{
+    EventQueue eq;
+    FlashConfig cfg; // 16 channels, 2 GB
+    Ftl ftl(cfg, eq, 7);
+    const std::uint64_t footprint = cfg.totalPages() / 4;
+    ftl.precondition(footprint);
+    EXPECT_EQ(ftl.audit(), "");
+    // Scattered host rewrites push every channel into GC, which then
+    // relocates the live pages of partly dead blocks.
+    PageData data{};
+    for (std::uint64_t i = 0; i < footprint; ++i) {
+        ftl.writePage(i * 7919 % footprint, eq.now(), data, nullptr);
+        if (i % 64 == 63)
+            eq.run();
+    }
+    eq.run();
+    EXPECT_GT(ftl.stats().gcPageMoves, 0u);
+    EXPECT_EQ(ftl.audit(), "");
+}
+
+TEST(Ftl, FootprintLargerThanTheDeviceThrows)
+{
+    EventQueue eq;
+    FlashConfig cfg = tinyFlash();
+    Ftl ftl(cfg, eq, 1);
+    try {
+        ftl.precondition(2 * cfg.totalPages());
+        FAIL() << "precondition of twice the device capacity succeeded";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("channel 0"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(2 * cfg.totalPages())),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(cfg.totalPages())),
+                  std::string::npos)
+            << what;
     }
 }
 

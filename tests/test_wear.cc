@@ -103,6 +103,8 @@ TEST(Wear, WearAwareAllocationBoundsTheSpread)
     ASSERT_GT(wear.stats().gcErases, 0u);
     EXPECT_LE(wear.wearSummary().spread(),
               lifo.wearSummary().spread());
+    EXPECT_EQ(lifo.audit(), "");
+    EXPECT_EQ(wear.audit(), "");
     // And wear leveling does not change how much work was done.
     EXPECT_EQ(lifo.stats().hostPrograms, wear.stats().hostPrograms);
 }
