@@ -44,7 +44,7 @@ PageHome
 MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
                        bool is_write)
 {
-    if (const Plb::Entry *entry = plb_.find(lpn)) {
+    if (Plb::Entry *entry = plb_.find(lpn)) {
         // Region under promotion (§III-C): reads are served from the
         // SSD DRAM; only writes whose migrated bit is set chase the
         // fresh host copy.
@@ -55,7 +55,7 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
         // Either way the write only survives in the host copy once the
         // migration completes (the SSD drops its log/cache state), so
         // the page must demote dirty later.
-        markDirty(migratingDirty_[entry->baseLpn], lpn);
+        markDirty(entry->dirtyPages, lpn);
         if (entry->lineMigrated(chunk, line)) {
             migStats_.inflightWriteRedirects++;
             return PageHome::Host;
@@ -251,26 +251,23 @@ MigrationEngine::finishMigration(std::uint64_t base)
         t_done += cfg_.hostMem.nvmeNotifyLatency;
     eq_.schedule(t_done, [this, base, huge] {
         const Tick now = eq_.now();
-        plb_.release(base);
         auto [slot, inserted] = promoted_.tryEmplace(base, nullptr);
         if (inserted)
             *slot = regionSlab_.alloc();
         PromotedRegion &region = **slot;
         if (!inserted) {
             // Defensive: re-promotion of a live base (unreachable while
-            // route()/promote() guard on promoted_). Match the seed's
-            // wholesale replacement: stale dirty pages must not leak
-            // into the fresh residency.
+            // route()/promote() guard on promoted_). The dirty list is
+            // replaced below, so stale dirty pages do not leak into the
+            // fresh residency.
             lruUnlink(region);
-            region.dirtyPages.clear();
         }
         region.lastUse = now;
         region.base = base;
-        if (std::vector<std::uint64_t> *dirty =
-                migratingDirty_.find(base)) {
-            region.dirtyPages = std::move(*dirty);
-            migratingDirty_.erase(base);
-        }
+        // Writes that landed while the region copied must demote dirty;
+        // the PLB entry is the one record of them.
+        region.dirtyPages = std::move(plb_.find(base)->dirtyPages);
+        plb_.release(base);
         lruInsertByLastUse(region);
         for (std::uint32_t p = 0; p < regionPages_; ++p)
             ssd_.dropMigratedPage(base + p);

@@ -250,9 +250,6 @@ class MigrationEngine
     FlatMap<PromotedRegion *> promoted_;
     PromotedRegion *lruHead_ = nullptr; ///< coldest promoted region
     PromotedRegion *lruTail_ = nullptr; ///< hottest promoted region
-    /** Pages dirtied by redirected writes while their region migrates
-     *  (sorted-unique, same invariant as PromotedRegion::dirtyPages). */
-    FlatMap<std::vector<std::uint64_t>> migratingDirty_;
     FlatMap<std::uint32_t> tppScores_;
     MigrationStats migStats_;
     /** @name Per-tenant share state (empty = shares disabled). @{ */

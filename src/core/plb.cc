@@ -38,6 +38,14 @@ Plb::Entry::hardwareBytes() const
     return kFlatEntry + 64;
 }
 
+Plb::Plb(std::uint32_t entries) : slots_(entries)
+{
+    live_.reserve(entries);
+    free_.reserve(entries);
+    for (std::uint32_t i = entries; i-- > 0;)
+        free_.push_back(&slots_[i]);
+}
+
 Plb::Entry *
 Plb::allocate(std::uint64_t base_lpn, std::uint32_t region_pages)
 {
@@ -45,36 +53,28 @@ Plb::allocate(std::uint64_t base_lpn, std::uint32_t region_pages)
         stats_.rejectedFull++;
         return nullptr;
     }
-    Entry entry;
-    entry.baseLpn = base_lpn;
-    entry.regionPages = std::max<std::uint32_t>(region_pages, 1);
-    auto [slot, inserted] = entries_.tryEmplace(base_lpn, entry);
-    if (!inserted)
+    if (find(base_lpn) != nullptr)
         return nullptr; // already migrating: caller bug, refuse quietly
-    for (std::uint32_t p = 0; p < entry.regionPages; ++p)
-        pageIndex_[base_lpn + p] = base_lpn;
+    Entry *entry = free_.back();
+    free_.pop_back();
+    *entry = Entry{};
+    entry->baseLpn = base_lpn;
+    entry->regionPages = std::max<std::uint32_t>(region_pages, 1);
+    live_.push_back(entry);
     stats_.allocations++;
     stats_.peakOccupancy =
-        std::max<std::uint64_t>(stats_.peakOccupancy, entries_.size());
-    return slot;
+        std::max<std::uint64_t>(stats_.peakOccupancy, live_.size());
+    return entry;
 }
 
 Plb::Entry *
 Plb::find(std::uint64_t lpn)
 {
-    const std::uint64_t *base = pageIndex_.find(lpn);
-    if (base == nullptr)
-        return nullptr;
-    return entries_.find(*base);
-}
-
-const Plb::Entry *
-Plb::find(std::uint64_t lpn) const
-{
-    const std::uint64_t *base = pageIndex_.find(lpn);
-    if (base == nullptr)
-        return nullptr;
-    return entries_.find(*base);
+    for (Entry *entry : live_) {
+        if (entry->covers(lpn))
+            return entry;
+    }
+    return nullptr;
 }
 
 bool
@@ -98,14 +98,15 @@ Plb::markLine(Entry &entry, std::uint32_t chunk, std::uint32_t line)
 void
 Plb::release(std::uint64_t base_lpn)
 {
-    Entry *entry = entries_.find(base_lpn);
-    if (entry == nullptr)
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+        if (live_[i]->baseLpn != base_lpn)
+            continue;
+        free_.push_back(live_[i]);
+        live_[i] = live_.back();
+        live_.pop_back();
+        stats_.releases++;
         return;
-    const std::uint32_t region_pages = entry->regionPages;
-    for (std::uint32_t p = 0; p < region_pages; ++p)
-        pageIndex_.erase(base_lpn + p);
-    entries_.erase(base_lpn);
-    stats_.releases++;
+    }
 }
 
 } // namespace skybyte

@@ -16,6 +16,11 @@
  * migrated, and a single second-level 8 B bitmap tracks the cachelines of
  * the one chunk currently under migration. Chunks migrate strictly in
  * order, so one second-level bitmap suffices.
+ *
+ * Each in-flight migration has exactly one record: a slot of a fixed
+ * table of `plb_entries` entries. find() scans the live slots for the
+ * region that covers a page, so a huge region needs no per-page index,
+ * and an entry pointer stays valid until release() frees its slot.
  */
 
 #ifndef SKYBYTE_CORE_PLB_H
@@ -23,8 +28,8 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace skybyte {
@@ -59,6 +64,20 @@ class Plb
         std::uint32_t currentChunk = 0;
         /** First-level 64 B bitmap: chunks fully migrated (§IV). */
         std::array<std::uint64_t, 8> chunkBitmap{};
+        /**
+         * Pages dirtied by writes while the region migrates, sorted and
+         * unique. Simulator state, not hardware (hardwareBytes() does
+         * not count it): the migration engine moves it onto the
+         * promoted region before release().
+         */
+        std::vector<std::uint64_t> dirtyPages;
+
+        /** Does the region cover 4 KB page @p lpn? */
+        bool
+        covers(std::uint64_t lpn) const
+        {
+            return lpn - baseLpn < regionPages;
+        }
 
         bool huge() const { return regionPages > 1; }
 
@@ -75,18 +94,18 @@ class Plb
         std::uint32_t hardwareBytes() const;
     };
 
-    explicit Plb(std::uint32_t entries) : capacity_(entries) {}
+    explicit Plb(std::uint32_t entries);
 
     /**
      * Start tracking a migration of @p region_pages 4 KB pages beginning
      * at @p base_lpn.
-     * @return the live entry, or nullptr when the PLB is full.
+     * @return the live entry (valid until release()), or nullptr when
+     *         the PLB is full or a live entry already covers @p base_lpn.
      */
     Entry *allocate(std::uint64_t base_lpn, std::uint32_t region_pages);
 
     /** Entry covering 4 KB page @p lpn, or nullptr. */
     Entry *find(std::uint64_t lpn);
-    const Entry *find(std::uint64_t lpn) const;
 
     /**
      * Record that line @p line of chunk @p chunk finished copying.
@@ -98,21 +117,17 @@ class Plb
     /** Drop the entry for the region at @p base_lpn (migration done). */
     void release(std::uint64_t base_lpn);
 
-    bool full() const { return entries_.size() >= capacity_; }
-    std::uint64_t occupancy() const { return entries_.size(); }
-    std::uint32_t capacity() const { return capacity_; }
+    bool full() const { return live_.size() >= slots_.size(); }
+    std::uint64_t occupancy() const { return live_.size(); }
     const PlbStats &stats() const { return stats_; }
 
   private:
-    std::uint32_t capacity_;
-    /**
-     * Live entries by baseLpn. Open addressing: entry pointers are
-     * invalidated by a later allocate()/release(); callers hold them
-     * only within one migration step (completeBurst re-finds).
-     */
-    FlatMap<Entry> entries_;
-    /** 4 KB page -> region base, for O(1) find() on huge regions. */
-    FlatMap<std::uint64_t> pageIndex_;
+    /** The fixed table; never resized, so entry addresses are stable. */
+    std::vector<Entry> slots_;
+    /** Slots in use, in no particular order (find() scans only these). */
+    std::vector<Entry *> live_;
+    /** Slots free for allocate(). */
+    std::vector<Entry *> free_;
     PlbStats stats_;
 };
 

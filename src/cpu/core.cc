@@ -60,13 +60,13 @@ Core::retire()
 }
 
 void
-Core::fillLocal(Addr line, Tick now)
+Core::fillLocal(Addr line, LineValue value, Tick now)
 {
     // Fill L2 first so the L1 victim (if dirty) lands behind it in LRU.
-    CacheResult r2 = l2_.fill(line, false);
+    CacheResult r2 = l2_.fill(line, false, value);
     if (r2.writeback)
         uncore_.writebackToL3(r2.victimAddr, r2.victimValue, now);
-    CacheResult r1 = l1_.fill(line, false);
+    CacheResult r1 = l1_.fill(line, false, value);
     if (r1.writeback) {
         CacheResult cascade = l2_.fill(r1.victimAddr, true, r1.victimValue);
         if (cascade.writeback) {
@@ -104,8 +104,9 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
         entry.completeAt = t + cfg_.l1d.hitLatency;
         return true;
     }
-    if (l2_.access(line, false)) {
-        CacheResult r1 = l1_.fill(line, false);
+    LineValue l2_value = 0;
+    if (l2_.access(line, false, 0, &l2_value)) {
+        CacheResult r1 = l1_.fill(line, false, l2_value);
         if (r1.writeback) {
             CacheResult c = l2_.fill(r1.victimAddr, true, r1.victimValue);
             if (c.writeback)
@@ -128,7 +129,7 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
 
     switch (uncore_.load(status, t)) {
       case UncoreLoadResult::HitL3:
-        fillLocal(line, t);
+        fillLocal(line, status->value, t);
         entry.completeAt = t + cfg_.llc.hitLatency;
         return true;
       case UncoreLoadResult::Pending:
@@ -314,7 +315,7 @@ Core::onMissData(const MissRef &status, Tick now)
         status->l1MshrHeld = false;
     }
     if (!status->orphaned)
-        fillLocal(status->lineAddr, now);
+        fillLocal(status->lineAddr, status->value, now);
     if (state_ == State::StalledMem || state_ == State::StalledMshr)
         wake(now);
 }

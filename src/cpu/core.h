@@ -116,8 +116,11 @@ class Core
      */
     bool issueMem(const TraceRecord &rec, Tick t, RobEntry &entry);
 
-    /** Fill @p line into L1/L2, cascading dirty victims downwards. */
-    void fillLocal(Addr line, Tick now);
+    /**
+     * Fill @p line, holding the loaded @p value, clean into L1/L2,
+     * cascading dirty victims downwards.
+     */
+    void fillLocal(Addr line, LineValue value, Tick now);
 
     /** Raise the Long Delay Exception and switch threads (§III-A C3). */
     void doContextSwitch();

@@ -5,7 +5,8 @@
 namespace skybyte {
 
 Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend)
-    : eq_(eq), backend_(backend), l3_(cfg.llc), mshrs_(cfg.llc.mshrs)
+    : eq_(eq), backend_(backend), l3_(cfg.llc),
+      mshrCapacity_(cfg.llc.mshrs)
 {}
 
 UncoreLoadResult
@@ -21,11 +22,10 @@ Uncore::load(const MissRef &status, Tick when)
         llcCoalesced_++;
         return UncoreLoadResult::Pending;
     }
-    if (mshrs_.full()) {
+    if (inFlight_.size() >= mshrCapacity_) {
         llcMshrBlocks_++;
         return UncoreLoadResult::MshrBlocked;
     }
-    mshrs_.allocate(line);
     inFlight_[line].push_back(status);
 
     MemRequest req;
@@ -61,7 +61,6 @@ Uncore::onResponse(Addr line_addr, const MemResponse &resp)
         waiters = std::move(*entry);
         inFlight_.erase(line_addr);
     }
-    mshrs_.release(line_addr);
     const Tick now = eq_.now();
 
     if (waiters.empty()) {

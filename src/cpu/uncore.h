@@ -4,6 +4,10 @@
  * (§III-A C1 — one CXL.mem request may be associated with instructions
  * from several cores), and the dispatch of LLC misses to the off-chip
  * backend. Also records the off-chip latency distribution for Figure 3.
+ *
+ * Each in-flight LLC miss has one record: its entry in the waiter
+ * table, which is the MSHR file (one entry per outstanding line, at
+ * most CacheConfig::mshrs of them).
  */
 
 #ifndef SKYBYTE_CPU_UNCORE_H
@@ -199,10 +203,11 @@ class Uncore
     EventQueue &eq_;
     MemoryBackend &backend_;
     SetAssocCache l3_;
-    MshrFile mshrs_;
+    std::uint32_t mshrCapacity_; ///< LLC MSHRs: in-flight line limit
     /** Declared before inFlight_ so every waiter handle releases back
      *  into the slab before the slab itself destructs. */
     Slab<MissStatus> missSlab_;
+    /** The LLC MSHR file: the loads waiting on each in-flight line. */
     FlatMap<std::vector<MissRef>> inFlight_;
     std::vector<Core *> cores_;
     LatencyHistogram offchip_;

@@ -25,13 +25,6 @@
 
 namespace skybyte {
 
-/** CXL.mem M2S request opcodes (subset used by a Type-3 device). */
-enum class CxlReqOpcode : std::uint8_t
-{
-    MemRd = 0,
-    MemWr = 1,
-};
-
 /**
  * S2M NDR opcodes (Figure 8). SkyByte claims one reserved encoding for
  * the long-delay indication.
@@ -43,15 +36,6 @@ enum class CxlNdrOpcode : std::uint8_t
     CmpE = 0b010,          ///< CXL.cache coherence completion (exclusive)
     BiConflictAck = 0b100, ///< back-invalidate conflict ack
     SkyByteDelay = 0b111,  ///< long access delay indication (SkyByte)
-};
-
-/** One CXL.mem transaction as seen on the link. */
-struct CxlMessage
-{
-    CxlReqOpcode opcode = CxlReqOpcode::MemRd;
-    std::uint16_t tag = 0; ///< 16-bit transaction tag (Figure 8)
-    Addr lineAddr = 0;
-    LineValue value = 0;
 };
 
 /**

@@ -59,47 +59,4 @@ decodeNdr(NdrFlit flit)
     return msg;
 }
 
-CxlTagTable::CxlTagTable(std::uint32_t capacity)
-    : capacity_(capacity > (1u << 16) ? (1u << 16) : capacity)
-{}
-
-std::optional<std::uint16_t>
-CxlTagTable::allocate(const CxlMessage &request)
-{
-    if (inFlight_.size() >= capacity_) {
-        stats_.rejectedFull++;
-        return std::nullopt;
-    }
-    // Linear probe from the rolling cursor: the previous transaction's
-    // tag is usually free again by the time the counter wraps.
-    while (inFlight_.contains(next_))
-        next_++;
-    const std::uint16_t tag = next_++;
-    CxlMessage tracked = request;
-    tracked.tag = tag;
-    inFlight_.tryEmplace(tag, tracked);
-    stats_.allocated++;
-    return tag;
-}
-
-const CxlMessage *
-CxlTagTable::find(std::uint16_t tag) const
-{
-    return inFlight_.find(tag);
-}
-
-std::optional<CxlMessage>
-CxlTagTable::complete(std::uint16_t tag)
-{
-    const CxlMessage *entry = inFlight_.find(tag);
-    if (entry == nullptr) {
-        stats_.unknownTagResponses++;
-        return std::nullopt;
-    }
-    CxlMessage request = *entry;
-    inFlight_.erase(tag);
-    stats_.completed++;
-    return request;
-}
-
 } // namespace skybyte

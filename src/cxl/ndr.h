@@ -1,7 +1,7 @@
 /**
  * @file
- * Bit-exact No-Data-Response (NDR) flit codec and transaction tag
- * tracking (Figure 8, §III-A step C1/C2).
+ * Bit-exact No-Data-Response (NDR) flit codec (Figure 8, §III-A step
+ * C1/C2).
  *
  * Figure 8 lays the NDR message out as
  *
@@ -10,14 +10,9 @@
  *
  * 40 bits total. The SSD answers a MemRd that will stall for a long
  * time with an NDR carrying the SkyByte-Delay opcode (a reserved
- * encoding, 0b111) and the request's tag; the host CXL controller uses
- * the tag to find the LLC MSHR entry and raise the Long Delay Exception
- * on the right core (C3).
- *
- * CxlTagTable is that controller-side bookkeeping: it hands out 16-bit
- * tags for outstanding CXL.mem transactions and maps an NDR's tag back
- * to the issuing request. Tags are finite (the 16-bit space), so the
- * table also models back-pressure when all tags are in flight.
+ * encoding, 0b111) and the request's tag (CxlLink::nextTag()); the
+ * host CXL controller uses the tag to find the LLC MSHR entry and
+ * raise the Long Delay Exception on the right core (C3).
  */
 
 #ifndef SKYBYTE_CXL_NDR_H
@@ -26,8 +21,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/flat_map.h"
-#include "common/types.h"
 #include "cxl/cxl.h"
 
 namespace skybyte {
@@ -57,53 +50,6 @@ std::optional<NdrMessage> decodeNdr(NdrFlit flit);
 
 /** Is @p opcode one of the defined (non-reserved) NDR encodings? */
 bool ndrOpcodeDefined(std::uint8_t opcode);
-
-/** Tag-table statistics. */
-struct CxlTagStats
-{
-    std::uint64_t allocated = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t rejectedFull = 0;
-    std::uint64_t unknownTagResponses = 0;
-};
-
-/**
- * Host-side table of outstanding CXL.mem transactions keyed by the
- * 16-bit tag (§III-A C1: "The CXL controller tracks all the memory
- * requests between the host CPU and the SSD").
- */
-class CxlTagTable
-{
-  public:
-    /** @param capacity max outstanding tags (<= 65536). */
-    explicit CxlTagTable(std::uint32_t capacity = 1u << 16);
-
-    /**
-     * Allocate a tag for @p request.
-     * @return the tag, or nullopt when every tag is outstanding.
-     */
-    std::optional<std::uint16_t> allocate(const CxlMessage &request);
-
-    /** Look up (without releasing) the request behind @p tag. */
-    const CxlMessage *find(std::uint16_t tag) const;
-
-    /**
-     * Response arrived for @p tag: release it.
-     * @return the original request, or nullopt for an unknown tag
-     *         (counted — a real controller would raise an error).
-     */
-    std::optional<CxlMessage> complete(std::uint16_t tag);
-
-    std::uint64_t outstanding() const { return inFlight_.size(); }
-    std::uint32_t capacity() const { return capacity_; }
-    const CxlTagStats &stats() const { return stats_; }
-
-  private:
-    std::uint32_t capacity_;
-    std::uint16_t next_ = 0;
-    FlatMap<CxlMessage> inFlight_;
-    CxlTagStats stats_;
-};
 
 } // namespace skybyte
 

@@ -128,9 +128,9 @@ nondeterminismRule()
         {
             // SKYBYTE_BENCH_* scale knobs, read before any sim runs.
             {"src/sim/experiment.cc", "getenv"},
-            // SKYBYTE_SWEEP_SHARD / SKYBYTE_BENCH_INSTR presence test.
+            // SKYBYTE_BENCH_INSTR presence test.
             {"src/sim/sweep.cc", "getenv"},
-            // SKYBYTE_BACKOFF_MS / SKYBYTE_FAULT driver knobs.
+            // SKYBYTE_FAULT child-fault injection (tests/CI only).
             {"src/sim/run_executor.cc", "getenv"},
             // Child wall-clock timeouts and retry backoff pacing:
             // driver scheduling, never a SimResult input.

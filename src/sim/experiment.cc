@@ -93,10 +93,6 @@ makeSweepPoint(const std::string &variant, const std::string &workload,
 int
 sweepThreads(int nthreads, std::size_t npoints)
 {
-    if (nthreads <= 0) {
-        if (const char *s = std::getenv("SKYBYTE_BENCH_NTHREADS"))
-            nthreads = static_cast<int>(std::strtol(s, nullptr, 10));
-    }
     if (nthreads <= 0)
         nthreads = static_cast<int>(std::thread::hardware_concurrency());
     if (nthreads <= 0)

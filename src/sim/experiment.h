@@ -91,8 +91,7 @@ SweepPoint makeSweepPoint(const std::string &variant,
  * to running the points serially — regardless of @p nthreads or OS
  * scheduling.
  *
- * @param nthreads worker count; <= 0 reads SKYBYTE_BENCH_NTHREADS and
- *                 falls back to the hardware concurrency
+ * @param nthreads worker count; <= 0 uses the hardware concurrency
  */
 std::vector<SimResult> runSweep(const std::vector<SweepPoint> &points,
                                 int nthreads = 0);

@@ -135,15 +135,6 @@ applyFault(const std::vector<FaultSpec> &faults, const std::string &id,
 
 // ------------------------------------------------------------ options
 
-ExecutorOptions
-executorOptionsFromEnv()
-{
-    ExecutorOptions opt;
-    if (const char *s = std::getenv("SKYBYTE_BACKOFF_MS"))
-        opt.backoffBaseMs = std::strtoull(s, nullptr, 10);
-    return opt;
-}
-
 std::size_t
 IsolatedExecution::countWith(PointStatus status) const
 {

@@ -103,15 +103,12 @@ struct ExecutorOptions
     /**
      * Backoff unit: the k-th failure of a point waits
      * base << min(k-1, 6) plus a seeded jitter in [0, base) before its
-     * retry. SKYBYTE_BACKOFF_MS overrides the default.
+     * retry (skybyte_sweep --backoff-ms sets it).
      */
     std::uint64_t backoffBaseMs = 100;
     /** Re-use committed results found in runDir (after a crash). */
     bool resume = false;
 };
-
-/** ExecutorOptions with backoffBaseMs from SKYBYTE_BACKOFF_MS. */
-ExecutorOptions executorOptionsFromEnv();
 
 /** What happened to one point. */
 struct PointOutcome

@@ -251,14 +251,6 @@ parseShard(const std::string &text)
     return shard;
 }
 
-ShardSpec
-shardFromEnv()
-{
-    if (const char *s = std::getenv("SKYBYTE_SWEEP_SHARD"))
-        return parseShard(s);
-    return {};
-}
-
 bool
 shardOwns(const ShardSpec &shard, std::size_t index)
 {

@@ -11,12 +11,11 @@
  * table, so the skybyte_sweep CLI and CI execute the exact same point
  * grids.
  *
- * Sharding: a ShardSpec ("i/N" from --shard or SKYBYTE_SWEEP_SHARD)
- * partitions the expanded points round-robin by index. Shards are
- * disjoint and complete for any N, and each point is seeded solely by
- * its own config, so the union of N shard runs is bit-identical to one
- * unsharded run — the property the mergeable JSON reports
- * (sim/report.h) rely on to recombine CI jobs.
+ * Sharding: a ShardSpec ("i/N" from --shard) partitions the expanded
+ * points round-robin by index. Shards are disjoint and complete for any
+ * N, and each point is seeded solely by its own config, so the union of
+ * N shard runs is bit-identical to one unsharded run — the property the
+ * mergeable JSON reports (sim/report.h) rely on to recombine CI jobs.
  */
 
 #ifndef SKYBYTE_SIM_SWEEP_H
@@ -161,9 +160,6 @@ struct ShardSpec
  * @throws std::invalid_argument on malformed input.
  */
 ShardSpec parseShard(const std::string &text);
-
-/** SKYBYTE_SWEEP_SHARD, or the full run (0/1) when unset. */
-ShardSpec shardFromEnv();
 
 /** Round-robin ownership: shard i of N owns indices i, i+N, i+2N... */
 bool shardOwns(const ShardSpec &shard, std::size_t index);

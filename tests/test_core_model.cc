@@ -38,6 +38,7 @@ class ScriptedBackend : public MemoryBackend
         MemResponse resp;
         resp.kind = MemResponseKind::Data;
         resp.lineAddr = req.lineAddr;
+        resp.value = valueOf(req.lineAddr);
         eq_.schedule(when + dataLatency,
                      [cb = std::move(cb), resp]() mutable { cb(resp); });
     }
@@ -46,6 +47,13 @@ class ScriptedBackend : public MemoryBackend
     write(const MemRequest &, Tick) override
     {
         writes_++;
+    }
+
+    /** Payload this backend returns for @p line_addr. */
+    static LineValue
+    valueOf(Addr line_addr)
+    {
+        return line_addr ^ 0x5eedULL;
     }
 
     EventQueue &eq_;
@@ -155,6 +163,83 @@ TEST(CoreModel, MlpIsBoundedByMshrs)
     const auto elapsed = static_cast<double>(fx.eq.now());
     EXPECT_GT(elapsed, expected * 0.8);
     EXPECT_LT(elapsed, expected * 1.6);
+}
+
+/** Single-thread workload replaying a fixed list of records. */
+class ListWorkload : public Workload
+{
+  public:
+    explicit ListWorkload(std::vector<TraceRecord> records)
+        : records_(std::move(records))
+    {}
+
+    std::string name() const override { return "list"; }
+    std::uint64_t footprintBytes() const override { return 1 << 30; }
+    int numThreads() const override { return 1; }
+    std::uint64_t instructionsEmitted(int) const override
+    {
+        return emitted_;
+    }
+
+    std::uint32_t
+    refill(int, TraceBatch &batch) override
+    {
+        std::uint32_t n = 0;
+        while (n < TraceBatch::kCapacity && next_ < records_.size()) {
+            batch.records[n++] = records_[next_];
+            emitted_ += records_[next_++].computeOps + 1;
+        }
+        batch.count = n;
+        batch.cursor = 0;
+        return n;
+    }
+
+  private:
+    std::vector<TraceRecord> records_;
+    std::size_t next_ = 0;
+    std::uint64_t emitted_ = 0;
+};
+
+TEST(CoreModel, MissFillsCarryTheLoadedValue)
+{
+    // A completed miss installs the backend's payload, not 0, in both
+    // private levels.
+    CoreFixture fx(std::make_unique<StrideWorkload>(4, 0));
+    fx.run();
+    SetAssocCache l1 = fx.core->l1();
+    SetAssocCache l2 = fx.core->l2();
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+        const Addr line = Workload::kDataBase + i * kPageBytes;
+        LineValue v1 = 0;
+        LineValue v2 = 0;
+        ASSERT_TRUE(l1.access(line, false, 0, &v1));
+        ASSERT_TRUE(l2.access(line, false, 0, &v2));
+        EXPECT_EQ(v1, ScriptedBackend::valueOf(line));
+        EXPECT_EQ(v2, ScriptedBackend::valueOf(line));
+    }
+}
+
+TEST(CoreModel, L2HitRefillCarriesTheL2Value)
+{
+    // Nine loads into a one-set, 8-way L1 push the first line out of L1
+    // but not out of L2. Reloading it after the ROB drains hits L2 and
+    // must refill L1 with L2's payload.
+    CpuConfig cpu;
+    cpu.l1d.sizeBytes = 8 * kCachelineBytes;
+    std::vector<TraceRecord> records;
+    for (std::uint64_t i = 0; i < 9; ++i)
+        records.push_back({0, false, Workload::kDataBase + i * kPageBytes});
+    const Addr first = Workload::kDataBase;
+    // More compute slots than the ROB holds: admitted only once empty.
+    records.push_back({cpu.robEntries, false, first});
+    CoreFixture fx(std::make_unique<ListWorkload>(std::move(records)), {},
+                   cpu);
+    fx.run();
+    EXPECT_EQ(fx.backend.reads_, 9u); // the reload never left the core
+    SetAssocCache l1 = fx.core->l1();
+    LineValue v = 0;
+    ASSERT_TRUE(l1.access(first, false, 0, &v));
+    EXPECT_EQ(v, ScriptedBackend::valueOf(first));
 }
 
 TEST(CoreModel, StallsAccountedAsMemoryBound)

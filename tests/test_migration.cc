@@ -3,12 +3,17 @@
  * Tests for adaptive page migration (§III-C): hot-page promotion flow,
  * PLB capacity, routing changes, functional consistency of the copies,
  * budget-driven demotion with the anti-thrash guard, clean demotions
- * avoiding flash programs, and the TPP sampling variant.
+ * avoiding flash programs, the TPP sampling variant, and the pinned
+ * huge-page (two-level PLB) ablation report.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/migration.h"
+#include "sim/report.h"
+#include "sim/sweep.h"
 
 namespace skybyte {
 namespace {
@@ -476,6 +481,46 @@ TEST(Migration, DemotionReleasesTenantShare)
     EXPECT_TRUE(fx.engine.isPromoted(1));
     EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
     EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 0u);
+}
+
+TEST(Migration, HugePageSweepMatchesCheckedInReference)
+{
+    // The abl_hugepage sweep promotes 4 KB pages, 64 KB regions and
+    // 2 MB huge pages through the two-level PLB. The same serialization
+    // path skybyte_sweep --run uses, diffed against the reference CI
+    // pins. Regenerate with:
+    //   SKYBYTE_BENCH_INSTR=20000 ./build/skybyte_sweep --run
+    //   abl_hugepage -o tests/data/abl_hugepage.reference.json
+    const std::string ref_path =
+        std::string(__FILE__).substr(
+            0, std::string(__FILE__).rfind('/'))
+        + "/data/abl_hugepage.reference.json";
+    std::ifstream in(ref_path);
+    ASSERT_TRUE(in.good()) << ref_path;
+    std::string reference((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+
+    const SweepSpec *spec = findSweep("abl_hugepage");
+    ASSERT_NE(spec, nullptr);
+    // Fixed options, not optionsFromEnv(): ambient SKYBYTE_BENCH_*
+    // variables must not make the reference comparison fail.
+    ExperimentOptions opt;
+    opt.instrPerThread = 20'000;
+    const SweepExecution exec = runSweepShard(*spec, opt);
+
+    SweepReport report;
+    report.sweep = spec->name;
+    report.totalPoints = exec.totalPoints;
+    for (std::size_t i = 0; i < exec.points.size(); ++i) {
+        const LabeledPoint &lp = exec.points[i];
+        report.entries.push_back(
+            {lp.index,
+             sweepEntryJson(lp.index, lp.id(), exec.results[i])});
+    }
+    EXPECT_EQ(toJson(report), reference)
+        << "huge-page sweep drifted from tests/data/"
+           "abl_hugepage.reference.json — if the change is intentional, "
+           "regenerate the reference";
 }
 
 } // namespace

@@ -5,6 +5,8 @@
  * capacity accounting, and the hardware-cost model.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/plb.h"
@@ -156,6 +158,47 @@ TEST(Plb, OutOfRangeMarksIgnored)
     EXPECT_FALSE(e->lineMigrated(0, kLinesPerPage));
     EXPECT_FALSE(e->lineMigrated(1, 0));
     EXPECT_EQ(plb.stats().lineCopies, 0u);
+}
+
+TEST(Plb, EntryPointersSurviveLaterAllocations)
+{
+    // Each migration has one fixed slot: allocating more entries must
+    // neither move the first one nor hide any live region from find().
+    Plb plb(64);
+    Plb::Entry *first = plb.allocate(1000, 1);
+    ASSERT_NE(first, nullptr);
+    EXPECT_FALSE(plb.markLine(*first, 0, 3));
+    first->dirtyPages.push_back(1000);
+    std::vector<Plb::Entry *> later;
+    for (std::uint64_t i = 0; i < 11; ++i) {
+        Plb::Entry *e = plb.allocate(i * 512, 512);
+        ASSERT_NE(e, nullptr);
+        later.push_back(e);
+    }
+    Plb::Entry *odd = plb.allocate(6001, 4); // unaligned 4-page region
+    ASSERT_NE(odd, nullptr);
+    EXPECT_EQ(plb.occupancy(), 13u);
+
+    EXPECT_EQ(first->baseLpn, 1000u);
+    EXPECT_TRUE(first->lineMigrated(0, 3));
+    EXPECT_EQ(first->dirtyPages, std::vector<std::uint64_t>{1000});
+    EXPECT_EQ(plb.find(1000), first);
+    for (std::uint64_t i = 0; i < later.size(); ++i) {
+        EXPECT_EQ(plb.find(i * 512), later[i]);
+        EXPECT_EQ(plb.find(i * 512 + 511), later[i]);
+    }
+    EXPECT_EQ(plb.find(6000), nullptr);
+    EXPECT_EQ(plb.find(6001), odd);
+    EXPECT_EQ(plb.find(6004), odd);
+    EXPECT_EQ(plb.find(6005), nullptr);
+
+    // Releasing others leaves the survivors where they were.
+    plb.release(0);
+    plb.release(6001);
+    EXPECT_EQ(plb.find(1000), first);
+    EXPECT_EQ(plb.find(600), later[1]);
+    EXPECT_EQ(plb.find(6002), nullptr);
+    EXPECT_EQ(plb.occupancy(), 11u);
 }
 
 TEST(Plb, ReleaseUnknownBaseIsNoop)

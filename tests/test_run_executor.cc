@@ -62,7 +62,7 @@ struct TempDir
     std::string path;
 };
 
-/** Scoped SKYBYTE_FAULT / SKYBYTE_BACKOFF_MS environment. */
+/** Scoped SKYBYTE_FAULT environment. */
 struct ScopedEnv
 {
     ScopedEnv(const char *name, const std::string &value) : name_(name)

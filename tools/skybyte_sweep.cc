@@ -51,10 +51,9 @@
  *      --require-complete
  *
  * Scale knobs are the bench ones (SKYBYTE_BENCH_INSTR/THREADS/
- * FOOTPRINT_MB, SKYBYTE_BENCH_NTHREADS); SKYBYTE_SWEEP_SHARD is the
- * environment form of --shard, which CI uses to fan a sweep across
- * jobs. SKYBYTE_BACKOFF_MS overrides the retry backoff unit and
- * SKYBYTE_FAULT injects deterministic child faults (tests/CI only).
+ * FOOTPRINT_MB); the worker count, shard and retry backoff unit come
+ * only from -j, --shard and --backoff-ms. SKYBYTE_FAULT injects
+ * deterministic child faults (tests/CI only).
  */
 
 #include <cstdio>
@@ -93,6 +92,8 @@ usage()
         "an unsharded in-process --run prints the sweep's paper table"
         " after the report\n"
         "(stdout; stderr with -o -)\n"
+        "scale: SKYBYTE_BENCH_INSTR, SKYBYTE_BENCH_THREADS,"
+        " SKYBYTE_BENCH_FOOTPRINT_MB\n"
         "exit codes: 0 ok; 1 usage; 2 error; 3 sim-timeout point(s);\n"
         "            4 diff drift; 5 partial failure (manifest"
         " written);\n"
@@ -156,7 +157,7 @@ struct RunFlags
     std::string runDir;
     double timeoutSec = 0.0;
     std::uint32_t retries = 0;
-    std::int64_t backoffMs = -1; ///< <0 = SKYBYTE_BACKOFF_MS/default
+    std::int64_t backoffMs = -1; ///< <0 = ExecutorOptions default
     bool resume = false;
     bool requireComplete = false;
 };
@@ -171,7 +172,7 @@ runIsolated(const SweepSpec &spec, const ShardSpec &shard,
     const std::vector<LabeledPoint> points =
         expandShard(spec, opt, shard, total_points);
 
-    ExecutorOptions exec_opt = executorOptionsFromEnv();
+    ExecutorOptions exec_opt;
     exec_opt.runDir = flags.runDir;
     exec_opt.nthreads = nthreads;
     exec_opt.retries = flags.retries;
@@ -236,7 +237,7 @@ runSweepCmd(const std::string &name, const std::string &shard_arg,
         return 1;
     }
     const ShardSpec shard =
-        shard_arg.empty() ? shardFromEnv() : parseShard(shard_arg);
+        shard_arg.empty() ? ShardSpec{} : parseShard(shard_arg);
     if (out_path.empty())
         out_path = defaultOutPath(name, shard);
 
