@@ -1,6 +1,7 @@
 #include "cpu/cache.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace skybyte {
 
@@ -15,54 +16,61 @@ SetAssocCache::SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways)
     while (static_cast<std::uint64_t>(pow2) * 2 <= sets)
         pow2 *= 2;
     numSets_ = pow2;
-    ways2d_.assign(static_cast<std::size_t>(numSets_) * ways_, Way{});
+    const std::size_t n = static_cast<std::size_t>(numSets_) * ways_;
+    tags_.assign(n, kInvalidTag);
+    lru_.assign(n, 0);
+    dirty_.assign(n, 0);
+    values_.assign(n, 0);
 }
 
-std::uint32_t
-SetAssocCache::setOf(Addr line_addr) const
+std::size_t
+SetAssocCache::setBase(Addr line_addr) const
 {
     // Mix upper bits so large-stride patterns spread across sets.
     std::uint64_t x = line_addr / kCachelineBytes;
     x ^= x >> 17;
     x *= 0x9e3779b97f4a7c15ULL;
     x ^= x >> 29;
-    return static_cast<std::uint32_t>(x & (numSets_ - 1));
+    return static_cast<std::size_t>(x & (numSets_ - 1)) * ways_;
+}
+
+std::uint32_t
+SetAssocCache::findWay(std::size_t base, Addr tag) const
+{
+    const Addr *tags = &tags_[base];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (tags[w] == tag)
+            return w;
+    }
+    return ways_;
 }
 
 bool
 SetAssocCache::access(Addr line_addr, bool is_write, LineValue write_value,
                       LineValue *read_out)
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w].lru = ++lruClock_;
-            if (is_write) {
-                set[w].dirty = true;
-                set[w].value = write_value;
-            } else if (read_out != nullptr) {
-                *read_out = set[w].value;
-            }
-            hits_++;
-            return true;
-        }
+    const std::size_t base = setBase(line_addr);
+    const std::uint32_t w = findWay(base, line_addr / kCachelineBytes);
+    if (w == ways_) {
+        misses_++;
+        return false;
     }
-    misses_++;
-    return false;
+    const std::size_t i = base + w;
+    lru_[i] = ++lruClock_;
+    if (is_write) {
+        dirty_[i] = 1;
+        values_[i] = write_value;
+    } else if (read_out != nullptr) {
+        *read_out = values_[i];
+    }
+    hits_++;
+    return true;
 }
 
 bool
 SetAssocCache::probe(Addr line_addr) const
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    const Way *set =
-        &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return true;
-    }
-    return false;
+    return findWay(setBase(line_addr), line_addr / kCachelineBytes) != ways_;
 }
 
 CacheResult
@@ -70,71 +78,63 @@ SetAssocCache::fill(Addr line_addr, bool dirty, LineValue value)
 {
     CacheResult res;
     const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
+    const std::size_t base = setBase(line_addr);
+    const Addr *tags = &tags_[base];
+    const std::uint64_t *lru = &lru_[base];
+    // One pass: presence, and the victim as the first minimum stamp
+    // (empty ways hold stamp 0, so the first empty way wins).
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
+        if (tags[w] == tag) {
             // Already present (e.g., racing fills after coalescing).
-            set[w].lru = ++lruClock_;
+            const std::size_t i = base + w;
+            lru_[i] = ++lruClock_;
             if (dirty) {
-                set[w].dirty = true;
-                set[w].value = value;
+                dirty_[i] = 1;
+                values_[i] = value;
             }
             res.hit = true;
             return res;
         }
-    }
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
+        if (lru[w] < oldest) {
+            oldest = lru[w];
+            victim = w;
         }
-        if (victim == nullptr || set[w].lru < victim->lru)
-            victim = &set[w];
     }
-    if (victim->valid && victim->dirty) {
+    const std::size_t i = base + victim;
+    if (dirty_[i] != 0) {
         res.writeback = true;
-        res.victimAddr = victim->tag * kCachelineBytes;
-        res.victimValue = victim->value;
-        writebacks_++;
+        res.victimAddr = tags_[i] * kCachelineBytes;
+        res.victimValue = values_[i];
     }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lru = ++lruClock_;
-    victim->value = value;
+    tags_[i] = tag;
+    lru_[i] = ++lruClock_;
+    dirty_[i] = dirty ? 1 : 0;
+    values_[i] = value;
     return res;
 }
 
 bool
 SetAssocCache::invalidate(Addr line_addr, bool *was_dirty)
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            if (was_dirty != nullptr)
-                *was_dirty = set[w].dirty;
-            set[w].valid = false;
-            set[w].dirty = false;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-SetAssocCache::clear()
-{
-    std::fill(ways2d_.begin(), ways2d_.end(), Way{});
-    lruClock_ = 0;
+    const std::size_t base = setBase(line_addr);
+    const std::uint32_t w = findWay(base, line_addr / kCachelineBytes);
+    if (w == ways_)
+        return false;
+    const std::size_t i = base + w;
+    if (was_dirty != nullptr)
+        *was_dirty = dirty_[i] != 0;
+    tags_[i] = kInvalidTag;
+    lru_[i] = 0;
+    dirty_[i] = 0;
+    return true;
 }
 
 bool
 MshrFile::contains(Addr line_addr) const
 {
-    return inFlight_.contains(line_addr);
+    return std::find(lines_.begin(), lines_.end(), line_addr) != lines_.end();
 }
 
 bool
@@ -142,14 +142,18 @@ MshrFile::allocate(Addr line_addr)
 {
     if (full() || contains(line_addr))
         return false;
-    inFlight_.tryEmplace(line_addr, 1);
+    lines_.push_back(line_addr);
     return true;
 }
 
 void
 MshrFile::release(Addr line_addr)
 {
-    inFlight_.erase(line_addr);
+    auto it = std::find(lines_.begin(), lines_.end(), line_addr);
+    if (it == lines_.end())
+        return;
+    *it = lines_.back();
+    lines_.pop_back();
 }
 
 } // namespace skybyte

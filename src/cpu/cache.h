@@ -3,6 +3,15 @@
  * Functional set-associative write-back cache with true-LRU replacement,
  * used for the per-core L1D/L2 and the shared L3 (Table II). Timing is
  * applied by the core model; this class only tracks tags and dirty bits.
+ *
+ * Storage is structure-of-arrays: four numSets x ways row-major arrays,
+ * `tags_` (line address / 64; `kInvalidTag` = ~0 marks an empty way),
+ * `lru_` (stamp of the last touch from one cache-wide 64-bit clock; 0
+ * for an empty way), `dirty_` and `values_` (the functional payload).
+ * A lookup scans only the 8-byte tags of its set. The fill victim is the
+ * first empty way, else the first way with the minimum stamp; because
+ * empty ways carry stamp 0 and live ones at least 1, both are "the first
+ * minimum stamp", found in the same pass that checks presence.
  */
 
 #ifndef SKYBYTE_CPU_CACHE_H
@@ -12,7 +21,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace skybyte {
@@ -71,44 +79,44 @@ class SetAssocCache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t writebacks() const { return writebacks_; }
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }
 
-    /** Drop all contents (used on reset between runs). */
-    void clear();
-
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;
-        LineValue value = 0;
-    };
+    /** Tag of an empty way; no 64 B line address divides down to it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
-    std::uint32_t setOf(Addr line_addr) const;
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t setBase(Addr line_addr) const;
+    /** Way of @p tag in the set at @p base, or ways_ if absent. */
+    std::uint32_t findWay(std::size_t base, Addr tag) const;
 
     std::uint32_t numSets_;
     std::uint32_t ways_;
-    std::vector<Way> ways2d_; // numSets_ x ways_, row-major
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lru_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<LineValue> values_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t writebacks_ = 0;
 };
 
 /**
  * Miss-status holding register file with same-line coalescing: tracks the
  * set of distinct in-flight line addresses and enforces the entry budget.
+ * The entries are an unordered array of at most `capacity` lines,
+ * reserved at construction and searched linearly.
  */
 class MshrFile
 {
   public:
-    explicit MshrFile(std::uint32_t entries) : capacity_(entries) {}
+    explicit MshrFile(std::uint32_t entries) : capacity_(entries)
+    {
+        lines_.reserve(entries);
+    }
 
-    bool full() const { return inFlight_.size() >= capacity_; }
+    bool full() const { return lines_.size() >= capacity_; }
 
     /** True if @p line_addr already has an entry (coalesce target). */
     bool contains(Addr line_addr) const;
@@ -122,15 +130,13 @@ class MshrFile
     /** Release the entry for @p line_addr (idempotent). */
     void release(Addr line_addr);
 
-    std::size_t occupancy() const { return inFlight_.size(); }
+    std::size_t occupancy() const { return lines_.size(); }
     std::uint32_t capacity() const { return capacity_; }
-
-    void clear() { inFlight_.clear(); }
 
   private:
     std::uint32_t capacity_;
-    /** Membership-only set of in-flight lines (never iterated). */
-    FlatMap<unsigned char> inFlight_;
+    /** In-flight lines, in no particular order. */
+    std::vector<Addr> lines_;
 };
 
 } // namespace skybyte
