@@ -119,8 +119,10 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
     // LLC-bound. Reserve an L1 MSHR unless this line coalesces onto an
     // in-flight one.
     const bool coalesced = l1Mshrs_.contains(line);
-    if (!coalesced && l1Mshrs_.full())
+    if (!coalesced && l1Mshrs_.full()) {
+        state_ = State::StalledL1Mshr;
         return false;
+    }
 
     MissRef status = uncore_.makeMiss();
     status->lineAddr = line;
@@ -141,6 +143,7 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
         entry.completeAt = kTickMax;
         return true;
       case UncoreLoadResult::MshrBlocked:
+        state_ = State::StalledLlcMshr;
         return false;
     }
     return false;
@@ -187,7 +190,6 @@ Core::runLoop()
         entry.rec = pendingRec_;
         if (!issueMem(pendingRec_, issue_end, entry)) {
             stats_.mshrBlockedStalls++;
-            state_ = State::StalledMshr;
             return; // woken by onMshrFree / own completions
         }
         rob_.push_back(std::move(entry));
@@ -316,7 +318,7 @@ Core::onMissData(const MissRef &status, Tick now)
     }
     if (!status->orphaned)
         fillLocal(status->lineAddr, status->value, now);
-    if (state_ == State::StalledMem || state_ == State::StalledMshr)
+    if (stalled())
         wake(now);
 }
 
@@ -328,14 +330,20 @@ Core::onMissHint(const MissRef &status, Tick now)
         l1Mshrs_.release(status->lineAddr);
         status->l1MshrHeld = false;
     }
-    if (state_ == State::StalledMem || state_ == State::StalledMshr)
+    if (stalled())
         wake(now);
 }
 
 void
 Core::onMshrFree(Tick now)
 {
-    if (state_ == State::StalledMshr)
+    // Another line's LLC response can free an LLC MSHR, never one of
+    // this core's L1 MSHRs, so an L1-blocked retry would fail again.
+    // The pending-penalty wake is kept: the penalty is charged at the
+    // first wake after addPenalty, and skipping it would move the
+    // cursor (see the file comment).
+    if (state_ == State::StalledLlcMshr
+        || (state_ == State::StalledL1Mshr && pendingPenalty_ != 0))
         wake(now);
 }
 

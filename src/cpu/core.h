@@ -15,6 +15,24 @@
  * un-retired records into the thread's replay buffer, optionally frees its
  * L1 MSHRs, charges the OS switch overhead and asks the scheduler for the
  * next thread.
+ *
+ * MSHR stalls record their reason. A core refused for a full L1 MSHR
+ * file (StalledL1Mshr) is woken only by its own completions
+ * (onMissData/onMissHint), while one refused by the LLC MSHR file
+ * (StalledLlcMshr) is also woken by the uncore's onMshrFree broadcast.
+ * Skipping the broadcast for an L1-blocked core changes no result:
+ *  - A refused L1 issue changes no cache state (a miss does not touch
+ *    LRU, MshrFile::contains is read-only) and schedules no event.
+ *  - Only the core's own completions free its L1 MSHRs or bring a line
+ *    into its L1/L2, and those wake it themselves.
+ *  - A skipped wake would only have set cursor_ = max(cursor_, now) and
+ *    retired ROB entries early; the next real wake does the same, and
+ *    memStallTicks telescopes to the same total. Core stats are read
+ *    only after drain.
+ *  - A pending addPenalty is charged at the first wake after it is
+ *    added, so onMshrFree still wakes an L1-blocked core that has one.
+ * Only unreported counters differ from waking every blocked core:
+ * CoreStats::mshrBlockedStalls and the per-core L1/L2 misses().
  */
 
 #ifndef SKYBYTE_CPU_CORE_H
@@ -42,6 +60,12 @@ struct CoreStats
     std::uint64_t issuedInstructions = 0;
     std::uint64_t contextSwitches = 0;
     std::uint64_t squashedRecords = 0;
+    /**
+     * Issue attempts refused for a full L1 or LLC MSHR file. Not part
+     * of SimResult. Other cores' LLC responses do not retry an
+     * L1-blocked core, so this count, like the per-core L1/L2
+     * misses(), does not include such doomed retries.
+     */
     std::uint64_t mshrBlockedStalls = 0;
 };
 
@@ -82,7 +106,15 @@ class Core
     const SetAssocCache &l2() const { return l2_; }
 
   private:
-    enum class State { Idle, Running, StalledMem, StalledMshr, Switching };
+    enum class State
+    {
+        Idle,
+        Running,
+        StalledMem,     ///< ROB head waits on a miss
+        StalledL1Mshr,  ///< refused: this core's L1 MSHR file is full
+        StalledLlcMshr, ///< refused: the shared LLC MSHR file is full
+        Switching
+    };
 
     struct RobEntry
     {
@@ -94,6 +126,14 @@ class Core
 
     /** Main execution loop; runs until stalled or quantum expires. */
     void runLoop();
+
+    /** Waiting on memory or refused by an MSHR file. */
+    bool
+    stalled() const
+    {
+        return state_ == State::StalledMem || state_ == State::StalledL1Mshr
+               || state_ == State::StalledLlcMshr;
+    }
 
     /** Resume from a stall at @p now, accounting the stalled interval. */
     void wake(Tick now);
@@ -112,7 +152,8 @@ class Core
 
     /**
      * Issue the memory op of @p rec at time @p t.
-     * @retval false if blocked on an MSHR (record stays pending).
+     * @retval false if blocked on an MSHR (record stays pending);
+     *         state_ then holds the stall reason.
      */
     bool issueMem(const TraceRecord &rec, Tick t, RobEntry &entry);
 

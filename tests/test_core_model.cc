@@ -2,8 +2,9 @@
  * @file
  * Tests for the core model + uncore against a scripted memory backend:
  * ROB-window stalls, MLP limited by L1 MSHRs, LLC-level coalescing,
- * memory-bound accounting, and the coordinated context switch path
- * (hint -> Long Delay Exception -> squash -> replay, §III-A C1-C4).
+ * memory-bound accounting, the coordinated context switch path
+ * (hint -> Long Delay Exception -> squash -> replay, §III-A C1-C4), and
+ * which MSHR-stalled cores an LLC response wakes.
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +40,11 @@ class ScriptedBackend : public MemoryBackend
         resp.kind = MemResponseKind::Data;
         resp.lineAddr = req.lineAddr;
         resp.value = valueOf(req.lineAddr);
-        eq_.schedule(when + dataLatency,
+        const auto core = static_cast<std::size_t>(req.coreId);
+        const Tick latency = core < coreDataLatency.size()
+                                 ? coreDataLatency[core]
+                                 : dataLatency;
+        eq_.schedule(when + latency,
                      [cb = std::move(cb), resp]() mutable { cb(resp); });
     }
 
@@ -58,6 +63,8 @@ class ScriptedBackend : public MemoryBackend
 
     EventQueue &eq_;
     Tick dataLatency = nsToTicks(1000.0);
+    /** Data latency of reads from core i, where set; else dataLatency. */
+    std::vector<Tick> coreDataLatency;
     Tick hintLatency = nsToTicks(100.0);
     bool hintAll = false;
     std::uint64_t reads_ = 0;
@@ -106,16 +113,64 @@ class StrideWorkload : public Workload
     std::uint64_t emitted_ = 0;
 };
 
+/**
+ * One cold-load stream per thread: thread t loads records[t] lines,
+ * one page apart, on lines no other thread touches.
+ */
+class StreamsWorkload : public Workload
+{
+  public:
+    explicit StreamsWorkload(std::vector<std::uint64_t> records)
+        : records_(std::move(records)), produced_(records_.size(), 0)
+    {}
+
+    std::string name() const override { return "streams"; }
+    std::uint64_t footprintBytes() const override { return 1ULL << 34; }
+    int numThreads() const override
+    {
+        return static_cast<int>(records_.size());
+    }
+    std::uint64_t instructionsEmitted(int t) const override
+    {
+        return produced_[static_cast<std::size_t>(t)];
+    }
+
+    std::uint32_t
+    refill(int t, TraceBatch &batch) override
+    {
+        const auto tid = static_cast<std::size_t>(t);
+        std::uint32_t n = 0;
+        while (n < TraceBatch::kCapacity && produced_[tid] < records_[tid]) {
+            const std::uint64_t page = (tid << 20) + ++produced_[tid];
+            batch.records[n++] = {0, false, kDataBase + page * kPageBytes};
+        }
+        batch.count = n;
+        batch.cursor = 0;
+        return n;
+    }
+
+  private:
+    std::vector<std::uint64_t> records_;
+    std::vector<std::uint64_t> produced_;
+};
+
 struct CoreFixture
 {
     explicit CoreFixture(std::unique_ptr<Workload> wl,
-                         PolicyConfig pol = {}, CpuConfig cpu_cfg = {})
+                         PolicyConfig pol = {}, CpuConfig cpu_cfg = {},
+                         int num_cores = 1)
         : workload(std::move(wl)), backend(eq), cpu(cpu_cfg),
           policy(pol), uncore(cpu, eq, backend), sched(pol.schedPolicy, 1)
     {
-        core = std::make_unique<Core>(0, cpu, policy, eq, uncore);
-        core->setScheduler(&sched);
-        sched.setCores({core.get()});
+        std::vector<Core *> raw;
+        for (int c = 0; c < num_cores; ++c) {
+            cores.push_back(
+                std::make_unique<Core>(c, cpu, policy, eq, uncore));
+            cores.back()->setScheduler(&sched);
+            raw.push_back(cores.back().get());
+        }
+        core = raw.front();
+        sched.setCores(std::move(raw));
         for (int t = 0; t < workload->numThreads(); ++t) {
             threads.push_back(std::make_unique<ThreadContext>(
                 t, workload.get()));
@@ -139,7 +194,8 @@ struct CoreFixture
     Uncore uncore;
     CxlAwareScheduler sched;
     std::vector<std::unique_ptr<ThreadContext>> threads;
-    std::unique_ptr<Core> core;
+    std::vector<std::unique_ptr<Core>> cores;
+    Core *core = nullptr; ///< cores[0]
 };
 
 TEST(CoreModel, ExecutesAllInstructions)
@@ -392,6 +448,75 @@ TEST(CoreModel, MultiThreadSharesCore)
     EXPECT_TRUE(fx.sched.allFinished());
     EXPECT_TRUE(fx.threads[0]->finished());
     EXPECT_TRUE(fx.threads[1]->finished());
+}
+
+// The wake rule for MSHR stalls: a core refused for its own full L1
+// MSHR file retries only after one of its own misses completes (or with
+// a shootdown penalty pending); a core refused by the shared LLC MSHR
+// file is retried whenever any LLC response frees a slot.
+
+TEST(MshrWake, L1BlockedCoreRetriesOncePerOwnCompletion)
+{
+    // 200 cold loads, 8 L1 MSHRs: records 9..200 are each refused once,
+    // then issued when an own miss frees a slot.
+    CoreFixture fx(std::make_unique<StrideWorkload>(200, 0));
+    ASSERT_EQ(fx.cpu.l1d.mshrs, 8u);
+    fx.run();
+    const CoreStats &st = fx.core->stats();
+    EXPECT_EQ(st.mshrBlockedStalls, 192u);
+    EXPECT_EQ(st.committedInstructions, 200u);
+    EXPECT_EQ(fx.eq.now(), 400032u);
+}
+
+TEST(MshrWake, L1RefusalsDoNotDependOnOtherCoresTraffic)
+{
+    CoreFixture fx(std::make_unique<StreamsWorkload>(
+                       std::vector<std::uint64_t>{200, 200}),
+                   {}, {}, 2);
+    fx.run();
+    ASSERT_TRUE(fx.sched.allFinished());
+    for (const auto &core : fx.cores) {
+        EXPECT_EQ(core->stats().mshrBlockedStalls, 192u) << core->id();
+        EXPECT_EQ(core->stats().committedInstructions, 200u) << core->id();
+    }
+}
+
+TEST(MshrWake, LlcBlockedCoreIsWokenByAnotherCoresResponse)
+{
+    // The LLC holds as many misses as one L1: core 0 fills it at tick
+    // 0, so core 1 is refused by the LLC with nothing of its own in
+    // flight. Only core 0's responses can wake it.
+    CpuConfig cpu;
+    cpu.llc.mshrs = cpu.l1d.mshrs;
+    CoreFixture fx(std::make_unique<StreamsWorkload>(
+                       std::vector<std::uint64_t>{40, 40}),
+                   {}, cpu, 2);
+    fx.run();
+    ASSERT_TRUE(fx.sched.allFinished());
+    EXPECT_GT(fx.uncore.llcMshrBlocks(), 0u);
+    EXPECT_EQ(fx.cores[0]->stats().committedInstructions, 40u);
+    EXPECT_EQ(fx.cores[1]->stats().committedInstructions, 40u);
+    // Core 0 is refused once per record past its 8th: no MSHR-free
+    // broadcast retries it.
+    EXPECT_EQ(fx.cores[0]->stats().mshrBlockedStalls, 32u);
+}
+
+TEST(MshrWake, PendingPenaltyIsChargedAtAnotherCoresResponse)
+{
+    // Core 0 is L1-blocked when a shootdown penalty lands on it; core
+    // 1's fast miss answers before any of core 0's. That response's
+    // MSHR-free broadcast must still wake core 0 to charge the penalty:
+    // charging it at core 0's own first response finishes later.
+    CoreFixture fx(std::make_unique<StreamsWorkload>(
+                       std::vector<std::uint64_t>{40, 1}),
+                   {}, {}, 2);
+    fx.backend.coreDataLatency = {fx.backend.dataLatency, nsToTicks(100.0)};
+    fx.eq.schedule(nsToTicks(50.0),
+                   [&fx] { fx.core->addPenalty(usToTicks(10.0)); });
+    fx.run();
+    ASSERT_TRUE(fx.sched.allFinished());
+    EXPECT_EQ(fx.threads[0]->finishTime(), 225612u);
+    EXPECT_EQ(fx.core->stats().mshrBlockedStalls, 26u);
 }
 
 } // namespace
