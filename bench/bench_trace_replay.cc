@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace-replay pipeline benchmark: records/sec of the streaming STRC
- * replay (background block decode into per-thread rings,
- * O(blocks-in-flight) memory). The capture is drained through the
+ * replay (each block decoded on demand by the refill that reaches it,
+ * one live block per thread). The capture is drained through the
  * TraceCursor contract, so the number isolates the pipeline, not the
  * generator.
  *

@@ -151,8 +151,14 @@ SsdController::admit(int tenant, Tick t_arr, std::uint32_t cost)
         return t_arr;
     AdmissionState &st = admission_[static_cast<std::size_t>(tenant)];
     const std::uint64_t e = t_arr / qosEpochTicks_;
-    // Epochs only move forward: a same-tick replay of queued lane events
-    // must spend from the same bucket it spent from the first time.
+    // Epochs only move forward. Requests reach read()/write() out of
+    // time order (each core issues at its own cursor, which runs ahead
+    // of the event queue; see Core::runLoop), but the CXL link
+    // serializes them, so t_arr never decreases. The bucket is what
+    // runs ahead: the loop below lends a tenant past its budget credit
+    // from later epochs, so a later arrival can still fall in an epoch
+    // before st.epoch and must keep spending from st.epoch's bucket
+    // rather than reopen its own, already spent one.
     if (e > st.epoch) {
         st.epoch = e;
         st.used = 0;

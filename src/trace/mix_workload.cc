@@ -240,16 +240,6 @@ MixWorkload::instructionsEmitted(int tid) const
         threadLocal_[static_cast<std::size_t>(tid)]);
 }
 
-bool
-MixWorkload::concurrentRefillSafe() const
-{
-    for (const auto &child : children_) {
-        if (!child->concurrentRefillSafe())
-            return false;
-    }
-    return true;
-}
-
 int
 MixWorkload::tenantOfDeviceOffset(Addr dev) const
 {

@@ -135,14 +135,6 @@ class MixWorkload : public Workload
     std::uint32_t refill(int tid, TraceBatch &batch) override;
     std::uint64_t instructionsEmitted(int tid) const override;
 
-    /**
-     * True iff every child is. The mix's own routing tables
-     * (threadTenant_/threadLocal_, tenant bases) are const after
-     * construction; refill() only forwards per-tid and rewrites
-     * addresses in the caller's batch.
-     */
-    bool concurrentRefillSafe() const override;
-
     /** Tenants in declaration order. */
     const std::vector<MixTenant> &tenants() const { return tenants_; }
 

@@ -146,8 +146,8 @@ std::uint64_t writeTraceLog(const std::string &path, Workload &workload,
 /**
  * STRC reader: header + footer index are parsed (and CRC-checked)
  * up front; record data is fetched one block at a time via
- * readBlock(). Not thread-safe — the replay workload gives it to one
- * decode thread.
+ * readBlock(). Not thread-safe — each replay workload owns its own
+ * reader and decodes on the thread that runs it.
  */
 class TraceLogReader
 {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Streaming replay of STRC captures: a producer-consumer Workload
- * whose single background thread owns the TraceLogReader, decodes
- * blocks ahead of the simulation, and parks them in bounded
- * per-thread ring buffers. refill() only moves records out of an
- * already decoded block — it never touches the filesystem, so the
- * simulated cores never stall on I/O or decompression, and peak
- * memory is O(threads × ring depth) blocks regardless of trace size.
+ * Streaming replay of STRC captures: a Workload that owns one
+ * TraceLogReader and decodes on demand. Each thread holds one decoded
+ * block at a time; refill() moves records out of it and, once it is
+ * drained, decodes that thread's next block on the calling thread.
+ * Peak memory is one block per thread plus the one being decoded,
+ * regardless of trace size. A corrupt block throws TraceLogError from
+ * the refill that reaches it, so only the thread whose stream it
+ * belongs to fails.
  *
  * The record stream per thread is byte-identical to what the live
  * generator yields for the captured workload — the fingerprint test
@@ -18,14 +19,9 @@
 #ifndef SKYBYTE_TRACE_TRACE_LOG_TRACE_LOG_WORKLOAD_H
 #define SKYBYTE_TRACE_TRACE_LOG_TRACE_LOG_WORKLOAD_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/trace_log/trace_log.h"
@@ -33,67 +29,42 @@
 
 namespace skybyte {
 
-/** Producer-consumer replay of one STRC capture. */
+/** On-demand replay of one STRC capture. */
 class TraceLogWorkload : public Workload
 {
   public:
-    /** Decoded blocks buffered per thread before the producer waits. */
-    static constexpr std::size_t kRingBlocks = 4;
-
     /** @throws TraceLogError / std::runtime_error on a bad capture. */
     explicit TraceLogWorkload(const std::string &path);
-    ~TraceLogWorkload() override;
 
-    std::string name() const override { return name_; }
-    std::uint64_t footprintBytes() const override { return footprint_; }
-    int numThreads() const override
+    std::string name() const override { return reader_.name(); }
+    std::uint64_t footprintBytes() const override
     {
-        return static_cast<int>(rings_.size());
+        return reader_.footprintBytes();
     }
+    int numThreads() const override { return reader_.numThreads(); }
+    /** @throws TraceLogError when @p tid's next block is corrupt. */
     std::uint32_t refill(int tid, TraceBatch &batch) override;
     std::uint64_t instructionsEmitted(int tid) const override
     {
-        return emitted_[static_cast<std::size_t>(tid)];
+        return threads_[static_cast<std::size_t>(tid)].emitted;
     }
 
-    /**
-     * The producer hand-off is already mutex-guarded per ring, and
-     * cur_/pos_/emitted_ are strictly per-tid, so distinct tids may
-     * refill from different host threads.
-     */
-    bool concurrentRefillSafe() const override { return true; }
-
-    /** Blocks the producer has decoded so far (monotonic). */
-    std::uint64_t blocksDecoded() const;
+    /** Blocks decoded so far (monotonic). */
+    std::uint64_t blocksDecoded() const { return reader_.blocksDecoded(); }
 
   private:
-    struct Ring
+    struct PerThread
     {
-        std::deque<DecodedBlock> blocks;
-        bool done = false; ///< producer has delivered the last block
+        /** Empty until the first refill and after the stream ends, so
+         *  no placeholder block counts on the decoded-block gauge. */
+        std::optional<DecodedBlock> block;
+        std::size_t pos = 0;       ///< next record within block
+        std::uint64_t next = 0;    ///< index of the next block to decode
+        std::uint64_t emitted = 0; ///< instructions handed out
     };
 
-    void producerLoop();
-
-    std::string name_;
-    std::uint64_t footprint_ = 0;
-
-    mutable std::mutex mu_;
-    std::condition_variable producerCv_; ///< space freed / stop
-    std::condition_variable consumerCv_; ///< block delivered / done
-    std::vector<Ring> rings_;
-    std::exception_ptr error_;
-    bool stop_ = false;
-    std::uint64_t blocksDecoded_ = 0;
-
-    /** @name Consumer-side state (one simulated thread each). @{ */
-    std::vector<std::unique_ptr<DecodedBlock>> cur_;
-    std::vector<std::size_t> pos_;
-    std::vector<std::uint64_t> emitted_;
-    /** @} */
-
-    std::unique_ptr<TraceLogReader> reader_; ///< producer-owned
-    std::thread producer_;
+    TraceLogReader reader_;
+    std::vector<PerThread> threads_;
 };
 
 } // namespace skybyte

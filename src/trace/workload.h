@@ -116,11 +116,11 @@ class Workload
     virtual std::uint64_t instructionsEmitted(int tid) const = 0;
 
     /**
-     * May refill() be called for *distinct* tids from different host
-     * threads concurrently? The conservative default is false.
-     * Implementations returning true must keep all cross-thread state
-     * immutable after construction (or internally synchronized) and all
-     * mutable refill state strictly per-tid.
+     * Always false: a System calls refill() only from the thread that
+     * runs it, and nothing in the simulator reads this. It remains
+     * because the end-to-end benchmark's self-test
+     * (e2ebench/selftest.cc) checks that its timing decorator reports
+     * false; it goes once that check does.
      */
     virtual bool concurrentRefillSafe() const { return false; }
 };

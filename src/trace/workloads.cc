@@ -68,13 +68,6 @@ class SyntheticWorkload : public Workload
     std::uint64_t footprintBytes() const override { return footprint_; }
     int numThreads() const override { return params_.numThreads; }
 
-    /**
-     * All mutable refill state lives in the per-tid ThreadState (RNG,
-     * cursors, instruction count); params_/footprint_ are const after
-     * construction, so distinct tids may refill concurrently.
-     */
-    bool concurrentRefillSafe() const override { return true; }
-
     std::uint64_t
     instructionsEmitted(int tid) const override
     {

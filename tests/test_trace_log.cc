@@ -3,10 +3,11 @@
  * Tests for the STRC trace-log pipeline (trace/trace_log/): codec
  * units, writer/reader round trips across block-boundary record
  * counts, O(1) block lookup by record index, corrupt/truncated-file
- * error paths, the bounded-memory guarantee of the streaming replay
- * workload, and the headline equivalence — a System replaying an STRC
- * capture produces a byte-identical SimResult report to the same
- * System running the live generator the capture was taken from.
+ * error paths, the bounded memory of the streaming replay workload
+ * and the per-thread scope of a corrupt block, and the headline
+ * equivalence — a System replaying an STRC capture produces a
+ * byte-identical SimResult report to the same System running the
+ * live generator the capture was taken from.
  */
 
 #include <gtest/gtest.h>
@@ -460,13 +461,89 @@ TEST(TraceLogWorkload, ReplayMatchesReaderAndBoundsMemory)
         EXPECT_EQ(replay.blocksDecoded(), total_blocks);
     }
     // The headline bound: however many blocks the capture has, only
-    // O(threads × ring depth) were ever alive at once — per thread:
-    // ring buffer + consumer-held block + producer in-flight block.
-    const std::uint64_t per_thread =
-        TraceLogWorkload::kRingBlocks + 2;
-    EXPECT_LE(peakLiveDecodedBlocks() - live_before,
-              4 * per_thread + 1);
+    // one current block per thread plus the one being decoded were
+    // ever alive at once.
+    EXPECT_LE(peakLiveDecodedBlocks() - live_before, 4u + 1u);
     EXPECT_EQ(liveDecodedBlocks(), live_before);
+    std::remove(path.c_str());
+}
+
+TEST(TraceLogWorkload, CorruptBlockFailsOnlyItsThread)
+{
+    WorkloadParams p;
+    p.numThreads = 2;
+    p.instrPerThread = 20'000;
+    p.footprintBytes = 4 * 1024 * 1024;
+    auto gen = makeWorkload("zipf:theta=0.8", p);
+    const std::string path = tmpPath("corrupt_block.strc");
+    writeTraceLog(path, *gen, 64);
+    std::vector<std::uint8_t> bytes = fileBytes(path);
+
+    // Flip the first byte whose corruption leaves the header, the
+    // index and every other block intact but breaks thread 1's
+    // block 1.
+    const auto only_block_1_1_broken = [](std::vector<std::uint8_t> bad) {
+        try {
+            TraceLogReader reader(std::move(bad));
+            try {
+                reader.readBlock(1, 1);
+                return false;
+            } catch (const TraceLogError &) {
+            }
+            for (int t = 0; t < reader.numThreads(); ++t) {
+                for (std::uint64_t b = 0; b < reader.blockCount(t); ++b) {
+                    if (t != 1 || b != 1)
+                        reader.readBlock(t, b);
+                }
+            }
+            return true;
+        } catch (const std::exception &) {
+            return false;
+        }
+    };
+    std::size_t at = 0;
+    for (; at < bytes.size(); ++at) {
+        bytes[at] ^= 0x40;
+        if (only_block_1_1_broken(bytes))
+            break;
+        bytes[at] ^= 0x40;
+    }
+    ASSERT_LT(at, bytes.size());
+    writeFileAtomic(path, std::string(bytes.begin(), bytes.end()));
+
+    for (int rep = 0; rep < 20; ++rep) {
+        TraceLogWorkload replay(path);
+        auto fresh = makeWorkload("zipf:theta=0.8", p);
+        TraceCursor want0(*fresh, 0), got0(replay, 0);
+        TraceCursor want1(*fresh, 1), got1(replay, 1);
+        // Interleave the threads as a simulation does; thread 1's
+        // failure must not reach thread 0.
+        std::uint64_t got1_records = 0;
+        bool threw = false;
+        TraceRecord a, b;
+        while (want0.next(a)) {
+            ASSERT_TRUE(got0.next(b)) << rep;
+            ASSERT_EQ(a.vaddr, b.vaddr) << rep;
+            ASSERT_EQ(a.computeOps, b.computeOps) << rep;
+            ASSERT_EQ(a.isWrite, b.isWrite) << rep;
+            if (threw)
+                continue;
+            try {
+                ASSERT_TRUE(got1.next(b)) << rep;
+            } catch (const TraceLogError &) {
+                threw = true;
+                continue;
+            }
+            ASSERT_TRUE(want1.next(a)) << rep;
+            ASSERT_EQ(a.vaddr, b.vaddr) << rep;
+            ++got1_records;
+        }
+        EXPECT_FALSE(got0.next(b)) << rep;
+        EXPECT_TRUE(threw) << rep;
+        EXPECT_EQ(got1_records, 64u) << rep;
+        // The failure is sticky: the bad block is not skipped.
+        EXPECT_THROW(got1.next(b), TraceLogError) << rep;
+    }
     std::remove(path.c_str());
 }
 
