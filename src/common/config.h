@@ -56,7 +56,6 @@ struct CpuConfig
 {
     int numCores = 8;
     std::uint32_t robEntries = 256;
-    std::uint32_t issueWidth = 4;     ///< instructions per cycle
     CacheConfig l1d{32 * 1024, 8, 8, nsToTicks(1.0)};
     CacheConfig l2{512 * 1024, 32, 128, nsToTicks(3.5)};
     CacheConfig llc{16ULL * 1024 * 1024, 16, 1024, nsToTicks(10.0)};
@@ -108,7 +107,6 @@ struct SsdDramConfig
     std::uint32_t channels = 2;
     /** LPDDR4-3200, 64-bit channel: 3200 MT/s x 8 B = 25.6 GB/s. */
     double bytesPerNsPerChannel = 25.6;
-    std::uint32_t mshrs = 2048;
     /** Optional bank/row-buffer model (see DramBankTiming). */
     DramBankTiming bank{};
 };
@@ -191,8 +189,6 @@ struct PolicyConfig
     MigrationMechanism migration = MigrationMechanism::None;
     /** Page access count that makes a page a promotion candidate. */
     std::uint32_t hotPageThreshold = 32;
-    /** TPP sampling period (used when migration == Tpp). */
-    Tick tppSamplePeriod = usToTicks(200.0);
     /** AstriFlash user-level switch overhead (cheaper than OS switch). */
     Tick astriSwitchOverhead = nsToTicks(500.0);
 };
@@ -265,16 +261,16 @@ struct HostMemConfig
 };
 
 /**
- * Event-kernel tuning (ROADMAP "Calendar-window tuning"). The defaults
- * reproduce the constants the calendar queue shipped with; both knobs
- * only change simulator wall-clock, never simulated behaviour.
+ * Event-kernel tuning (EventQueue's constructor parameters). The
+ * defaults are the queue's own constants; both knobs only change
+ * simulator wall-clock, never simulated behaviour.
  */
 struct KernelConfig
 {
     /** Calendar near-window size in ticks; power of two >= 64. */
     std::uint32_t calendarWindowTicks = EventQueue::kWindowTicks;
     /** EventRecords carved per slab chunk. */
-    std::uint32_t slabChunkRecords = detail::EventSlab::kChunkRecords;
+    std::uint32_t slabChunkRecords = EventQueue::kChunkRecords;
 };
 
 /**

@@ -16,17 +16,15 @@
  *    migrate into the bucket window as the cursor advances; because the
  *    heap pops in (when, seq) order and buckets append at the tail,
  *    same-tick FIFO order is preserved across the two levels.
- *  - Slab-allocated event records. Records are recycled through a
- *    free list carved from fixed-size chunks, so the steady state does
- *    zero allocator traffic per event.
- *  - Small-buffer-optimized callbacks. The callable is constructed in
- *    place inside the event record (detail::EventCallback, sized to
- *    cover every steady-state lambda the simulator schedules,
- *    including a captured move-only MemCallback plus its response
- *    payload) instead of a heap-backed std::function, and is never
- *    copied or moved afterwards. The storage type lives in
- *    common/inline_function.h, shared with the controller's slab
- *    request records.
+ *  - Slab-allocated event records. Each pending event is one
+ *    Slab<EventRecord> record (common/slab.h, the allocator the request
+ *    path's records use too), so the steady state does zero allocator
+ *    traffic per event.
+ *  - Small-buffer-optimized callbacks. The record holds an
+ *    InlineFunction (common/inline_function.h) whose buffer covers
+ *    every steady-state lambda the simulator schedules, including a
+ *    captured move-only MemCallback plus its response payload; the
+ *    callable is emplaced once and never copied or moved afterwards.
  *
  * Regression note (seed kernel): the seed's std::priority_queue kernel
  * copied the whole Entry — including its std::function — out of top()
@@ -45,95 +43,38 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
+#include "common/slab.h"
 #include "common/types.h"
 
 namespace skybyte {
 
 namespace detail {
 
-/**
- * Event-record callback storage: an InPlaceCallable sized so that the
- * request path's largest steady-state completion lambda — a move-only
- * MemCallback (48 B) plus a MemResponse payload (32 B) — constructs
- * inline. Oversized callables (page-payload captures on the rare
- * page-granular paths) fall back to a single heap cell inside
- * InPlaceCallable.
- */
-using EventCallback = InPlaceCallable<void(), 80>;
-
-/** One pending event: intrusive FIFO link + callback storage. */
+/** One pending event: intrusive FIFO link + callback. */
 struct EventRecord
 {
-    Tick when;
-    std::uint64_t seq; ///< schedule order, tie-break across levels
-    EventRecord *next; ///< same-tick FIFO chain
-    EventCallback cb;
-};
+    /**
+     * User-provided so that Slab::alloc()'s value-initialization does
+     * not zero the 80-byte callback buffer on every event.
+     */
+    EventRecord() {}
 
-/**
- * Free-list slab allocator for EventRecords. Chunks are never returned
- * to the system until reset()/destruction, so alloc/release are a
- * pointer swap in the steady state.
- */
-class EventSlab
-{
-  public:
-    static constexpr std::size_t kChunkRecords = 512;
-
-    explicit EventSlab(std::size_t chunk_records = kChunkRecords)
-        : chunkRecords_(chunk_records)
-    {
-        if (chunkRecords_ == 0)
-            throw std::invalid_argument("slab chunk size must be > 0");
-    }
-
-    EventRecord *
-    alloc()
-    {
-        if (free_ == nullptr)
-            refill();
-        EventRecord *r = free_;
-        free_ = r->next;
-        return r;
-    }
-
-    void
-    release(EventRecord *r)
-    {
-        r->next = free_;
-        free_ = r;
-    }
-
-    void
-    reset()
-    {
-        chunks_.clear();
-        free_ = nullptr;
-    }
-
-  private:
-    void
-    refill()
-    {
-        chunks_.push_back(std::make_unique<EventRecord[]>(chunkRecords_));
-        EventRecord *chunk = chunks_.back().get();
-        for (std::size_t i = chunkRecords_; i-- > 0;) {
-            chunk[i].next = free_;
-            free_ = &chunk[i];
-        }
-    }
-
-    std::vector<std::unique_ptr<EventRecord[]>> chunks_;
-    EventRecord *free_ = nullptr;
-    std::size_t chunkRecords_;
+    Tick when = 0;
+    std::uint64_t seq = 0;       ///< schedule order, tie-break across levels
+    EventRecord *next = nullptr; ///< same-tick FIFO chain
+    /**
+     * Sized so that the request path's largest steady-state completion
+     * lambda — a move-only MemCallback (48 B) plus a MemResponse
+     * payload (32 B) — is stored inline. Oversized callables
+     * (page-payload captures on the rare page-granular paths) fall back
+     * to one heap cell.
+     */
+    InlineFunction<void(), 80> cb;
 };
 
 } // namespace detail
@@ -146,6 +87,8 @@ class EventQueue
   public:
     /** Default calendar window: buckets covering [base_, base_+W). */
     static constexpr std::size_t kWindowTicks = 8192; // 512 ns
+    /** Default EventRecords carved per slab chunk. */
+    static constexpr std::size_t kChunkRecords = 512;
 
     /**
      * @param window_ticks near-future window size (power of two >= 64);
@@ -153,9 +96,8 @@ class EventQueue
      *                     distribution, hence the SimConfig knob
      * @param chunk_records EventRecords carved per slab chunk
      */
-    explicit EventQueue(
-        std::size_t window_ticks = kWindowTicks,
-        std::size_t chunk_records = detail::EventSlab::kChunkRecords)
+    explicit EventQueue(std::size_t window_ticks = kWindowTicks,
+                        std::size_t chunk_records = kChunkRecords)
         : head_(window_ticks, nullptr), tail_(window_ticks, nullptr),
           bitmap_(window_ticks / 64, 0), slab_(chunk_records),
           window_(window_ticks), mask_(window_ticks - 1),
@@ -165,9 +107,25 @@ class EventQueue
             throw std::invalid_argument(
                 "calendar window must be a power of two >= 64");
         }
+        if (chunk_records == 0)
+            throw std::invalid_argument("slab chunk size must be > 0");
     }
 
-    ~EventQueue() { destroyPending(); }
+    /** Release every pending record, destroying its callback. */
+    ~EventQueue()
+    {
+        // Read next before each release: the slab's free-list link
+        // overwrites the record's storage.
+        for (detail::EventRecord *r : head_) {
+            while (r != nullptr) {
+                detail::EventRecord *next = r->next;
+                slab_.release(r);
+                r = next;
+            }
+        }
+        for (detail::EventRecord *r : overflow_)
+            slab_.release(r);
+    }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -191,8 +149,7 @@ class EventQueue
         detail::EventRecord *r = slab_.alloc();
         r->when = when;
         r->seq = seq_++;
-        r->next = nullptr;
-        r->cb.construct(std::forward<F>(fn));
+        r->cb.emplace(std::forward<F>(fn));
         if (when < base_ + window_)
             bucketAppend(r);
         else
@@ -223,32 +180,14 @@ class EventQueue
     }
 
     /**
-     * Time of the earliest pending event (kTickMax when empty). Does
-     * not mutate cursor state, so it is safe between arbitrary
-     * schedule() calls.
-     */
-    Tick
-    nextEventTime() const
-    {
-        if (size_ == 0)
-            return kTickMax;
-        const std::size_t d = bucketed_ > 0 ? scanBitmap() : window_;
-        const Tick bucket_when =
-            d < window_ ? base_ + d : kTickMax;
-        const Tick overflow_when =
-            overflow_.empty() ? kTickMax : overflow_.front()->when;
-        return std::min(bucket_when, overflow_when);
-    }
-
-    /**
      * Run until the queue drains or @p limit ticks elapse. With a
      * finite limit, now() afterwards is exactly @p limit even when
      * events remain pending past it (the seed kernel only advanced the
      * clock when the queue drained, which made back-to-back bounded
      * runs start from inconsistent clocks).
      *
-     * The bounded pop fuses the nextEventTime()/popNext() pair the
-     * seed loop did — one calendar scan per event instead of two.
+     * The bounded pop fuses the peek-then-pop pair the seed loop did —
+     * one calendar scan per event instead of two.
      */
     void
     run(Tick limit = kTickMax)
@@ -259,28 +198,7 @@ class EventQueue
             now_ = limit;
     }
 
-    /** Drop all pending events and reset the clock (tests only). */
-    void
-    reset()
-    {
-        destroyPending();
-        std::fill(head_.begin(), head_.end(), nullptr);
-        std::fill(tail_.begin(), tail_.end(), nullptr);
-        std::fill(bitmap_.begin(), bitmap_.end(), 0);
-        overflow_.clear();
-        slab_.reset();
-        now_ = 0;
-        base_ = 0;
-        seq_ = 0;
-        size_ = 0;
-        bucketed_ = 0;
-    }
-
-    /** Configured near-window size in ticks. */
-    std::size_t windowTicks() const { return window_; }
-
   private:
-
     /** Min-heap order over far-future events: (when, seq) ascending. */
     struct OverflowLater
     {
@@ -318,7 +236,7 @@ class EventQueue
 
     /**
      * Offset from the cursor of the first occupied bucket, scanning the
-     * occupancy bitmap circularly; windowTicks() when all empty.
+     * occupancy bitmap circularly; window_ when all empty.
      */
     std::size_t
     scanBitmap() const
@@ -413,31 +331,18 @@ class EventQueue
     {
         --size_;
         now_ = r->when;
-        r->cb.invoke();
+        r->cb();
         // The callback ran out of the record's own storage, so the
-        // record is only recycled after the call returns.
-        r->cb.destroy();
+        // record is only released (destroying the callback) after the
+        // call returns.
         slab_.release(r);
-    }
-
-    void
-    destroyPending()
-    {
-        for (std::size_t i = 0; i < window_; ++i) {
-            for (detail::EventRecord *r = head_[i]; r != nullptr;
-                 r = r->next) {
-                r->cb.destroy();
-            }
-        }
-        for (detail::EventRecord *r : overflow_)
-            r->cb.destroy();
     }
 
     std::vector<detail::EventRecord *> head_;
     std::vector<detail::EventRecord *> tail_;
     std::vector<std::uint64_t> bitmap_;
     std::vector<detail::EventRecord *> overflow_;
-    detail::EventSlab slab_;
+    Slab<detail::EventRecord> slab_;
     std::size_t window_;
     std::size_t mask_;
     std::size_t words_;

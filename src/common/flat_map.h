@@ -91,7 +91,6 @@ class FlatMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return states_.size(); }
 
     /** Value for @p key, or nullptr. */
     T *
@@ -147,17 +146,6 @@ class FlatMap
         states_[idx] = kOccupied;
         ++size_;
         return {&slots_[idx].value(), true};
-    }
-
-    /** Insert or overwrite. @return pointer to the mapped value. */
-    template <typename V>
-    T *
-    insertOrAssign(Key key, V &&value)
-    {
-        auto [p, inserted] = tryEmplace(key, std::forward<V>(value));
-        if (!inserted)
-            *p = std::forward<V>(value);
-        return p;
     }
 
     /** Remove @p key. @retval true if it was present. */

@@ -8,23 +8,18 @@
  * duplicate that allocation. Every simulated memory request used to pay
  * for this several times: once in the controller's waiter record, once
  * per completion lambda scheduled on the event queue, once per flash
- * callback. The two types here eliminate that traffic:
+ * callback.
  *
- *  - InlineFunction<Sig, Bytes>: a move-only std::function replacement
- *    with a Bytes-sized inline buffer. Moving relocates the callable
- *    (via its move constructor) instead of cloning it; oversized
- *    callables (rare: page-payload captures) fall back to one heap
- *    cell whose ownership moves by pointer swap.
+ * InlineFunction<Sig, Bytes> removes that traffic: a move-only
+ * std::function replacement with a Bytes-sized inline buffer. Moving
+ * relocates the callable (via its move constructor) instead of cloning
+ * it; oversized callables (rare: page-payload captures) fall back to
+ * one heap cell whose ownership moves by pointer swap. Event-queue
+ * records emplace() each scheduled lambda straight into their member
+ * InlineFunction, so that callable is never moved at all.
  *
- *  - InPlaceCallable<Sig, Bytes>: the storage-only variant for slab
- *    records (event queue, fetch waiters): construct() placement-news
- *    the callable directly inside the record, invoke() runs it there,
- *    destroy() tears it down. No move support and no empty state, so a
- *    record costs exactly two function pointers of overhead. This is
- *    the generalization of the event kernel's original InlineCallback.
- *
- * Both are deliberately not copyable: a callback is consumed exactly
- * once in this codebase, and cloning is the cost being removed.
+ * It is deliberately not copyable: a callback is consumed exactly once
+ * in this codebase, and cloning is the cost being removed.
  */
 
 #ifndef SKYBYTE_COMMON_INLINE_FUNCTION_H
@@ -160,63 +155,6 @@ class InlineFunction<R(Args...), Bytes>
     alignas(std::max_align_t) unsigned char buf_[Bytes];
     Invoke invoke_ = nullptr;
     Manage manage_ = nullptr;
-};
-
-template <typename Sig, std::size_t Bytes = 48>
-class InPlaceCallable; // primary; only the R(Args...) form exists
-
-/**
- * Storage-only callable for slab records: constructed in place, never
- * relocated, destroyed explicitly by the owning allocator. Invoking a
- * non-constructed instance is undefined (records always construct the
- * callback before publication).
- */
-template <typename R, typename... Args, std::size_t Bytes>
-class InPlaceCallable<R(Args...), Bytes>
-{
-  public:
-    static constexpr std::size_t kInlineBytes = Bytes;
-
-    template <typename F>
-    void
-    construct(F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= Bytes
-                      && alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            invoke_ = [](void *buf, Args &&...args) -> R {
-                return (*std::launder(reinterpret_cast<Fn *>(buf)))(
-                    std::forward<Args>(args)...);
-            };
-            destroy_ = [](void *buf) {
-                std::launder(reinterpret_cast<Fn *>(buf))->~Fn();
-            };
-        } else {
-            auto *heap = new Fn(std::forward<F>(fn));
-            ::new (static_cast<void *>(buf_)) Fn *(heap);
-            invoke_ = [](void *buf, Args &&...args) -> R {
-                return (**std::launder(reinterpret_cast<Fn **>(buf)))(
-                    std::forward<Args>(args)...);
-            };
-            destroy_ = [](void *buf) {
-                delete *std::launder(reinterpret_cast<Fn **>(buf));
-            };
-        }
-    }
-
-    R
-    invoke(Args... args)
-    {
-        return invoke_(buf_, std::forward<Args>(args)...);
-    }
-
-    void destroy() { destroy_(buf_); }
-
-  private:
-    alignas(std::max_align_t) unsigned char buf_[Bytes];
-    R (*invoke_)(void *, Args &&...);
-    void (*destroy_)(void *);
 };
 
 } // namespace skybyte

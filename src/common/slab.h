@@ -3,10 +3,10 @@
  * Free-list slab allocator for fixed-type simulation records.
  *
  * The request path allocates one record per in-flight fetch plus one
- * per waiting request; their lifetimes are bounded by device latency,
- * so a small recycled pool covers the steady state and alloc/release
- * become a pointer swap — the same treatment the event kernel gave its
- * EventRecords. Chunks are never returned to the system until the
+ * per waiting request, and the event kernel one per pending event;
+ * their lifetimes are bounded by device latency, so a small recycled
+ * pool covers the steady state and alloc/release become a pointer
+ * swap. Chunks are never returned to the system until the
  * allocator is destroyed, keeping record addresses stable for the
  * intrusive chains threaded through them.
  */

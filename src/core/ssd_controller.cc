@@ -192,14 +192,13 @@ SsdController::indexLatency() const
 }
 
 bool
-SsdController::shouldHint(std::uint64_t lpn, Tick now, Tick est) const
+SsdController::shouldHint(std::uint64_t lpn, Tick est) const
 {
     if (!cfg_.policy.deviceTriggeredCtxSwitch)
         return false;
     // GC blocks the channel for milliseconds: always switch (§III-A).
     if (ftl_.gcActiveFor(lpn))
         return true;
-    (void)now;
     return est > cfg_.policy.csThreshold;
 }
 
@@ -335,7 +334,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     }
 
     const Tick est = ftl_.estimateReadDelay(lpn, t_idx);
-    const bool hint = shouldHint(lpn, t_idx, est);
+    const bool hint = shouldHint(lpn, est);
     // Slab records are address-stable: pf survives the prefetch's
     // fetch-table insert below (the map only stores the pointer).
     PendingFetch *pf = startFetch(lpn, t_idx, false);

@@ -300,7 +300,7 @@ class SsdController
     void touchForPromotion(std::uint64_t lpn, Tick now);
 
     /** Algorithm 1 + GC check: should this miss trigger a switch? */
-    bool shouldHint(std::uint64_t lpn, Tick now, Tick est) const;
+    bool shouldHint(std::uint64_t lpn, Tick est) const;
 
     void maybeStartCompaction(Tick now);
     void issueCompactionJob(std::uint32_t ch, Tick when);

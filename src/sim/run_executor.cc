@@ -11,7 +11,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "common/flat_map.h"
 #include "common/fs.h"
 #include "common/subprocess.h"
 

@@ -99,17 +99,6 @@ TEST(EventQueue, RunRespectsLimit)
     EXPECT_EQ(eq.pending(), 5u);
 }
 
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
-    eq.schedule(99, [] {});
-    eq.reset();
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
 TEST(EventQueue, BoundedRunAdvancesClockToLimit)
 {
     // Events remain past the limit, yet the clock lands exactly on it,
@@ -191,29 +180,44 @@ TEST(EventQueue, ChainsSpanningManyWindows)
 
 TEST(EventQueue, OversizedCallbacksAndPendingDestruction)
 {
-    // Callbacks larger than the inline buffer take the heap fallback;
-    // captured resources are released both after execution and when
-    // pending events are dropped by reset().
-    auto token = std::make_shared<int>(7);
+    // Captures that fit the inline buffer live in the record; larger
+    // ones take the heap fallback. On both paths the captured resources
+    // are released once after execution, and once when the queue is
+    // destroyed with the event still pending.
+    struct Small
+    {
+        std::shared_ptr<int> t;
+        std::uint64_t pad[4];
+    };
     struct Big
     {
         std::shared_ptr<int> t;
-        std::uint64_t pad[8];
+        std::uint64_t pad[16];
     };
+    static_assert(sizeof(Small) <= 80 && sizeof(Big) > 80);
+    auto small_token = std::make_shared<int>(3);
+    auto big_token = std::make_shared<int>(7);
+    const Small small{small_token, {}};
+    const Big big{big_token, {}};
+    int fired = 0;
     {
         EventQueue eq;
-        int fired = 0;
-        Big big{token, {}};
+        eq.schedule(1, [small, &fired] { fired += *small.t; });
         eq.schedule(1, [big, &fired] { fired += *big.t; });
+        eq.schedule(2, [small] { (void)small; });
         eq.schedule(2, [big] { (void)big; });
-        EXPECT_EQ(token.use_count(), 4); // token + local big + 2 events
+        // token + local copy + 2 events
+        EXPECT_EQ(small_token.use_count(), 4);
+        EXPECT_EQ(big_token.use_count(), 4);
         eq.run(1);
-        EXPECT_EQ(fired, 7);
-        EXPECT_EQ(token.use_count(), 3); // executed event destroyed
-        eq.reset();
-        EXPECT_EQ(token.use_count(), 2); // dropped event destroyed
+        EXPECT_EQ(fired, 10);
+        // executed events destroyed
+        EXPECT_EQ(small_token.use_count(), 3);
+        EXPECT_EQ(big_token.use_count(), 3);
     }
-    EXPECT_EQ(token.use_count(), 1);
+    // dropped pending events destroyed with the queue
+    EXPECT_EQ(small_token.use_count(), 2);
+    EXPECT_EQ(big_token.use_count(), 2);
 }
 
 TEST(EventQueue, MatchesLegacyKernelOnRandomSchedules)
