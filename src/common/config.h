@@ -338,6 +338,15 @@ struct SimConfig
      * simulator, including ... the SSD DRAM cache").
      */
     bool warmupSsdCache = true;
+    /**
+     * Carry functional payload: every layer (caches, host DRAM, SSD
+     * data cache, FTL page store, migration copies) keeps the 64-bit
+     * value of each line. Off by default: timing and statistics depend
+     * only on which lines are present and dirty, so every simulated
+     * result is identical either way; only value checks need it. Set
+     * in code only (no config-file key or flag).
+     */
+    bool audit = false;
     std::uint64_t seed = 42;
 };
 

@@ -5,7 +5,7 @@ namespace skybyte {
 AstriFlashCache::AstriFlashCache(const SimConfig &cfg, EventQueue &eq,
                                  SsdController &ssd, DramModel &host_dram)
     : cfg_(cfg), eq_(eq), ssd_(ssd), hostDram_(host_dram),
-      tags_(cfg.hostMem.promotedBytesMax, 8)
+      tags_(cfg.hostMem.promotedBytesMax, 8, cfg.audit)
 {}
 
 AstriFlashCache::~AstriFlashCache()
@@ -46,7 +46,7 @@ AstriFlashCache::addWrite(PendingFill &fill, std::uint32_t off,
 
 void
 AstriFlashCache::respond(LineWaiter &w, std::uint64_t lpn,
-                         const PageData &data, Tick t_page)
+                         LineValue value, Tick t_page)
 {
     const Addr line_addr = lpn * kPageBytes
                            + static_cast<Addr>(w.off) * kCachelineBytes;
@@ -55,7 +55,7 @@ AstriFlashCache::respond(LineWaiter &w, std::uint64_t lpn,
     MemResponse resp;
     resp.kind = MemResponseKind::Data;
     resp.lineAddr = line_addr;
-    resp.value = data[w.off];
+    resp.value = value;
     eq_.schedule(t_data,
                  [cb = std::move(w.cb), resp]() mutable { cb(resp); });
 }
@@ -74,7 +74,8 @@ AstriFlashCache::read(Addr dev_line_addr, Tick when, MemCallback cb)
         MemResponse resp;
         resp.kind = MemResponseKind::Data;
         resp.lineAddr = dev_line_addr;
-        resp.value = page->data[off];
+        if (const PageData *data = tags_.data(*page))
+            resp.value = (*data)[off];
         eq_.schedule(t_data,
                      [cb = std::move(cb), resp]() mutable { cb(resp); });
         return;
@@ -106,7 +107,8 @@ AstriFlashCache::write(Addr dev_line_addr, LineValue value, Tick when)
 
     if (CachedPage *page = tags_.lookup(lpn)) {
         hostDram_.serviceAt(when, kCachelineBytes, dev_line_addr);
-        page->data[off] = value;
+        if (PageData *data = tags_.data(*page))
+            (*data)[off] = value;
         page->dirty = true;
         page->dirtyMask |= 1ULL << off;
         page->touchedMask |= 1ULL << off;
@@ -130,7 +132,7 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
     PendingFill *fill = fillSlab_.alloc();
     pending_.tryEmplace(lpn, fill);
     ssd_.readPageToHost(lpn, when,
-                        [this, lpn](Tick t, const PageData &data) {
+                        [this, lpn](Tick t, const PageData *data) {
         PendingFill **slot = pending_.find(lpn);
         PendingFill *node = slot != nullptr ? *slot : nullptr;
         if (node != nullptr)
@@ -142,11 +144,14 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         PageEvict ev;
         PageData victim_data;
         CachedPage *page = tags_.fill(lpn, ev, &victim_data);
-        page->data = data;
+        PageData *cached = tags_.data(*page);
+        if (cached != nullptr && data != nullptr)
+            *cached = *data;
         if (node != nullptr) {
             for (BufferedWrite *bw = node->writes.head; bw != nullptr;
                  bw = bw->next) {
-                page->data[bw->off] = bw->value;
+                if (cached != nullptr)
+                    (*cached)[bw->off] = bw->value;
                 page->dirty = true;
                 page->dirtyMask |= 1ULL << bw->off;
                 page->touchedMask |= 1ULL << bw->off;
@@ -154,12 +159,14 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         }
         if (ev.evicted && ev.dirty) {
             astriStats_.dirtyWritebacks++;
-            ssd_.writePageFromHost(ev.lpn, victim_data, t_ins);
+            ssd_.writePageFromHost(
+                ev.lpn, cached != nullptr ? &victim_data : nullptr, t_ins);
         }
         if (node != nullptr) {
             for (LineWaiter *w = node->readers.head; w != nullptr;
                  w = w->next) {
-                respond(*w, lpn, page->data, t_ins);
+                respond(*w, lpn,
+                        cached != nullptr ? (*cached)[w->off] : 0, t_ins);
             }
             releaseFill(node);
         }
@@ -170,8 +177,10 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
 LineValue
 AstriFlashCache::peekLine(Addr dev_line_addr)
 {
+    if (!cfg_.audit)
+        return 0;
     if (const CachedPage *page = tags_.probe(pageNumber(dev_line_addr)))
-        return page->data[lineInPage(dev_line_addr)];
+        return (*tags_.data(*page))[lineInPage(dev_line_addr)];
     return ssd_.peekLine(dev_line_addr);
 }
 

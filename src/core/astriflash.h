@@ -59,7 +59,10 @@ class AstriFlashCache
     /** Posted write of a device line through the host page cache. */
     void write(Addr dev_line_addr, LineValue value, Tick when);
 
-    /** Functional peek (host copy wins while resident). */
+    /**
+     * Functional peek (host copy wins while resident); 0 without
+     * payload (SimConfig::audit).
+     */
     LineValue peekLine(Addr dev_line_addr);
 
     const AstriFlashStats &stats() const { return astriStats_; }
@@ -94,7 +97,7 @@ class AstriFlashCache
                    MemCallback cb);
     void addWrite(PendingFill &fill, std::uint32_t off, LineValue value);
     void releaseFill(PendingFill *fill);
-    void respond(LineWaiter &w, std::uint64_t lpn, const PageData &data,
+    void respond(LineWaiter &w, std::uint64_t lpn, LineValue value,
                  Tick t_page);
 
     const SimConfig &cfg_;

@@ -227,10 +227,12 @@ MigrationEngine::completeBurst(std::uint64_t base, std::uint64_t line_idx,
         const std::uint64_t lpn = base + chunk;
         // The SSD still holds the freshest value for an unmigrated
         // line (writes kept landing there), so copying now is exact.
-        hostDram_.poke(hostKeyOf(lpn, off),
-                       ssd_.peekLine(lpn * kPageBytes
-                                     + static_cast<Addr>(off)
-                                           * kCachelineBytes));
+        if (cfg_.audit) {
+            hostDram_.poke(hostKeyOf(lpn, off),
+                           ssd_.peekLine(lpn * kPageBytes
+                                         + static_cast<Addr>(off)
+                                               * kCachelineBytes));
+        }
         done = plb_.markLine(*entry, chunk, off);
     }
     if (!done) {
@@ -360,10 +362,14 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
     // dirtyPages is sorted, so the copy-back order is the ascending
     // page order regardless of the order the writes arrived in.
     for (std::uint64_t lpn : region->dirtyPages) {
+        if (!cfg_.audit) {
+            ssd_.writePageFromHost(lpn, nullptr, now);
+            continue;
+        }
         PageData data{};
         for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
             data[off] = hostDram_.peek(hostKeyOf(lpn, off));
-        ssd_.writePageFromHost(lpn, data, now);
+        ssd_.writePageFromHost(lpn, &data, now);
     }
     promoted_.erase(base);
     regionSlab_.release(region);

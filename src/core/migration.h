@@ -188,7 +188,7 @@ class MigrationEngine
     void scheduleBurst(std::uint64_t base, std::uint64_t line_idx,
                        Tick when);
 
-    /** Burst landed: poke host lines, advance the PLB entry. */
+    /** Burst landed: copy host lines (with payload), advance the PLB. */
     void completeBurst(std::uint64_t base, std::uint64_t line_idx,
                        std::uint32_t lines);
 

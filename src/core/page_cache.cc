@@ -4,7 +4,8 @@
 
 namespace skybyte {
 
-PageCache::PageCache(std::uint64_t capacity_bytes, std::uint32_t ways)
+PageCache::PageCache(std::uint64_t capacity_bytes, std::uint32_t ways,
+                     bool payload)
 {
     ways_ = std::max<std::uint32_t>(ways, 1);
     capacityPages_ = std::max<std::uint64_t>(capacity_bytes / kPageBytes,
@@ -16,6 +17,8 @@ PageCache::PageCache(std::uint64_t capacity_bytes, std::uint32_t ways)
     numSets_ = pow2;
     capacityPages_ = static_cast<std::uint64_t>(numSets_) * ways_;
     entries_.assign(capacityPages_, CachedPage{});
+    if (payload)
+        data_.assign(capacityPages_, PageData{});
 }
 
 std::uint32_t
@@ -86,8 +89,8 @@ PageCache::fill(std::uint64_t lpn, PageEvict &ev, PageData *victim_data)
         ev.dirtyMask = victim->dirtyMask;
         // Only a dirty victim needs its payload preserved (writeback);
         // clean evictions drop the page without touching the 4 KB.
-        if (victim->dirty && victim_data != nullptr)
-            *victim_data = victim->data;
+        if (victim->dirty && victim_data != nullptr && !data_.empty())
+            *victim_data = data_[indexOf(*victim)];
     } else {
         resident_++;
     }
@@ -115,8 +118,8 @@ PageCache::invalidate(std::uint64_t lpn, PageEvict *ev,
                 ev->touchedMask = set[w].touchedMask;
                 ev->dirtyMask = set[w].dirtyMask;
             }
-            if (victim_data != nullptr)
-                *victim_data = set[w].data;
+            if (victim_data != nullptr && !data_.empty())
+                *victim_data = data_[indexOf(set[w])];
             set[w].valid = false;
             resident_--;
             return true;

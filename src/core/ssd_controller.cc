@@ -11,9 +11,10 @@ namespace skybyte {
 
 SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
                              CxlLink &link)
-    : cfg_(cfg), eq_(eq), link_(link), dram_(eq, cfg.ssdDram),
-      ftl_(cfg.flash, eq, cfg.seed ^ 0xf7a5ULL),
-      cache_(cfg.ssdCache.dataCacheBytes, cfg.ssdCache.dataCacheWays)
+    : cfg_(cfg), eq_(eq), link_(link), dram_(eq, cfg.ssdDram, cfg.audit),
+      ftl_(cfg.flash, eq, cfg.seed ^ 0xf7a5ULL, cfg.audit),
+      cache_(cfg.ssdCache.dataCacheBytes, cfg.ssdCache.dataCacheWays,
+             cfg.audit)
 {
     if (cfg.policy.writeLogEnable) {
         // skybyte-lint: allow(hot-path-alloc) one-time construction; steady-state appends reuse the log's own slabs
@@ -286,7 +287,8 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
         LineValue value;
         if (page != nullptr) {
             page->touchedMask |= 1ULL << off;
-            value = log_val.value_or(page->data[off]);
+            const PageData *data = cache_.data(*page);
+            value = log_val.value_or(data != nullptr ? (*data)[off] : 0);
             stats_.readHitsCache++;
             if (tenant != nullptr)
                 tenant->readHitsCache++;
@@ -394,18 +396,17 @@ SsdController::handleEviction(const PageEvict &ev,
         / kLinesPerPage);
     if (ev.dirty && !logEnabled()) {
         // Base-CSSD: write the whole dirty page back to flash.
-        assert(victim_data != nullptr);
         stats_.dirtyEvictions++;
         stats_.writeLocality.record(
             static_cast<double>(std::popcount(ev.dirtyMask))
             / kLinesPerPage);
-        ftl_.writePage(ev.lpn, when, *victim_data, nullptr);
+        ftl_.writePage(ev.lpn, when, victim_data, nullptr);
     }
 }
 
 void
 SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
-                           const PageData &data)
+                           LineValue value)
 {
     const Addr line_addr = lpn * kPageBytes
                            + static_cast<Addr>(w.lineOff) * kCachelineBytes;
@@ -421,9 +422,23 @@ SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
     MemResponse resp;
     resp.kind = MemResponseKind::Data;
     resp.lineAddr = line_addr;
-    resp.value = data[w.lineOff];
+    resp.value = value;
     eq_.schedule(t_resp,
                  [cb = std::move(w.cb), resp]() mutable { cb(resp); });
+}
+
+void
+SsdController::deliverPage(PageReadFn cb, Tick t_resp, const PageData *data)
+{
+    if (data == nullptr) {
+        eq_.schedule(t_resp, [cb = std::move(cb), t_resp]() mutable {
+            cb(t_resp, nullptr);
+        });
+        return;
+    }
+    // The page travels by value: a 512 B capture, audit mode only.
+    eq_.schedule(t_resp, [cb = std::move(cb), t_resp,
+                          page = *data]() mutable { cb(t_resp, &page); });
 }
 
 void
@@ -442,23 +457,29 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
             static_cast<double>(done - pf->startedAt);
     }
 
-    // Install into the data cache (a 4 KB SSD DRAM write). The payload
-    // is written directly into the claimed slot: no transient PageData.
+    // Install into the data cache (a 4 KB SSD DRAM write). The payload,
+    // if any, is written directly into the claimed slot: no transient
+    // PageData.
     const Tick t_ins = dram_.serviceAt(done, kPageBytes, lpn * kPageBytes);
     PageEvict ev;
     PageData victim_data;
     CachedPage *page =
         cache_.fill(lpn, ev, logEnabled() ? nullptr : &victim_data);
-    page->data = ftl_.pageData(lpn);
-    mergeLogInto(lpn, page->data);
-    handleEviction(ev, ev.dirty ? &victim_data : nullptr, t_ins);
+    PageData *data = cache_.data(*page);
+    if (data != nullptr) {
+        *data = ftl_.pageData(lpn);
+        mergeLogInto(lpn, *data);
+    }
+    handleEviction(ev, ev.dirty && data != nullptr ? &victim_data : nullptr,
+                   t_ins);
 
     // Waiters respond from the fetched snapshot, BEFORE the buffered
     // write-allocate lines apply: those writes arrived after the reads
     // they would otherwise leak into.
     for (Waiter *w = pf->waiters.head; w != nullptr; w = w->next) {
         page->touchedMask |= 1ULL << w->lineOff;
-        respondLine(*w, lpn, t_ins, page->data);
+        respondLine(*w, lpn, t_ins,
+                    data != nullptr ? (*data)[w->lineOff] : 0);
         // The page is resident now, so hot-page promotion can trigger
         // even for pages whose popularity was only visible via misses.
         touchForPromotion(lpn, t_ins);
@@ -468,22 +489,21 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
         const Tick t_data = dram_.serviceAt(t_ins, kPageBytes,
                                             lpn * kPageBytes);
         const Tick t_resp = link_.deliverToHost(t_data, kPageBytes);
-        eq_.schedule(t_resp, [cb = std::move(pw->cb), t_resp,
-                              data = page->data]() mutable {
-            cb(t_resp, data);
-        });
+        deliverPage(std::move(pw->cb), t_resp, data);
     }
 
     // Base-CSSD write-allocate: apply buffered line writes.
     if (!pf->pendingWrites.empty()) {
-        PageData &flash = ftl_.pageData(lpn);
+        PageData *flash = data != nullptr ? &ftl_.pageData(lpn) : nullptr;
         for (PendingWrite *wr = pf->pendingWrites.head; wr != nullptr;
              wr = wr->next) {
-            page->data[wr->off] = wr->value;
+            if (data != nullptr) {
+                (*data)[wr->off] = wr->value;
+                (*flash)[wr->off] = wr->value;
+            }
             page->dirty = true;
             page->dirtyMask |= 1ULL << wr->off;
             page->touchedMask |= 1ULL << wr->off;
-            flash[wr->off] = wr->value;
         }
     }
     releaseFetch(pf);
@@ -529,7 +549,8 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
             tenant->logAppends++;
         dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
         if (CachedPage *page = cache_.lookup(lpn)) {
-            page->data[off] = value;
+            if (PageData *data = cache_.data(*page))
+                (*data)[off] = value;
             page->touchedMask |= 1ULL << off;
             // Not marked dirty: the log owns the dirty data.
         }
@@ -539,12 +560,14 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
 
     // Base-CSSD: page-granular write-allocate.
     if (CachedPage *page = cache_.lookup(lpn)) {
-        page->data[off] = value;
+        if (PageData *data = cache_.data(*page)) {
+            (*data)[off] = value;
+            ftl_.pageData(lpn)[off] = value;
+        }
         page->dirty = true;
         page->dirtyMask |= 1ULL << off;
         page->touchedMask |= 1ULL << off;
         dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
-        ftl_.pageData(lpn)[off] = value;
         return;
     }
     if (PendingFetch **slot = fetches_.find(lpn)) {
@@ -602,35 +625,43 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
         const std::uint64_t lpa = compactJobs_[ch].front();
         compactJobs_[ch].pop_front();
 
-        // Gather the logged lines from the DRAINING buffer; the page may
-        // have been migrated away mid-drain, in which case we skip it.
-        PageData merged{};
-        const std::uint64_t mask = log_->gatherDraining(lpa, merged);
+        // Which lines the DRAINING buffer logged; the page may have
+        // been migrated away mid-drain, in which case we skip it.
+        const std::uint64_t mask = log_->gatherDraining(lpa, nullptr);
         const auto dirty_lines =
             static_cast<std::uint32_t>(std::popcount(mask));
         if (dirty_lines == 0)
             continue;
         stats_.writeLocality.record(
             static_cast<double>(dirty_lines) / kLinesPerPage);
+        const bool covered = dirty_lines == kLinesPerPage;
 
         if (CachedPage *page = cache_.lookup(lpa)) {
             // L2: merge into the cached copy and flush it.
-            for (std::uint32_t off = 0; off < kLinesPerPage; ++off) {
-                if (mask & (1ULL << off))
-                    page->data[off] = merged[off];
-            }
-            stats_.compactionPagesFlushed++;
-            ftl_.writePage(lpa, when, page->data, [this, ch](Tick t) {
-                compactionJobDone(ch, t);
-            });
+            PageData *data = cache_.data(*page);
+            if (data != nullptr)
+                log_->gatherDraining(lpa, data);
+            flushCompacted(ch, lpa, when, data);
             return;
         }
-        if (dirty_lines == kLinesPerPage) {
+        if (!cfg_.audit) {
+            // No payload to merge: time the program, and for a partly
+            // covered page the flash read before it (L3-L5).
+            if (covered) {
+                flushCompacted(ch, lpa, when, nullptr);
+            } else {
+                stats_.compactionFlashReads++;
+                ftl_.readPage(lpa, when, [this, ch, lpa](Tick t) {
+                    flushCompacted(ch, lpa, t, nullptr);
+                });
+            }
+            return;
+        }
+        PageData merged{};
+        log_->gatherDraining(lpa, &merged);
+        if (covered) {
             // Fully covered: program directly, no flash read.
-            stats_.compactionPagesFlushed++;
-            ftl_.writePage(lpa, when, merged, [this, ch](Tick t) {
-                compactionJobDone(ch, t);
-            });
+            flushCompacted(ch, lpa, when, &merged);
             return;
         }
         // L3-L5: read into the coalescing buffer, merge, program.
@@ -641,10 +672,7 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
                 if (mask & (1ULL << off))
                     full[off] = merged[off];
             }
-            stats_.compactionPagesFlushed++;
-            ftl_.writePage(lpa, t, full, [this, ch](Tick t2) {
-                compactionJobDone(ch, t2);
-            });
+            flushCompacted(ch, lpa, t, &full);
         });
         return;
     }
@@ -660,6 +688,16 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
 }
 
 void
+SsdController::flushCompacted(std::uint32_t ch, std::uint64_t lpa,
+                              Tick when, const PageData *data)
+{
+    stats_.compactionPagesFlushed++;
+    ftl_.writePage(lpa, when, data, [this, ch](Tick t) {
+        compactionJobDone(ch, t);
+    });
+}
+
+void
 SsdController::compactionJobDone(std::uint32_t ch, Tick done)
 {
     issueCompactionJob(ch, done);
@@ -672,13 +710,17 @@ SsdController::readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb)
     const Tick t_idx = t_arr + indexLatency();
 
     if (CachedPage *page = cache_.lookup(lpn)) {
-        PageData data = page->data;
-        mergeLogInto(lpn, data);
         const Tick t_data = dram_.serviceAt(t_idx, kPageBytes,
                                             lpn * kPageBytes);
         const Tick t_resp = link_.deliverToHost(t_data, kPageBytes);
-        eq_.schedule(t_resp, [cb = std::move(cb), t_resp,
-                              data]() mutable { cb(t_resp, data); });
+        const PageData *cached = cache_.data(*page);
+        if (cached == nullptr) {
+            deliverPage(std::move(cb), t_resp, nullptr);
+            return;
+        }
+        PageData data = *cached;
+        mergeLogInto(lpn, data);
+        deliverPage(std::move(cb), t_resp, &data);
         return;
     }
     if (PendingFetch **slot = fetches_.find(lpn)) {
@@ -689,12 +731,14 @@ SsdController::readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb)
 }
 
 void
-SsdController::writePageFromHost(std::uint64_t lpn, const PageData &data,
+SsdController::writePageFromHost(std::uint64_t lpn, const PageData *data,
                                  Tick when)
 {
     const Tick t_arr = link_.deliverToDevice(when, kPageBytes);
     if (CachedPage *page = cache_.lookup(lpn)) {
-        page->data = data;
+        PageData *cached = cache_.data(*page);
+        if (cached != nullptr && data != nullptr)
+            *cached = *data;
         page->dirty = false;
         page->dirtyMask = 0;
     }
@@ -719,8 +763,12 @@ SsdController::isPageCached(std::uint64_t lpn) const
 void
 SsdController::snapshotPage(std::uint64_t lpn, PageData &out)
 {
+    if (!cfg_.audit) {
+        out = PageData{};
+        return;
+    }
     if (const CachedPage *page = cache_.probe(lpn))
-        out = page->data;
+        out = *cache_.data(*page);
     else
         out = ftl_.pageData(lpn);
     mergeLogInto(lpn, out);
@@ -746,18 +794,21 @@ SsdController::warmFill(std::uint64_t lpn)
         return;
     PageEvict ev;
     CachedPage *page = cache_.fill(lpn, ev);
-    page->data = ftl_.pageData(lpn);
+    if (PageData *data = cache_.data(*page))
+        *data = ftl_.pageData(lpn);
 }
 
 LineValue
 SsdController::peekLine(Addr dev_line_addr)
 {
+    if (!cfg_.audit)
+        return 0;
     if (logEnabled()) {
         if (auto v = log_->lookup(dev_line_addr))
             return *v;
     }
     if (const CachedPage *page = cache_.probe(pageNumber(dev_line_addr)))
-        return page->data[lineInPage(dev_line_addr)];
+        return (*cache_.data(*page))[lineInPage(dev_line_addr)];
     return ftl_.peekLine(dev_line_addr);
 }
 

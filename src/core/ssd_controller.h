@@ -21,6 +21,10 @@
  * waiter records and event-queue slots, never cloned. Record addresses
  * are slab-stable, so a fetch handle survives table rehashes (the old
  * unordered_map port re-looked-up after every possible insert).
+ *
+ * Line values are carried only with SimConfig::audit. Without it the
+ * data cache and FTL keep no page contents, reads answer value 0, and
+ * page reads deliver no page; every timing and statistic is the same.
  */
 
 #ifndef SKYBYTE_CORE_SSD_CONTROLLER_H
@@ -49,9 +53,10 @@ namespace skybyte {
 
 /**
  * Page-read completion callback (page-granular host interface), fired
- * with the delivery time and the merged page payload.
+ * with the delivery time and the merged page payload (nullptr without
+ * payload, see SimConfig::audit).
  */
-using PageReadFn = InlineFunction<void(Tick, const PageData &), 32>;
+using PageReadFn = InlineFunction<void(Tick, const PageData *), 32>;
 
 /** Controller statistics (feeds Figs 5/6, 16, 17, 18 and Table III). */
 struct SsdStats
@@ -136,14 +141,20 @@ class SsdController
     /** Page-granular host read (AstriFlash / migration copies). */
     void readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb);
 
-    /** Page-granular host write (AstriFlash eviction / demotion). */
-    void writePageFromHost(std::uint64_t lpn, const PageData &data,
+    /**
+     * Page-granular host write (AstriFlash eviction / demotion) of
+     * @p data, which is nullptr without payload.
+     */
+    void writePageFromHost(std::uint64_t lpn, const PageData *data,
                            Tick when);
 
     /** Is @p lpn resident in the data cache (migration precondition)? */
     bool isPageCached(std::uint64_t lpn) const;
 
-    /** Merged functional view of a page (cache/flash + log overlay). */
+    /**
+     * Merged functional view of a page (cache/flash + log overlay); all
+     * zeros without payload.
+     */
     void snapshotPage(std::uint64_t lpn, PageData &out);
 
     /** Convenience by-value form (tests). */
@@ -170,7 +181,10 @@ class SsdController
         hotPageHook_ = std::move(hook);
     }
 
-    /** Functional single-line peek through log, cache, then flash. */
+    /**
+     * Functional single-line peek through log, cache, then flash; 0
+     * without payload.
+     */
     LineValue peekLine(Addr dev_line_addr);
 
     /**
@@ -284,14 +298,21 @@ class SsdController
 
     /**
      * Handle a page evicted from the data cache. @p victim_data is the
-     * evicted payload when @p ev.dirty (nullptr otherwise).
+     * evicted payload when @p ev.dirty and the cache carries payload
+     * (nullptr otherwise).
      */
     void handleEviction(const PageEvict &ev, const PageData *victim_data,
                         Tick when);
 
-    /** Respond with data to one line waiter (consumes its callback). */
+    /** Answer one line waiter with @p value (consumes its callback). */
     void respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
-                     const PageData &data);
+                     LineValue value);
+
+    /**
+     * Deliver a page read to the host at @p t_resp: @p cb receives a
+     * copy of @p data, or nullptr without payload.
+     */
+    void deliverPage(PageReadFn cb, Tick t_resp, const PageData *data);
 
     /** Send the SkyByte-Delay NDR back to the host. */
     void sendDelayHint(Tick t, MemCallback cb);
@@ -304,6 +325,9 @@ class SsdController
 
     void maybeStartCompaction(Tick now);
     void issueCompactionJob(std::uint32_t ch, Tick when);
+    /** Program compacted page @p lpa (@p data nullptr: no payload). */
+    void flushCompacted(std::uint32_t ch, std::uint64_t lpa, Tick when,
+                        const PageData *data);
     void compactionJobDone(std::uint32_t ch, Tick done);
 
     /**

@@ -1,7 +1,6 @@
 #include "core/write_log.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace skybyte {
@@ -125,14 +124,15 @@ WriteLogBuffer::valueAt(std::uint64_t lpa, std::uint32_t line_off) const
 }
 
 std::uint64_t
-WriteLogBuffer::mergePageInto(std::uint64_t lpa, PageData &data) const
+WriteLogBuffer::mergePageInto(std::uint64_t lpa, PageData *data) const
 {
     const LogPageTable *table = index_.find(lpa);
     if (table == nullptr)
         return 0;
     std::uint64_t mask = 0;
     table->forEach([&](std::uint32_t off, std::uint32_t log_off) {
-        data[off] = entries_[log_off].value;
+        if (data != nullptr)
+            (*data)[off] = entries_[log_off].value;
         mask |= 1ULL << off;
     });
     return mask;
@@ -197,31 +197,21 @@ WriteLog::setTenantQuotas(std::vector<std::uint64_t> quotas)
 }
 
 std::optional<LineValue>
-WriteLog::lookup(Addr line_addr)
+WriteLog::lookup(Addr line_addr) const
 {
-    if (auto v = active_.lookup(line_addr)) {
-        stats_.lookupHits++;
+    if (auto v = active_.lookup(line_addr))
         return v;
-    }
-    if (drainInProgress_) {
-        if (auto v = standby_.lookup(line_addr)) {
-            stats_.lookupHits++;
-            return v;
-        }
-    }
+    if (drainInProgress_)
+        return standby_.lookup(line_addr);
     return std::nullopt;
 }
 
-std::uint64_t
-WriteLog::mergePageInto(std::uint64_t lpa, PageData &data)
+void
+WriteLog::mergePageInto(std::uint64_t lpa, PageData &data) const
 {
-    std::uint64_t mask = 0;
     if (drainInProgress_)
-        mask |= standby_.mergePageInto(lpa, data);
-    mask |= active_.mergePageInto(lpa, data); // newest wins
-    // Each distinct logged line would have been one lookup() hit.
-    stats_.lookupHits += static_cast<std::uint64_t>(std::popcount(mask));
-    return mask;
+        standby_.mergePageInto(lpa, &data);
+    active_.mergePageInto(lpa, &data); // newest wins
 }
 
 WriteLogBuffer &

@@ -78,7 +78,6 @@ struct WriteLogStats
 {
     std::uint64_t appends = 0;
     std::uint64_t updateHits = 0;   ///< append superseded an older entry
-    std::uint64_t lookupHits = 0;
     std::uint64_t invalidatedLines = 0; ///< dropped by page migration
     std::uint64_t overflowAppends = 0;  ///< appended beyond capacity
     std::uint64_t compactions = 0;
@@ -158,10 +157,10 @@ class WriteLogBuffer
      * Apply every logged line of @p lpa onto @p data in one index
      * probe (the per-line valueAt loop cost 64 first-level lookups per
      * page merge). Offsets are distinct, so application order within
-     * the table is immaterial.
-     * @return bitmask of the line offsets applied
+     * the table is immaterial. A null @p data only collects the mask.
+     * @return bitmask of the logged line offsets
      */
-    std::uint64_t mergePageInto(std::uint64_t lpa, PageData &data) const;
+    std::uint64_t mergePageInto(std::uint64_t lpa, PageData *data) const;
 
     /**
      * Index memory per the paper's accounting (§III-B). Maintained
@@ -231,7 +230,7 @@ class WriteLog
     }
 
     /** Probe active then draining buffer. */
-    std::optional<LineValue> lookup(Addr line_addr);
+    std::optional<LineValue> lookup(Addr line_addr) const;
 
     /** The active buffer reached capacity and no drain is in progress. */
     bool needCompaction() const
@@ -267,12 +266,12 @@ class WriteLog
 
     /**
      * Gather every draining-buffer line of @p lpa into @p out in one
-     * index probe (compaction's L1 traversal; no lookup stats, same as
-     * drainingValueAt). @return bitmask of offsets written; 0 when not
-     * draining.
+     * index probe (compaction's L1 traversal). A null @p out only
+     * collects the mask.
+     * @return bitmask of the draining lines; 0 when not draining.
      */
     std::uint64_t
-    gatherDraining(std::uint64_t lpa, PageData &out) const
+    gatherDraining(std::uint64_t lpa, PageData *out) const
     {
         if (!drainInProgress_)
             return 0;
@@ -281,12 +280,9 @@ class WriteLog
 
     /**
      * Newest-first merged overlay of @p lpa onto @p data: draining
-     * lines first, then active lines over them, counting each distinct
-     * logged line as one lookup hit (matching the per-line lookup()
-     * accounting this replaces).
-     * @return bitmask of offsets applied
+     * lines first, then active lines over them.
      */
-    std::uint64_t mergePageInto(std::uint64_t lpa, PageData &data);
+    void mergePageInto(std::uint64_t lpa, PageData &data) const;
 
     const WriteLogStats &stats() const { return stats_; }
     const WriteLogBuffer &activeBuffer() const { return active_; }

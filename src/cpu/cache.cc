@@ -5,7 +5,9 @@
 
 namespace skybyte {
 
-SetAssocCache::SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways)
+SetAssocCache::SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways,
+                             bool payload)
+    : payload_(payload)
 {
     ways_ = std::max<std::uint32_t>(ways, 1);
     std::uint64_t lines = std::max<std::uint64_t>(
@@ -20,7 +22,8 @@ SetAssocCache::SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways)
     tags_.assign(n, kInvalidTag);
     lru_.assign(n, 0);
     dirty_.assign(n, 0);
-    values_.assign(n, 0);
+    if (payload_)
+        values_.assign(n, 0);
 }
 
 std::size_t
@@ -59,9 +62,10 @@ SetAssocCache::access(Addr line_addr, bool is_write, LineValue write_value,
     lru_[i] = ++lruClock_;
     if (is_write) {
         dirty_[i] = 1;
-        values_[i] = write_value;
+        if (payload_)
+            values_[i] = write_value;
     } else if (read_out != nullptr) {
-        *read_out = values_[i];
+        *read_out = payload_ ? values_[i] : 0;
     }
     hits_++;
     return true;
@@ -92,7 +96,8 @@ SetAssocCache::fill(Addr line_addr, bool dirty, LineValue value)
             lru_[i] = ++lruClock_;
             if (dirty) {
                 dirty_[i] = 1;
-                values_[i] = value;
+                if (payload_)
+                    values_[i] = value;
             }
             res.hit = true;
             return res;
@@ -106,12 +111,14 @@ SetAssocCache::fill(Addr line_addr, bool dirty, LineValue value)
     if (dirty_[i] != 0) {
         res.writeback = true;
         res.victimAddr = tags_[i] * kCachelineBytes;
-        res.victimValue = values_[i];
+        if (payload_)
+            res.victimValue = values_[i];
     }
     tags_[i] = tag;
     lru_[i] = ++lruClock_;
     dirty_[i] = dirty ? 1 : 0;
-    values_[i] = value;
+    if (payload_)
+        values_[i] = value;
     return res;
 }
 

@@ -7,11 +7,13 @@
  * Storage is structure-of-arrays: four numSets x ways row-major arrays,
  * `tags_` (line address / 64; `kInvalidTag` = ~0 marks an empty way),
  * `lru_` (stamp of the last touch from one cache-wide 64-bit clock; 0
- * for an empty way), `dirty_` and `values_` (the functional payload).
- * A lookup scans only the 8-byte tags of its set. The fill victim is the
- * first empty way, else the first way with the minimum stamp; because
- * empty ways carry stamp 0 and live ones at least 1, both are "the first
- * minimum stamp", found in the same pass that checks presence.
+ * for an empty way), `dirty_` and `values_` (the functional payload;
+ * empty when the cache is built without payload, see SimConfig::audit,
+ * in which case reads and victims report value 0). A lookup scans only
+ * the 8-byte tags of its set. The fill victim is the first empty way,
+ * else the first way with the minimum stamp; because empty ways carry
+ * stamp 0 and live ones at least 1, both are "the first minimum stamp",
+ * found in the same pass that checks presence.
  */
 
 #ifndef SKYBYTE_CPU_CACHE_H
@@ -45,12 +47,14 @@ class SetAssocCache
     /**
      * @param size_bytes capacity
      * @param ways associativity (clamped so at least one set exists)
+     * @param payload keep each line's functional value
      */
-    SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways);
+    SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways,
+                  bool payload = true);
 
     /** Build from a CacheConfig. */
-    explicit SetAssocCache(const CacheConfig &cfg)
-        : SetAssocCache(cfg.sizeBytes, cfg.ways)
+    explicit SetAssocCache(const CacheConfig &cfg, bool payload = true)
+        : SetAssocCache(cfg.sizeBytes, cfg.ways, payload)
     {}
 
     /**
@@ -96,7 +100,8 @@ class SetAssocCache
     std::vector<Addr> tags_;
     std::vector<std::uint64_t> lru_;
     std::vector<std::uint8_t> dirty_;
-    std::vector<LineValue> values_;
+    std::vector<LineValue> values_; ///< empty without payload
+    bool payload_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

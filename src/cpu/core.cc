@@ -5,9 +5,10 @@
 namespace skybyte {
 
 Core::Core(int core_id, const CpuConfig &cfg, const PolicyConfig &policy,
-           EventQueue &eq, Uncore &uncore)
+           EventQueue &eq, Uncore &uncore, bool payload)
     : coreId_(core_id), cfg_(cfg), policy_(policy), eq_(eq),
-      uncore_(uncore), l1_(cfg.l1d), l2_(cfg.l2), l1Mshrs_(cfg.l1d.mshrs)
+      uncore_(uncore), l1_(cfg.l1d, payload), l2_(cfg.l2, payload),
+      l1Mshrs_(cfg.l1d.mshrs)
 {
     uncore.addCore(this);
 }

@@ -75,8 +75,9 @@ struct CoreStats
 class Core
 {
   public:
+    /** @param payload L1/L2 keep line values (SimConfig::audit) */
     Core(int core_id, const CpuConfig &cfg, const PolicyConfig &policy,
-         EventQueue &eq, Uncore &uncore);
+         EventQueue &eq, Uncore &uncore, bool payload = true);
 
     int id() const { return coreId_; }
 

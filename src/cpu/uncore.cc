@@ -4,8 +4,9 @@
 
 namespace skybyte {
 
-Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend)
-    : eq_(eq), backend_(backend), l3_(cfg.llc),
+Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend,
+               bool payload)
+    : eq_(eq), backend_(backend), l3_(cfg.llc, payload),
       mshrCapacity_(cfg.llc.mshrs)
 {}
 

@@ -136,7 +136,9 @@ enum class UncoreLoadResult
 class Uncore
 {
   public:
-    Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend);
+    /** @param payload the L3 keeps line values (SimConfig::audit) */
+    Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend,
+           bool payload = true);
 
     /**
      * Fresh slab-backed miss record for an LLC-bound load (the one

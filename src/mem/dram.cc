@@ -7,10 +7,11 @@ namespace skybyte {
 DramModel::DramModel(EventQueue &eq, Tick access_latency,
                      std::uint32_t channels,
                      double bytes_per_ns_per_channel,
-                     const DramBankTiming &bank)
+                     const DramBankTiming &bank, bool payload)
     : eq_(eq), accessLatency_(access_latency),
       bytesPerNsPerChannel_(bytes_per_ns_per_channel), bank_(bank),
-      channelFree_(std::max<std::uint32_t>(channels, 1), 0)
+      channelFree_(std::max<std::uint32_t>(channels, 1), 0),
+      payload_(payload)
 {
     if (bank_.enabled())
         banks_.resize(channelFree_.size() * bank_.banksPerChannel);
@@ -111,12 +112,14 @@ DramModel::write(const MemRequest &req, Tick when)
 {
     writes_++;
     serviceAt(when, kCachelineBytes, req.lineAddr);
-    store_[req.lineAddr] = req.value;
+    poke(req.lineAddr, req.value);
 }
 
 LineValue
 DramModel::peek(Addr line_addr) const
 {
+    if (!payload_)
+        return 0;
     const LineValue *v = store_.find(line_addr);
     return v == nullptr ? 0 : *v;
 }
@@ -124,7 +127,8 @@ DramModel::peek(Addr line_addr) const
 void
 DramModel::poke(Addr line_addr, LineValue value)
 {
-    store_[line_addr] = value;
+    if (payload_)
+        store_[line_addr] = value;
 }
 
 } // namespace skybyte

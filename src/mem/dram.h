@@ -5,8 +5,13 @@
  * timing is a fixed access latency plus a per-channel bandwidth queue;
  * enabling DramBankTiming switches to a bank/row-buffer model built from
  * Table II's speed grades (row hits pay CL, row misses tRCD+CL, row
- * conflicts tRP+tRCD+CL, banks serialize their own accesses). The
- * functional side is a sparse map of cacheline payloads either way.
+ * conflicts tRP+tRCD+CL, banks serialize their own accesses).
+ *
+ * The functional side is optional: with payload on, a sparse map holds
+ * the value of every written line and reads return it; with payload off
+ * (the default in a System, see SimConfig::audit) the map stays empty,
+ * write() and poke() record nothing and peek() returns 0. Timing is the
+ * same either way.
  */
 
 #ifndef SKYBYTE_MEM_DRAM_H
@@ -28,18 +33,21 @@ namespace skybyte {
 class DramModel : public MemoryBackend
 {
   public:
+    /** @param payload keep line values (peek/poke/read data) */
     DramModel(EventQueue &eq, Tick access_latency, std::uint32_t channels,
               double bytes_per_ns_per_channel,
-              const DramBankTiming &bank = {});
+              const DramBankTiming &bank = {}, bool payload = true);
 
-    DramModel(EventQueue &eq, const HostDramConfig &cfg)
+    DramModel(EventQueue &eq, const HostDramConfig &cfg,
+              bool payload = true)
         : DramModel(eq, cfg.accessLatency, cfg.channels,
-                    cfg.bytesPerNsPerChannel, cfg.bank)
+                    cfg.bytesPerNsPerChannel, cfg.bank, payload)
     {}
 
-    DramModel(EventQueue &eq, const SsdDramConfig &cfg)
+    DramModel(EventQueue &eq, const SsdDramConfig &cfg,
+              bool payload = true)
         : DramModel(eq, cfg.accessLatency, cfg.channels,
-                    cfg.bytesPerNsPerChannel, cfg.bank)
+                    cfg.bytesPerNsPerChannel, cfg.bank, payload)
     {}
 
     /**
@@ -59,13 +67,13 @@ class DramModel : public MemoryBackend
      */
     Tick readAt(const MemRequest &req, Tick when, MemCallback cb);
 
-    /** MemoryBackend: posted write; payload applied at completion time. */
+    /** MemoryBackend: posted write; stores the payload when kept. */
     void write(const MemRequest &req, Tick when) override;
 
-    /** Functional peek (tests / migration copies). */
+    /** Functional peek (tests / migration copies); 0 without payload. */
     LineValue peek(Addr line_addr) const;
 
-    /** Functional poke (migration copies, preconditioning). */
+    /** Functional poke (migration copies); no-op without payload. */
     void poke(Addr line_addr, LineValue value);
 
     std::uint64_t reads() const { return reads_; }
@@ -99,7 +107,11 @@ class DramModel : public MemoryBackend
     DramBankTiming bank_;
     std::vector<Tick> channelFree_;
     std::vector<Bank> banks_; ///< channels x banksPerChannel
-    /** Sparse functional payload store, probed once per DRAM access. */
+    bool payload_;
+    /**
+     * Sparse functional payload store, probed once per DRAM access;
+     * empty without payload.
+     */
     FlatMap<LineValue> store_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

@@ -141,7 +141,7 @@ System::buildSystem(
     const std::function<std::unique_ptr<Workload>()> &warm_factory)
 {
     link_ = std::make_unique<CxlLink>(eq_, cfg_.cxl);
-    hostDram_ = std::make_unique<DramModel>(eq_, cfg_.hostDram);
+    hostDram_ = std::make_unique<DramModel>(eq_, cfg_.hostDram, cfg_.audit);
     ssd_ = std::make_unique<SsdController>(cfg_, eq_, *link_);
 
     // Co-located run: enable per-tenant stat buckets. A single-tenant
@@ -204,7 +204,7 @@ System::buildSystem(
     router_ = std::make_unique<MemRouter>(*this);
     if (mix_ != nullptr && mix_->tenants().size() >= 2)
         router_->enableTenantAccounting(mix_->tenants().size());
-    uncore_ = std::make_unique<Uncore>(cfg_.cpu, eq_, *router_);
+    uncore_ = std::make_unique<Uncore>(cfg_.cpu, eq_, *router_, cfg_.audit);
     if (mix_ != nullptr && mix_->tenants().size() >= 2) {
         // Per-tenant SLO latency histograms (pure accounting): recorded
         // beside the aggregate off-chip histogram, classified by the
@@ -216,7 +216,7 @@ System::buildSystem(
 
     for (int c = 0; c < cfg_.cpu.numCores; ++c) {
         cores_.push_back(std::make_unique<Core>(c, cfg_.cpu, cfg_.policy,
-                                                eq_, *uncore_));
+                                                eq_, *uncore_, cfg_.audit));
     }
     for (int t = 0; t < params_.numThreads; ++t) {
         threads_.push_back(

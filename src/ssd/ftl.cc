@@ -6,8 +6,9 @@
 
 namespace skybyte {
 
-Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
-    : cfg_(cfg), eq_(eq), rng_(seed)
+Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
+         bool payload)
+    : cfg_(cfg), eq_(eq), payload_(payload), rng_(seed)
 {
     channels_.resize(cfg_.channels);
     const auto blocks = static_cast<std::uint32_t>(cfg_.blocksPerChannel());
@@ -166,14 +167,15 @@ Ftl::readPage(std::uint64_t lpn, Tick when, FlashDoneFn cb)
 }
 
 void
-Ftl::writePage(std::uint64_t lpn, Tick when, const PageData &data,
+Ftl::writePage(std::uint64_t lpn, Tick when, const PageData *data,
                FlashDoneFn cb)
 {
     requireHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
     invalidate(lpn);
     mapToOpenBlock(ch, lpn);
-    pageData(lpn) = data;
+    if (payload_ && data != nullptr)
+        pageData(lpn) = *data;
     stats_.hostPrograms++;
     const std::uint32_t ch_idx = channelIdx(lpn);
     ch.flash->enqueue(FlashOpKind::Program, when,
@@ -414,6 +416,8 @@ PageData &
 Ftl::pageData(std::uint64_t lpn)
 {
     requireHostLpn(lpn);
+    if (!payload_)
+        throw std::logic_error("Ftl::pageData: no payload is kept");
     if (lpn >= data_.size())
         data_.resize(lpn + 1);
     auto &slot = data_[lpn];
@@ -423,7 +427,7 @@ Ftl::pageData(std::uint64_t lpn)
 }
 
 LineValue
-Ftl::peekLine(Addr line_addr)
+Ftl::peekLine(Addr line_addr) const
 {
     const std::uint64_t lpn = pageNumber(line_addr);
     if (lpn >= data_.size() || !data_[lpn])

@@ -1,13 +1,15 @@
 /**
  * @file
  * Page-mapped flash translation layer with out-of-place updates and
- * greedy (min-valid-cost) garbage collection, plus the functional page
- * store. Logical pages stripe across channels; each channel appends into
+ * greedy (min-valid-cost) garbage collection, plus an optional
+ * functional page store (kept only with payload, SimConfig::audit).
+ * Logical pages stripe across channels; each channel appends into
  * an open block and GCs locally, with GC operations sharing the channel
  * FIFO so they delay host requests (§II-C).
  *
  * All FTL state is dense. The mapping table and the page store are
- * vectors indexed by host LPN, grown to the highest LPN touched
+ * vectors indexed by host LPN (the page store stays empty without
+ * payload), grown to the highest LPN touched
  * (precondition() sizes the mapping once for its footprint). Each
  * channel keeps the LPN held by every page slot in one block-major
  * array, which is the reverse map GC walks. Cold preconditioning pages
@@ -57,7 +59,9 @@ class Ftl
      */
     static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
 
-    Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed);
+    /** @param payload keep a functional page store (pageData) */
+    Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
+        bool payload = true);
 
     /**
      * Read logical page @p lpn at time @p when; @p cb fires with the
@@ -68,9 +72,10 @@ class Ftl
 
     /**
      * Program logical page @p lpn (out-of-place) at @p when with new
-     * contents @p data; @p cb fires at completion. May trigger GC.
+     * contents @p data (stored only with payload; nullptr without);
+     * @p cb fires at completion. May trigger GC.
      */
-    void writePage(std::uint64_t lpn, Tick when, const PageData &data,
+    void writePage(std::uint64_t lpn, Tick when, const PageData *data,
                    FlashDoneFn cb);
 
     /** Algorithm 1 delay estimate for a read of @p lpn arriving now. */
@@ -92,11 +97,17 @@ class Ftl
     void precondition(std::uint64_t footprint_pages,
                       double rewrite_fraction = 0.3);
 
-    /** Functional page contents (zero-filled on first touch). */
+    /**
+     * Functional page contents (zero-filled on first touch). Throws
+     * std::logic_error without payload.
+     */
     PageData &pageData(std::uint64_t lpn);
 
-    /** Functional single-line peek (0 for a never-written page). */
-    LineValue peekLine(Addr line_addr);
+    /**
+     * Functional single-line peek (0 for a never-written page, and
+     * always 0 without payload).
+     */
+    LineValue peekLine(Addr line_addr) const;
 
     const FtlStats &stats() const { return stats_; }
     const FlashConfig &config() const { return cfg_; }
@@ -209,14 +220,15 @@ class Ftl
 
     const FlashConfig cfg_;
     EventQueue &eq_;
+    bool payload_;
     Rng rng_;
     std::vector<Channel> channels_;
     /** Host lpn -> its page on channel channelIdx(lpn). */
     std::vector<Ppa> mapping_;
     /**
-     * Functional page store by host lpn; null until first touched.
-     * unique_ptrs keep PageData addresses stable across growth
-     * (pageData() hands out references).
+     * Functional page store by host lpn; null until first touched,
+     * and empty without payload. unique_ptrs keep PageData addresses
+     * stable across growth (pageData() hands out references).
      */
     std::vector<std::unique_ptr<PageData>> data_;
     FtlStats stats_;

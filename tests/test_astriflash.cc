@@ -2,12 +2,14 @@
  * @file
  * Tests for the AstriFlash-CXL baseline (§VI-H): host page cache
  * hits/misses, page-granular SSD fills, dirty writebacks, user-level
- * switch hints, and functional integrity through the host cache.
+ * switch hints, functional integrity through the host cache, and the
+ * pinned fig23 sweep (AstriFlash-CXL and the TPP variants).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/astriflash.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -26,6 +28,7 @@ astriConfig(bool switching, std::uint64_t host_pages = 8)
     cfg.flash.pagesPerBlock = 16;
     cfg.ssdCache.baseCssdPrefetch = false;
     cfg.hostMem.promotedBytesMax = host_pages * kPageBytes;
+    cfg.audit = true; // the tests check line values
     return cfg;
 }
 
@@ -116,6 +119,13 @@ TEST(AstriFlash, SsdSeesOnlyPageGranularTraffic)
     // No cacheline-level SSD reads/writes happened.
     EXPECT_EQ(fx.ssd.stats().writes, 0u);
     EXPECT_EQ(fx.ssd.stats().readHitsLog, 0u);
+}
+
+TEST(AstriFlash, Fig23SweepMatchesCheckedInReference)
+{
+    // fig23 runs AstriFlash-CXL and the TPP variants SkyByte-CT/WCT,
+    // the page-granular host paths no other reference reaches.
+    expectSweepMatchesReference("fig23", 20'000);
 }
 
 } // namespace

@@ -115,8 +115,8 @@ TEST(Ftl, WriteIsOutOfPlace)
     Ftl ftl(tinyFlash(), eq, 1);
     PageData data{};
     data[0] = 42;
-    ftl.writePage(3, 0, data, nullptr);
-    ftl.writePage(3, 0, data, nullptr); // rewrite invalidates the old
+    ftl.writePage(3, 0, &data, nullptr);
+    ftl.writePage(3, 0, &data, nullptr); // rewrite invalidates the old
     eq.run();
     EXPECT_EQ(ftl.stats().hostPrograms, 2u);
     EXPECT_EQ(ftl.pageData(3)[0], 42u);
@@ -128,7 +128,7 @@ TEST(Ftl, FunctionalLinePeek)
     Ftl ftl(tinyFlash(), eq, 1);
     PageData data{};
     data[7] = 1234;
-    ftl.writePage(2, 0, data, nullptr);
+    ftl.writePage(2, 0, &data, nullptr);
     EXPECT_EQ(ftl.peekLine(2 * kPageBytes + 7 * kCachelineBytes), 1234u);
     EXPECT_EQ(ftl.peekLine(9 * kPageBytes), 0u);
 }
@@ -161,7 +161,7 @@ TEST(Ftl, HostWriteBeyondPreconditionFootprintGrowsTheMap)
     ftl.precondition(16);
     PageData data{};
     data[5] = 99;
-    ftl.writePage(40, 0, data, nullptr);
+    ftl.writePage(40, 0, &data, nullptr);
     Tick done = 0;
     ftl.readPage(41, 0, [&](Tick t) { done = t; }); // first touch
     eq.run();
@@ -176,7 +176,7 @@ TEST(Ftl, ColdLpnRangeIsNotHostAddressable)
     Ftl ftl(tinyFlash(), eq, 1);
     EXPECT_THROW(ftl.readPage(Ftl::kColdLpnBase, 0, nullptr),
                  std::out_of_range);
-    EXPECT_THROW(ftl.writePage(Ftl::kColdLpnBase, 0, PageData{}, nullptr),
+    EXPECT_THROW(ftl.writePage(Ftl::kColdLpnBase, 0, nullptr, nullptr),
                  std::out_of_range);
     EXPECT_THROW(ftl.pageData(Ftl::kColdLpnBase), std::out_of_range);
     EXPECT_EQ(ftl.peekLine(Ftl::kColdLpnBase * kPageBytes), 0u);
@@ -193,7 +193,7 @@ TEST(Ftl, GcTriggersAndReclaims)
     PageData data{};
     for (int round = 0; round < 60; ++round) {
         for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-            ftl.writePage(lpn * cfg.channels, eq.now(), data, nullptr);
+            ftl.writePage(lpn * cfg.channels, eq.now(), &data, nullptr);
         eq.run();
     }
     EXPECT_GT(ftl.stats().gcRuns, 0u);
@@ -235,7 +235,7 @@ TEST(Ftl, PreconditionedDefaultGeometryIsConsistent)
     // relocates the live pages of partly dead blocks.
     PageData data{};
     for (std::uint64_t i = 0; i < footprint; ++i) {
-        ftl.writePage(i * 7919 % footprint, eq.now(), data, nullptr);
+        ftl.writePage(i * 7919 % footprint, eq.now(), &data, nullptr);
         if (i % 64 == 63)
             eq.run();
     }

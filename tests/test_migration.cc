@@ -9,11 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "core/migration.h"
-#include "sim/report.h"
-#include "sim/sweep.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -32,6 +29,7 @@ migConfig(MigrationMechanism mech, std::uint64_t host_pages = 8)
     cfg.flash.pagesPerBlock = 16;
     cfg.ssdCache.baseCssdPrefetch = false;
     cfg.hostMem.promotedBytesMax = host_pages * kPageBytes;
+    cfg.audit = true; // the tests check line values
     return cfg;
 }
 
@@ -486,41 +484,8 @@ TEST(Migration, DemotionReleasesTenantShare)
 TEST(Migration, HugePageSweepMatchesCheckedInReference)
 {
     // The abl_hugepage sweep promotes 4 KB pages, 64 KB regions and
-    // 2 MB huge pages through the two-level PLB. The same serialization
-    // path skybyte_sweep --run uses, diffed against the reference CI
-    // pins. Regenerate with:
-    //   SKYBYTE_BENCH_INSTR=20000 ./build/skybyte_sweep --run
-    //   abl_hugepage -o tests/data/abl_hugepage.reference.json
-    const std::string ref_path =
-        std::string(__FILE__).substr(
-            0, std::string(__FILE__).rfind('/'))
-        + "/data/abl_hugepage.reference.json";
-    std::ifstream in(ref_path);
-    ASSERT_TRUE(in.good()) << ref_path;
-    std::string reference((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-
-    const SweepSpec *spec = findSweep("abl_hugepage");
-    ASSERT_NE(spec, nullptr);
-    // Fixed options, not optionsFromEnv(): ambient SKYBYTE_BENCH_*
-    // variables must not make the reference comparison fail.
-    ExperimentOptions opt;
-    opt.instrPerThread = 20'000;
-    const SweepExecution exec = runSweepShard(*spec, opt);
-
-    SweepReport report;
-    report.sweep = spec->name;
-    report.totalPoints = exec.totalPoints;
-    for (std::size_t i = 0; i < exec.points.size(); ++i) {
-        const LabeledPoint &lp = exec.points[i];
-        report.entries.push_back(
-            {lp.index,
-             sweepEntryJson(lp.index, lp.id(), exec.results[i])});
-    }
-    EXPECT_EQ(toJson(report), reference)
-        << "huge-page sweep drifted from tests/data/"
-           "abl_hugepage.reference.json — if the change is intentional, "
-           "regenerate the reference";
+    // 2 MB huge pages through the two-level PLB.
+    expectSweepMatchesReference("abl_hugepage", 20'000);
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -25,6 +24,7 @@
 #include "trace/mix_workload.h"
 #include "trace/workload.h"
 #include "trace/workload_spec.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -430,40 +430,7 @@ TEST(ColocationSweep, RegisteredAndConstructible)
 
 TEST(ColocationSweep, ReportMatchesCheckedInReference)
 {
-    // Same serialization path skybyte_sweep --run uses, diffed against
-    // the reference report CI pins. Regenerate with:
-    //   ./build/skybyte_sweep --run colocation -o
-    //   tests/data/colocation.reference.json
-    const std::string ref_path =
-        std::string(__FILE__).substr(
-            0, std::string(__FILE__).rfind('/'))
-        + "/data/colocation.reference.json";
-    std::ifstream in(ref_path);
-    ASSERT_TRUE(in.good()) << ref_path;
-    std::string reference((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-
-    const SweepSpec *spec = findSweep("colocation");
-    ASSERT_NE(spec, nullptr);
-    // Fixed options, not optionsFromEnv(): ambient SKYBYTE_BENCH_*
-    // variables must not make the reference comparison fail.
-    ExperimentOptions opt;
-    opt.instrPerThread = spec->defaultInstrPerThread;
-    const SweepExecution exec = runSweepShard(*spec, opt);
-
-    SweepReport report;
-    report.sweep = spec->name;
-    report.totalPoints = exec.totalPoints;
-    for (std::size_t i = 0; i < exec.points.size(); ++i) {
-        const LabeledPoint &lp = exec.points[i];
-        report.entries.push_back(
-            {lp.index,
-             sweepEntryJson(lp.index, lp.id(), exec.results[i])});
-    }
-    EXPECT_EQ(toJson(report), reference)
-        << "colocation sweep drifted from tests/data/"
-           "colocation.reference.json — if the change is intentional, "
-           "regenerate the reference";
+    expectSweepMatchesReference("colocation");
 }
 
 TEST(ColocationSweep, ShardedEqualsUnsharded)

@@ -21,8 +21,9 @@ fillWith(PageCache &pc, std::uint64_t lpn, LineValue v,
 {
     PageEvict ev;
     CachedPage *page = pc.fill(lpn, ev, victim);
-    page->data = PageData{};
-    page->data[0] = v;
+    PageData &data = *pc.data(*page);
+    data = PageData{};
+    data[0] = v;
     return ev;
 }
 
@@ -33,7 +34,7 @@ TEST(PageCache, FillThenLookup)
     fillWith(pc, 9, 42);
     CachedPage *page = pc.lookup(9);
     ASSERT_NE(page, nullptr);
-    EXPECT_EQ(page->data[0], 42u);
+    EXPECT_EQ((*pc.data(*page))[0], 42u);
     EXPECT_EQ(pc.hits(), 1u);
     EXPECT_EQ(pc.misses(), 1u);
 }
@@ -81,7 +82,7 @@ TEST(PageCache, RefillingResidentPageKeepsOneCopy)
     fillWith(pc, 5, 1);
     PageEvict ev = fillWith(pc, 5, 2);
     EXPECT_FALSE(ev.evicted);
-    EXPECT_EQ(pc.lookup(5)->data[0], 2u);
+    EXPECT_EQ((*pc.data(*pc.lookup(5)))[0], 2u);
     EXPECT_EQ(pc.residentPages(), 1u);
 }
 

@@ -3,12 +3,14 @@
  * Tests for the active/inactive reclaim lists (§III-C): insertion at the
  * active head, lazy reference bits, activation of touched inactive
  * entries, second chances during aging and victim scans, the anti-thrash
- * idle window, and list-ratio rebalancing.
+ * idle window, list-ratio rebalancing, and the pinned abl_reclaim
+ * sweep (demotion through SsdController::writePageFromHost).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/reclaim.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -147,6 +149,15 @@ TEST(Reclaim, TouchUntrackedIsNoop)
     lists.touch(42, 0);
     lists.erase(42);
     EXPECT_EQ(lists.size(), 0u);
+}
+
+TEST(Reclaim, AblReclaimSweepMatchesCheckedInReference)
+{
+    // abl_reclaim demotes promoted pages back to the SSD through
+    // writePageFromHost under both reclaim policies. At 20,000
+    // instructions per thread no point demotes; at 50,000 the bc and
+    // ycsb points do.
+    expectSweepMatchesReference("abl_reclaim", 50'000);
 }
 
 } // namespace

@@ -10,8 +10,11 @@
  *  - Slab recycling: construct/destroy pairing and address stability
  *  - Request-path fingerprint pinning: full-system SimResult JSON must
  *    stay bit-identical to the checked-in references for SkyByte-Full,
- *    Base-CSSD, and DRAM-Only across three workload specs. Regenerate
- *    after an intentional behavior change with
+ *    Base-CSSD, and DRAM-Only across three workload specs, with
+ *    functional payload off (the default) and on (SimConfig::audit);
+ *    configs with shrunk caches, which compact the write log and write
+ *    dirty pages back, must also agree with payload off and on.
+ *    Regenerate after an intentional behavior change with
  *      SKYBYTE_REGEN_FINGERPRINTS=1 ./test_request_path
  *    and commit the files under tests/data/request_path/.
  */
@@ -31,6 +34,7 @@
 #include "common/slab.h"
 #include "sim/report.h"
 #include "sim/system.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -244,24 +248,24 @@ fingerprintPath(const FingerprintCase &c)
     const auto colon = wl.find(':');
     if (colon != std::string::npos)
         wl = wl.substr(0, colon);
-    return std::string("tests/data/request_path/") + c.variant + "."
-           + wl + ".json";
+    return testDataPath(std::string("request_path/") + c.variant + "."
+                        + wl + ".json");
 }
 
-/**
- * Tests run from build/ (or deeper); anchor the source tree by a file
- * that always exists so regen can create missing references.
- */
-std::string
-dataPath(const std::string &rel)
+/** Read the checked-in reference of @p c into @p out. */
+::testing::AssertionResult
+readFingerprint(const FingerprintCase &c, std::string &out)
 {
-    for (const char *prefix : {"", "../", "../../"}) {
-        std::ifstream anchor(std::string(prefix)
-                             + "tests/data/scenarios.reference.json");
-        if (anchor)
-            return prefix + rel;
+    std::ifstream in(fingerprintPath(c));
+    if (!in) {
+        return ::testing::AssertionFailure()
+               << "missing reference " << fingerprintPath(c)
+               << " (run with SKYBYTE_REGEN_FINGERPRINTS=1 to create)";
     }
-    return rel;
+    std::ostringstream ref;
+    ref << in.rdbuf();
+    out = ref.str();
+    return ::testing::AssertionSuccess();
 }
 
 TEST(RequestPathFingerprint, SimResultsMatchCheckedInReferences)
@@ -273,23 +277,73 @@ TEST(RequestPathFingerprint, SimResultsMatchCheckedInReferences)
         const SimResult res =
             runSimulation(cfg, c.workload, WorkloadParams{});
         const std::string json = toJson(res);
-        const std::string path = dataPath(fingerprintPath(c));
+        const std::string path = fingerprintPath(c);
         if (regen) {
             std::ofstream out(path);
             ASSERT_TRUE(static_cast<bool>(out)) << path;
             out << json;
             continue;
         }
-        std::ifstream in(path);
-        ASSERT_TRUE(static_cast<bool>(in))
-            << "missing reference " << path
-            << " (run with SKYBYTE_REGEN_FINGERPRINTS=1 to create)";
-        std::ostringstream ref;
-        ref << in.rdbuf();
-        EXPECT_EQ(json, ref.str())
+        std::string ref;
+        ASSERT_TRUE(readFingerprint(c, ref));
+        EXPECT_EQ(json, ref)
             << c.variant << " / " << c.workload
             << ": request-path refactor broke bit-identity";
     }
+}
+
+TEST(RequestPathFingerprint, PayloadNeverDrivesResults)
+{
+    // With functional payload on, every layer carries line values; the
+    // results must still match the payload-free references byte for
+    // byte, so no value ever feeds timing or statistics.
+    for (const FingerprintCase &c : kCases) {
+        SimConfig cfg = makeConfig(c.variant);
+        cfg.audit = true;
+        const SimResult res =
+            runSimulation(cfg, c.workload, WorkloadParams{});
+        std::string ref;
+        ASSERT_TRUE(readFingerprint(c, ref));
+        EXPECT_EQ(toJson(res), ref)
+            << c.variant << " / " << c.workload
+            << ": payload changed a simulated result";
+    }
+}
+
+TEST(RequestPathFingerprint, PayloadNeverDrivesWritebackPaths)
+{
+    // The fingerprint configs barely write to the device. Shrunk caches
+    // and a 16 KB write log push writes through the paths that move
+    // pages: log compaction (SkyByte-Full/W), Base-CSSD dirty-page
+    // writebacks, AstriFlash dirty-page writebacks and TPP demotion
+    // (SkyByte-WCT). Payload off and on must agree on every result.
+    std::uint64_t compactions = 0, demotions = 0;
+    for (const char *variant : {"SkyByte-Full", "SkyByte-W", "Base-CSSD",
+                                "AstriFlash-CXL", "SkyByte-WCT"}) {
+        for (const char *workload :
+             {"ycsb", "zipf:footprint=4M,instr=40000,threads=2"}) {
+            SimConfig cfg = makeConfig(variant);
+            cfg.cpu.llc.sizeBytes = 64 * 1024;
+            cfg.cpu.l2.sizeBytes = 16 * 1024;
+            cfg.ssdCache.writeLogBytes = 16 * 1024;
+            cfg.ssdCache.dataCacheBytes = 128 * 1024;
+            cfg.hostMem.promotedBytesMax = 64 * 1024;
+            WorkloadParams params;
+            params.numThreads = 2;
+            params.instrPerThread = 40'000;
+            const SimResult off = runSimulation(cfg, workload, params);
+            cfg.audit = true;
+            const SimResult on = runSimulation(cfg, workload, params);
+            EXPECT_EQ(toJson(off), toJson(on)) << variant << " / "
+                                               << workload;
+            EXPECT_GT(off.flashHostPrograms, 0u) << variant << " / "
+                                                 << workload;
+            compactions += off.compactions;
+            demotions += off.demotions;
+        }
+    }
+    EXPECT_GT(compactions, 0u);
+    EXPECT_GT(demotions, 0u);
 }
 
 } // namespace

@@ -31,6 +31,7 @@ deviceConfig(bool write_log, bool ctx_switch)
     cfg.ssdCache.writeLogBytes = 16 * kCachelineBytes;
     cfg.ssdCache.dataCacheBytes = 8 * kPageBytes;
     cfg.ssdCache.baseCssdPrefetch = false; // determinism in unit tests
+    cfg.audit = true; // the tests check line values
     return cfg;
 }
 
@@ -227,13 +228,14 @@ TEST(SsdController, PageInterfaceRoundTrip)
     Device dev(deviceConfig(false, false));
     PageData data{};
     data[5] = 505;
-    dev.ssd.writePageFromHost(6, data, 0);
+    dev.ssd.writePageFromHost(6, &data, 0);
     dev.eq.run();
     PageData got{};
     bool done = false;
     dev.ssd.readPageToHost(6, dev.eq.now(),
-                           [&](Tick, const PageData &d) {
-                               got = d;
+                           [&](Tick, const PageData *d) {
+                               ASSERT_NE(d, nullptr);
+                               got = *d;
                                done = true;
                            });
     while (!done && dev.eq.step()) {

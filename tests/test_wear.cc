@@ -35,7 +35,7 @@ hammer(Ftl &ftl, EventQueue &eq, std::uint64_t hot_pages,
     PageData data{};
     Tick t = 0;
     for (std::uint64_t i = 0; i < writes; ++i) {
-        ftl.writePage(i % hot_pages, t, data, nullptr);
+        ftl.writePage(i % hot_pages, t, &data, nullptr);
         eq.run();
         t = eq.now();
     }
@@ -118,7 +118,7 @@ TEST(Wear, FunctionalDataSurvivesWearLeveling)
     for (std::uint64_t round = 0; round < 120; ++round) {
         for (std::uint64_t lpn = 0; lpn < 16; ++lpn) {
             data[0] = round * 100 + lpn;
-            ftl.writePage(lpn, eq.now(), data, nullptr);
+            ftl.writePage(lpn, eq.now(), &data, nullptr);
             eq.run();
         }
     }

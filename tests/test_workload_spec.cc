@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 
 #include "sim/experiment.h"
 #include "sim/report.h"
@@ -20,6 +19,7 @@
 #include "sim/system.h"
 #include "trace/workload.h"
 #include "trace/workload_spec.h"
+#include "sweep_reference.h"
 
 namespace skybyte {
 namespace {
@@ -367,40 +367,7 @@ TEST(SpecDrivenRun, ScenariosSweepIsRegistered)
 
 TEST(SpecDrivenRun, ScenariosReportMatchesCheckedInReference)
 {
-    // The same serialization path skybyte_sweep --run uses, diffed
-    // against the reference report CI pins (tests/data/). Regenerate
-    // with: ./skybyte_sweep --run scenarios -o
-    // tests/data/scenarios.reference.json
-    const std::string ref_path =
-        std::string(__FILE__).substr(
-            0, std::string(__FILE__).rfind('/'))
-        + "/data/scenarios.reference.json";
-    std::ifstream in(ref_path);
-    ASSERT_TRUE(in.good()) << ref_path;
-    std::string reference((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-
-    const SweepSpec *spec = findSweep("scenarios");
-    ASSERT_NE(spec, nullptr);
-    // Fixed options, not optionsFromEnv(): ambient SKYBYTE_BENCH_*
-    // variables must not make the reference comparison fail.
-    ExperimentOptions opt;
-    opt.instrPerThread = spec->defaultInstrPerThread;
-    const SweepExecution exec = runSweepShard(*spec, opt);
-
-    SweepReport report;
-    report.sweep = spec->name;
-    report.totalPoints = exec.totalPoints;
-    for (std::size_t i = 0; i < exec.points.size(); ++i) {
-        const LabeledPoint &lp = exec.points[i];
-        report.entries.push_back(
-            {lp.index,
-             sweepEntryJson(lp.index, lp.id(), exec.results[i])});
-    }
-    EXPECT_EQ(toJson(report), reference)
-        << "scenario sweep drifted from tests/data/"
-           "scenarios.reference.json — if the change is intentional, "
-           "regenerate the reference";
+    expectSweepMatchesReference("scenarios");
 }
 
 TEST(SpecDrivenRun, ThreadsArgOverridesParams)
