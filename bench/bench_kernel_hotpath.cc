@@ -7,11 +7,15 @@
  *
  * Scenarios model the simulator's event mix:
  *  - near:  self-rescheduling chains with cache/DRAM-scale strides
- *           (<= 256 ticks), all inside the calendar window.
+ *           (<= 256 ticks), all inside the fine window.
  *  - spread: strides up to the full window (8192 ticks = 512 ns),
- *           exercising the occupancy-bitmap skip.
- *  - mixed: 5% flash-scale far events (~100k ticks) that overflow to
- *           the binary heap and migrate back as the cursor advances.
+ *           exercising the occupancy-bitmap skip; about half land in
+ *           the next block and cascade from the coarse level.
+ *  - mixed: 5% flash-scale far events (~100k ticks) on the coarse
+ *           level among window-scale strides.
+ *  - ssd:   the SSD workloads' mix (Base-CSSD's schedule distances):
+ *           most strides 8k-64k ticks, 25% at 1M-8M ticks (flash
+ *           programs, GC), so nearly every event cascades.
  *
  * Each chain's callback captures 40 bytes of state — representative of
  * the simulator's lambdas (this + a few words), which exceed libstdc++
@@ -29,6 +33,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -46,6 +51,16 @@ namespace {
 /** Best observed events/sec, keyed by (kernel, scenario). */
 std::map<std::pair<std::string, std::string>, double> g_evps;
 
+/** A scenario's stride mix, in ticks. */
+struct StrideMix
+{
+    Tick minStride;
+    Tick strideSpan;
+    unsigned farPercent; ///< share of far strides; 0 = none
+    Tick farMin;
+    Tick farSpan;
+};
+
 /**
  * One self-rescheduling chain. Copies of this struct are the scheduled
  * callbacks; the xorshift state makes stride sequences deterministic
@@ -57,8 +72,7 @@ struct ChainEvent
     Q *eq;
     std::uint64_t *executed;
     std::uint64_t target;
-    Tick maxStride;
-    Tick farStride; ///< 0 = never leave the near window
+    const StrideMix *mix;
     std::uint32_t rng;
 
     void
@@ -69,9 +83,9 @@ struct ChainEvent
         rng ^= rng << 13;
         rng ^= rng >> 17;
         rng ^= rng << 5;
-        Tick d = 1 + (rng % maxStride);
-        if (farStride != 0 && rng % 100 < 5)
-            d = farStride + rng % 1024;
+        Tick d = mix->minStride + (rng % mix->strideSpan);
+        if (rng % 100 < mix->farPercent)
+            d = mix->farMin + rng % mix->farSpan;
         eq->scheduleAfter(d, *this);
     }
 };
@@ -79,14 +93,13 @@ struct ChainEvent
 /** Run @p target_events through a fresh kernel; returns events/sec. */
 template <typename Q>
 double
-runChains(std::uint64_t target_events, unsigned nchains, Tick max_stride,
-          Tick far_stride)
+runChains(std::uint64_t target_events, unsigned nchains,
+          const StrideMix &mix)
 {
     Q eq;
     std::uint64_t executed = 0;
     for (unsigned i = 0; i < nchains; ++i) {
-        eq.schedule(i, ChainEvent<Q>{&eq, &executed, target_events,
-                                     max_stride, far_stride,
+        eq.schedule(i, ChainEvent<Q>{&eq, &executed, target_events, &mix,
                                      0x9e3779b9u + i});
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -102,15 +115,14 @@ runChains(std::uint64_t target_events, unsigned nchains, Tick max_stride,
 template <typename Q>
 void
 benchScenario(benchmark::State &state, const std::string &kernel,
-              const std::string &scenario, Tick max_stride,
-              Tick far_stride)
+              const std::string &scenario, const StrideMix &mix)
 {
     constexpr std::uint64_t kEvents = 2'000'000;
     constexpr unsigned kChains = 128;
     double best = 0;
     for (auto _ : state) {
         const double evps =
-            runChains<Q>(kEvents, kChains, max_stride, far_stride);
+            runChains<Q>(kEvents, kChains, mix);
         best = std::max(best, evps);
         state.SetItemsProcessed(state.items_processed()
                                 + static_cast<std::int64_t>(kEvents));
@@ -120,21 +132,33 @@ benchScenario(benchmark::State &state, const std::string &kernel,
     state.counters["events_per_sec"] = best;
 }
 
-void
-registerScenario(const std::string &scenario, Tick max_stride,
-                 Tick far_stride)
+struct Scenario
 {
+    const char *name;
+    StrideMix mix;
+};
+
+constexpr Scenario kScenarios[] = {
+    {"near", {1, 256, 0, 0, 1}},
+    {"spread", {1, EventQueue::kWindowTicks, 0, 0, 1}},
+    {"mixed", {1, 2048, 5, 100'000, 1024}},
+    {"ssd", {8192, 57'344, 25, 1'000'000, 7'000'000}},
+};
+
+void
+registerScenario(const Scenario &sc)
+{
+    const std::string scenario = sc.name;
+    const StrideMix *mix = &sc.mix;
     benchmark::RegisterBenchmark(
         ("calendar/" + scenario).c_str(),
         [=](benchmark::State &s) {
-            benchScenario<EventQueue>(s, "calendar", scenario,
-                                      max_stride, far_stride);
+            benchScenario<EventQueue>(s, "calendar", scenario, *mix);
         });
     benchmark::RegisterBenchmark(
         ("legacy/" + scenario).c_str(),
         [=](benchmark::State &s) {
-            benchScenario<LegacyEventQueue>(s, "legacy", scenario,
-                                            max_stride, far_stride);
+            benchScenario<LegacyEventQueue>(s, "legacy", scenario, *mix);
         });
 }
 
@@ -146,9 +170,8 @@ main(int argc, char **argv)
     const std::string json_path =
         skybyte::bench::extractJsonPath(argc, argv);
 
-    registerScenario("near", 256, 0);
-    registerScenario("spread", EventQueue::kWindowTicks, 0);
-    registerScenario("mixed", 2048, 100'000);
+    for (const Scenario &sc : kScenarios)
+        registerScenario(sc);
 
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
@@ -163,7 +186,8 @@ main(int argc, char **argv)
     double log_sum = 0;
     int n = 0;
     bool all_pass = true;
-    for (const char *scenario : {"near", "spread", "mixed"}) {
+    for (const Scenario &sc : kScenarios) {
+        const char *scenario = sc.name;
         const double neu = g_evps[{"calendar", scenario}];
         const double old = g_evps[{"legacy", scenario}];
         const double ratio = old > 0 ? neu / old : 0.0;
@@ -189,12 +213,12 @@ main(int argc, char **argv)
         std::ostringstream out;
         out << "{\n  \"bench\": \"kernel_hotpath\",\n"
             << "  \"unit\": \"events_per_sec\",\n  \"scenarios\": {\n";
-        int i = 0;
-        for (const char *scenario : {"near", "spread", "mixed"}) {
-            out << "    \"" << scenario << "\": {\"calendar\": "
-                << g_evps[{"calendar", scenario}] << ", \"legacy\": "
-                << g_evps[{"legacy", scenario}] << "}"
-                << (++i < 3 ? ",\n" : "\n");
+        std::size_t i = 0;
+        for (const Scenario &sc : kScenarios) {
+            out << "    \"" << sc.name << "\": {\"calendar\": "
+                << g_evps[{"calendar", sc.name}] << ", \"legacy\": "
+                << g_evps[{"legacy", sc.name}] << "}"
+                << (++i < std::size(kScenarios) ? ",\n" : "\n");
         }
         out << "  },\n"
             << "  \"speedup_geomean\": " << geomean << "\n}\n";

@@ -267,7 +267,11 @@ struct HostMemConfig
  */
 struct KernelConfig
 {
-    /** Calendar near-window size in ticks; power of two >= 64. */
+    /**
+     * Calendar block width in ticks; power of two >= 64. It is the
+     * fine level's span and one coarse slot's span, so the coarse
+     * level reaches EventQueue::kCoarseSlots blocks ahead.
+     */
     std::uint32_t calendarWindowTicks = EventQueue::kWindowTicks;
     /** EventRecords carved per slab chunk. */
     std::uint32_t slabChunkRecords = EventQueue::kChunkRecords;

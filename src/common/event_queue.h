@@ -9,13 +9,23 @@
  *
  * Hot-path design (every simulated instruction crosses this code):
  *
- *  - Two-level calendar queue. Near-future events (within kWindowTicks
- *    of the bucket cursor) live in per-tick FIFO buckets; an occupancy
- *    bitmap lets the cursor skip empty ticks a word at a time. Far
- *    events overflow into a binary min-heap ordered by (when, seq) and
- *    migrate into the bucket window as the cursor advances; because the
- *    heap pops in (when, seq) order and buckets append at the tail,
- *    same-tick FIFO order is preserved across the two levels.
+ *  - Three-level calendar. Time is cut into aligned blocks of
+ *    kWindowTicks (512 ns). The fine level holds the cursor's block in
+ *    per-tick FIFO buckets; an occupancy bitmap lets the cursor skip
+ *    empty ticks a word at a time. The coarse level holds the next
+ *    kCoarseSlots - 1 blocks (~524 us ahead: flash reads, programs and
+ *    erases, GC) as one FIFO per block, with its own bitmap. Events
+ *    past that horizon wait in a binary min-heap ordered by
+ *    (when, seq). When the cursor leaves its block, the heap hands the
+ *    coarse level every event now inside the horizon, popping in
+ *    (when, seq) order, and the next occupied block's FIFO cascades
+ *    into the fine buckets in list order. Both moves finish before any
+ *    callback can schedule into their destination and every level
+ *    appends at the tail, so same-tick events run in schedule order
+ *    whichever levels they passed through (a hierarchical timing
+ *    wheel, Varghese and Lauck, SOSP '87). Each event crossing into a
+ *    later block is moved once more than in a single window; that
+ *    move is the price of keeping flash-scale events off the heap.
  *  - Slab-allocated event records. Each pending event is one
  *    Slab<EventRecord> record (common/slab.h, the allocator the request
  *    path's records use too), so the steady state does zero allocator
@@ -39,6 +49,7 @@
 #define SKYBYTE_COMMON_EVENT_QUEUE_H
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -65,8 +76,8 @@ struct EventRecord
     EventRecord() {}
 
     Tick when = 0;
-    std::uint64_t seq = 0;       ///< schedule order, tie-break across levels
-    EventRecord *next = nullptr; ///< same-tick FIFO chain
+    std::uint64_t seq = 0;       ///< schedule order: far-heap tie-break
+    EventRecord *next = nullptr; ///< bucket or coarse-slot FIFO chain
     /**
      * Sized so that the request path's largest steady-state completion
      * lambda — a move-only MemCallback (48 B) plus a MemResponse
@@ -85,23 +96,28 @@ struct EventRecord
 class EventQueue
 {
   public:
-    /** Default calendar window: buckets covering [base_, base_+W). */
+    /**
+     * Default calendar window: the width of one aligned block of ticks,
+     * which is both the fine level's span and one coarse slot's span.
+     */
     static constexpr std::size_t kWindowTicks = 8192; // 512 ns
+    /** Coarse-level slots: the wheel reaches this many blocks ahead. */
+    static constexpr std::size_t kCoarseSlots = 1024;
     /** Default EventRecords carved per slab chunk. */
     static constexpr std::size_t kChunkRecords = 512;
 
     /**
-     * @param window_ticks near-future window size (power of two >= 64);
+     * @param window_ticks block width in ticks (power of two >= 64);
      *                     the sweet spot depends on the event-stride
      *                     distribution, hence the SimConfig knob
      * @param chunk_records EventRecords carved per slab chunk
      */
     explicit EventQueue(std::size_t window_ticks = kWindowTicks,
                         std::size_t chunk_records = kChunkRecords)
-        : head_(window_ticks, nullptr), tail_(window_ticks, nullptr),
+        : head_(window_ticks, nullptr), tailLink_(window_ticks),
           bitmap_(window_ticks / 64, 0), slab_(chunk_records),
-          window_(window_ticks), mask_(window_ticks - 1),
-          words_(window_ticks / 64)
+          mask_(window_ticks - 1),
+          shift_(static_cast<unsigned>(std::countr_zero(window_ticks)))
     {
         if (window_ticks < 64 || (window_ticks & mask_) != 0) {
             throw std::invalid_argument(
@@ -109,21 +125,20 @@ class EventQueue
         }
         if (chunk_records == 0)
             throw std::invalid_argument("slab chunk size must be > 0");
+        for (std::size_t i = 0; i < window_ticks; ++i)
+            tailLink_[i] = &head_[i];
+        for (std::size_t i = 0; i < kCoarseSlots; ++i)
+            coarseTailLink_[i] = &coarseHead_[i];
     }
 
     /** Release every pending record, destroying its callback. */
     ~EventQueue()
     {
-        // Read next before each release: the slab's free-list link
-        // overwrites the record's storage.
-        for (detail::EventRecord *r : head_) {
-            while (r != nullptr) {
-                detail::EventRecord *next = r->next;
-                slab_.release(r);
-                r = next;
-            }
-        }
-        for (detail::EventRecord *r : overflow_)
+        for (detail::EventRecord *r : head_)
+            releaseChain(r);
+        for (detail::EventRecord *r : coarseHead_)
+            releaseChain(r);
+        for (detail::EventRecord *r : far_)
             slab_.release(r);
     }
 
@@ -150,10 +165,14 @@ class EventQueue
         r->when = when;
         r->seq = seq_++;
         r->cb.emplace(std::forward<F>(fn));
-        if (when < base_ + window_)
-            bucketAppend(r);
+        // when >= now_ >= base_, so the block distance never wraps.
+        const Tick ahead = (when >> shift_) - block_;
+        if (ahead == 0)
+            fineAppend(r);
+        else if (ahead < kCoarseSlots)
+            coarseAppend(r);
         else
-            overflowPush(r);
+            farPush(r);
         ++size_;
     }
 
@@ -199,8 +218,8 @@ class EventQueue
     }
 
   private:
-    /** Min-heap order over far-future events: (when, seq) ascending. */
-    struct OverflowLater
+    /** Min-heap order over far events: (when, seq) ascending. */
+    struct FarLater
     {
         bool
         operator()(const detail::EventRecord *a,
@@ -212,70 +231,150 @@ class EventQueue
         }
     };
 
+    /**
+     * Release a FIFO chain. Reads next before each release: the slab's
+     * free-list link overwrites the record's storage.
+     */
     void
-    bucketAppend(detail::EventRecord *r)
+    releaseChain(detail::EventRecord *r)
     {
-        const std::size_t idx = r->when & mask_;
-        if (head_[idx] == nullptr) {
-            head_[idx] = tail_[idx] = r;
-            bitmap_[idx >> 6] |= 1ull << (idx & 63);
-        } else {
-            tail_[idx]->next = r;
-            tail_[idx] = r;
+        while (r != nullptr) {
+            detail::EventRecord *next = r->next;
+            slab_.release(r);
+            r = next;
         }
-        ++bucketed_;
     }
 
     void
-    overflowPush(detail::EventRecord *r)
+    fineAppend(detail::EventRecord *r)
     {
-        overflow_.push_back(r);
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       OverflowLater{});
+        const std::size_t idx = r->when & mask_;
+        *tailLink_[idx] = r;
+        tailLink_[idx] = &r->next;
+        bitmap_[idx >> 6] |= 1ull << (idx & 63);
+        ++fineCount_;
+    }
+
+    void
+    coarseAppend(detail::EventRecord *r)
+    {
+        const std::size_t slot = (r->when >> shift_) & (kCoarseSlots - 1);
+        *coarseTailLink_[slot] = r;
+        coarseTailLink_[slot] = &r->next;
+        coarseBitmap_[slot >> 6] |= 1ull << (slot & 63);
+        ++coarseCount_;
+    }
+
+    void
+    farPush(detail::EventRecord *r)
+    {
+        far_.push_back(r);
+        std::push_heap(far_.begin(), far_.end(), FarLater{});
     }
 
     /**
-     * Offset from the cursor of the first occupied bucket, scanning the
-     * occupancy bitmap circularly; window_ when all empty.
+     * Offset from the cursor of the first occupied fine bucket. The
+     * fine level holds only the cursor's block, at or after the
+     * cursor, so the scan never wraps; requires fineCount_ > 0.
      */
     std::size_t
-    scanBitmap() const
+    scanFine() const
     {
         const std::size_t start = base_ & mask_;
+        std::size_t word = start >> 6;
+        const std::uint64_t first = bitmap_[word] >> (start & 63);
+        if (first != 0)
+            return static_cast<std::size_t>(std::countr_zero(first));
+        do {
+            ++word;
+            assert(word < bitmap_.size());
+        } while (bitmap_[word] == 0);
+        return (word << 6)
+               + static_cast<std::size_t>(std::countr_zero(bitmap_[word]))
+               - start;
+    }
+
+    /**
+     * Blocks from the cursor's block to the first occupied coarse slot
+     * (1..kCoarseSlots-1), scanning the slot bitmap circularly from
+     * the cursor's own slot, which is always empty; requires
+     * coarseCount_ > 0.
+     */
+    std::size_t
+    scanCoarse() const
+    {
+        constexpr std::size_t kWords = kCoarseSlots / 64;
+        const std::size_t start = block_ & (kCoarseSlots - 1);
         const std::size_t word = start >> 6;
         const std::size_t bit = start & 63;
-        const std::uint64_t first = bitmap_[word] >> bit;
+        const std::uint64_t first = coarseBitmap_[word] >> bit;
         if (first != 0)
             return static_cast<std::size_t>(std::countr_zero(first));
         std::size_t off = 64 - bit;
-        for (std::size_t i = 1; i < words_; ++i) {
-            const std::uint64_t w = bitmap_[(word + i) & (words_ - 1)];
+        for (std::size_t i = 1; i < kWords; ++i) {
+            const std::uint64_t w = coarseBitmap_[(word + i) % kWords];
             if (w != 0)
                 return off
                        + static_cast<std::size_t>(std::countr_zero(w));
             off += 64;
         }
-        // Wrap: low bits of the starting word sit window-bit..
-        // window-1 ticks ahead of the cursor.
-        const std::uint64_t low =
-            bit == 0 ? 0 : (bitmap_[word] & ((1ull << bit) - 1));
-        if (low != 0)
-            return off + static_cast<std::size_t>(std::countr_zero(low));
-        return window_;
+        // Wrap: the low bits of the starting word are the farthest
+        // slots, kCoarseSlots - bit blocks ahead.
+        const std::uint64_t low = coarseBitmap_[word] & ((1ull << bit) - 1);
+        assert(low != 0);
+        return off + static_cast<std::size_t>(std::countr_zero(low));
     }
 
-    /** Pull overflow events entering the window [base_, @p end). */
-    void
-    migrateUpTo(Tick end)
+    /**
+     * Move the cursor to the next block holding an event, if that
+     * block starts at or before @p limit. The level moves happen
+     * before any callback can schedule into their destination: first
+     * the heap hands every event now inside the coarse horizon to its
+     * slot, popping in (when, seq) order, then the new block's slot
+     * cascades into the fine buckets in list order. Each level thus
+     * receives same-tick events in schedule order, and FIFO holds
+     * across all three.
+     * @retval false if no block starts at or before @p limit.
+     */
+    bool
+    advanceBlock(Tick limit)
     {
-        while (!overflow_.empty() && overflow_.front()->when < end) {
-            std::pop_heap(overflow_.begin(), overflow_.end(),
-                          OverflowLater{});
-            detail::EventRecord *r = overflow_.back();
-            overflow_.pop_back();
-            r->next = nullptr;
-            bucketAppend(r);
+        Tick next_block;
+        if (coarseCount_ != 0)
+            next_block = block_ + scanCoarse();
+        else if (!far_.empty())
+            next_block = far_.front()->when >> shift_;
+        else
+            return false;
+        if ((next_block << shift_) > limit)
+            return false;
+        block_ = next_block;
+        while (!far_.empty()
+               && (far_.front()->when >> shift_) - block_ < kCoarseSlots) {
+            std::pop_heap(far_.begin(), far_.end(), FarLater{});
+            detail::EventRecord *r = far_.back();
+            far_.pop_back();
+            coarseAppend(r);
         }
+        const std::size_t slot = block_ & (kCoarseSlots - 1);
+        detail::EventRecord *r = coarseHead_[slot];
+        coarseHead_[slot] = nullptr;
+        coarseTailLink_[slot] = &coarseHead_[slot];
+        coarseBitmap_[slot >> 6] &= ~(1ull << (slot & 63));
+        // Start the cursor at the earliest cascaded tick (or the limit,
+        // if that comes first) rather than the block's first tick, so
+        // a sparse block is not scanned from its start.
+        Tick first = kTickMax;
+        while (r != nullptr) {
+            detail::EventRecord *next_rec = r->next;
+            r->next = nullptr;
+            first = std::min(first, r->when);
+            fineAppend(r);
+            --coarseCount_;
+            r = next_rec;
+        }
+        base_ = std::min(first, limit);
+        return true;
     }
 
     detail::EventRecord *
@@ -283,46 +382,31 @@ class EventQueue
     {
         detail::EventRecord *r = head_[idx];
         head_[idx] = r->next;
-        if (head_[idx] == nullptr) {
-            tail_[idx] = nullptr;
+        if (r->next == nullptr) {
+            tailLink_[idx] = &head_[idx];
             bitmap_[idx >> 6] &= ~(1ull << (idx & 63));
         }
-        --bucketed_;
+        --fineCount_;
         return r;
     }
 
     /**
      * Detach the earliest pending event if its time is <= @p limit,
-     * advancing the bucket cursor. The cursor (base_) only moves here,
-     * immediately before the event executes and now_ catches up, so
-     * schedule() never observes base_ > now_ and bucket indices stay
-     * unambiguous. The bucketed-event counter skips the bitmap scan
-     * entirely when every pending event sits in the overflow heap
-     * (flash-latency events routinely live past the window).
+     * advancing the cursor. The cursor (base_) moves only in this call
+     * and never past @p limit, so schedule() never observes
+     * base_ > now_ once the event executes or run() lands the clock on
+     * its limit.
      */
     detail::EventRecord *
     popNextAtMost(Tick limit)
     {
-        if (size_ == 0)
+        if (fineCount_ == 0 && !advanceBlock(limit))
             return nullptr;
-        const std::size_t d = bucketed_ > 0 ? scanBitmap() : window_;
-        if (d < window_) {
-            // Bucketed events exist; the overflow heap only holds ticks
-            // >= base_ + window_, so the earliest is in a bucket.
-            if (base_ + d > limit)
-                return nullptr;
-            base_ += d;
-        } else {
-            assert(!overflow_.empty());
-            if (overflow_.front()->when > limit)
-                return nullptr;
-            base_ = overflow_.front()->when;
-        }
-        // The window end advanced: migrate overflow events that now
-        // fall inside it before any callback can schedule at those
-        // ticks (heap pop order keeps same-tick FIFO intact).
-        migrateUpTo(base_ + window_);
-        return popBucket(base_ & mask_);
+        const Tick t = base_ + scanFine();
+        if (t > limit)
+            return nullptr;
+        base_ = t;
+        return popBucket(t & mask_);
     }
 
     /** Run @p r's callback and recycle the record. */
@@ -338,19 +422,33 @@ class EventQueue
         slab_.release(r);
     }
 
+    // Fine level: per-tick FIFO buckets over the cursor's block. Each
+    // FIFO keeps its tail as the address of the link to fill next, so
+    // an append does not branch on emptiness. Heads and tails are two
+    // arrays, not one array of pairs: the pairs ran ~3% more events/sec
+    // in bench_kernel_hotpath, but their single 128 KB allocation moved
+    // glibc's heap-trim point so that paper-dram's repeated System
+    // construction re-faulted the heap each time (setup_s 4x).
     std::vector<detail::EventRecord *> head_;
-    std::vector<detail::EventRecord *> tail_;
+    std::vector<detail::EventRecord **> tailLink_;
     std::vector<std::uint64_t> bitmap_;
-    std::vector<detail::EventRecord *> overflow_;
+    // Coarse level: one FIFO per block, the next kCoarseSlots - 1
+    // blocks after the cursor's.
+    std::array<detail::EventRecord *, kCoarseSlots> coarseHead_{};
+    std::array<detail::EventRecord **, kCoarseSlots> coarseTailLink_;
+    std::array<std::uint64_t, kCoarseSlots / 64> coarseBitmap_{};
+    // Beyond the coarse horizon: a (when, seq) min-heap.
+    std::vector<detail::EventRecord *> far_;
     Slab<detail::EventRecord> slab_;
-    std::size_t window_;
     std::size_t mask_;
-    std::size_t words_;
+    unsigned shift_;
     Tick now_ = 0;
-    Tick base_ = 0; ///< tick of the bucket cursor (<= now_ when idle)
+    Tick base_ = 0;  ///< tick of the fine cursor (<= now_ when idle)
+    Tick block_ = 0; ///< base_ >> shift_: the block the fine level holds
     std::uint64_t seq_ = 0;
     std::size_t size_ = 0;
-    std::size_t bucketed_ = 0; ///< events in buckets (rest: overflow)
+    std::size_t fineCount_ = 0;   ///< events in the fine buckets
+    std::size_t coarseCount_ = 0; ///< events in the coarse slots
 };
 
 } // namespace skybyte

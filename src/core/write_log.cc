@@ -220,7 +220,6 @@ WriteLog::beginCompaction()
     assert(!drainInProgress_);
     std::swap(active_, standby_);
     drainInProgress_ = true;
-    stats_.compactions++;
     return standby_;
 }
 
@@ -234,9 +233,9 @@ WriteLog::finishCompaction()
 void
 WriteLog::invalidatePage(std::uint64_t lpa)
 {
-    stats_.invalidatedLines += active_.invalidatePage(lpa);
+    active_.invalidatePage(lpa);
     if (drainInProgress_)
-        stats_.invalidatedLines += standby_.invalidatePage(lpa);
+        standby_.invalidatePage(lpa);
 }
 
 } // namespace skybyte

@@ -77,10 +77,8 @@ class LogPageTable
 struct WriteLogStats
 {
     std::uint64_t appends = 0;
-    std::uint64_t updateHits = 0;   ///< append superseded an older entry
-    std::uint64_t invalidatedLines = 0; ///< dropped by page migration
-    std::uint64_t overflowAppends = 0;  ///< appended beyond capacity
-    std::uint64_t compactions = 0;
+    std::uint64_t updateHits = 0;      ///< append superseded an older entry
+    std::uint64_t overflowAppends = 0; ///< appended beyond capacity
     std::uint64_t indexBytesPeak = 0;
 };
 

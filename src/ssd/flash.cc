@@ -1,16 +1,27 @@
 #include "ssd/flash.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace skybyte {
 
 FlashChannel::FlashChannel(int id, const FlashConfig &cfg, EventQueue &eq)
     : id_(id), cfg_(cfg), eq_(eq)
 {
-    const std::size_t dies = static_cast<std::size_t>(cfg.chipsPerChannel)
-                             * cfg.diesPerChip
-                             * std::max(cfg.planesPerDie, 1u);
-    dieFree_.assign(std::max<std::size_t>(dies, 1), 0);
+    const std::size_t dies = std::max<std::size_t>(
+        static_cast<std::size_t>(cfg.chipsPerChannel) * cfg.diesPerChip
+            * std::max(cfg.planesPerDie, 1u),
+        1);
+    // Padding dies never win: a real die's free time is below
+    // kTickMax, or ties it with a lower index.
+    const std::size_t leaves = std::bit_ceil(dies);
+    dieFree_.assign(leaves, kTickMax);
+    std::fill_n(dieFree_.begin(), dies, 0);
+    winner_.assign(2 * leaves, 0);
+    for (std::size_t d = 0; d < leaves; ++d)
+        winner_[leaves + d] = static_cast<std::uint32_t>(d);
+    for (std::size_t k = leaves - 1; k >= 1; --k)
+        replay(k);
 }
 
 Tick
@@ -27,21 +38,19 @@ FlashChannel::latencyOf(FlashOpKind kind) const
     return 0;
 }
 
-std::size_t
-FlashChannel::pickDie() const
+void
+FlashChannel::replay(std::size_t k)
 {
-    std::size_t best = 0;
-    for (std::size_t d = 1; d < dieFree_.size(); ++d) {
-        if (dieFree_[d] < dieFree_[best])
-            best = d;
-    }
-    return best;
+    const std::uint32_t l = winner_[2 * k], r = winner_[2 * k + 1];
+    winner_[k] = dieFree_[r] < dieFree_[l] ? r : l;
 }
 
-Tick
-FlashChannel::earliestDieFree() const
+void
+FlashChannel::setDieFree(std::size_t die, Tick t)
 {
-    return dieFree_[pickDie()];
+    dieFree_[die] = t;
+    for (std::size_t k = (dieFree_.size() + die) / 2; k >= 1; k /= 2)
+        replay(k);
 }
 
 void
@@ -57,7 +66,7 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
         const Tick bus_start = std::max(cell_done, busFree_);
         done = bus_start + cfg_.pageTransferTime;
         busFree_ = done;
-        dieFree_[die] = done; // die holds the data until transfer ends
+        setDieFree(die, done); // die holds the data until transfer ends
         pendingReads_++;
         busyTicks_ += done - cell_start;
         break;
@@ -69,7 +78,7 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
         busFree_ = bus_done;
         const Tick cell_start = std::max(bus_done, dieFree_[die]);
         done = cell_start + cfg_.timing.programLatency;
-        dieFree_[die] = done;
+        setDieFree(die, done);
         pendingPrograms_++;
         busyTicks_ += done - bus_start;
         break;
@@ -77,7 +86,7 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
       case FlashOpKind::Erase: {
         const Tick start = std::max(when, dieFree_[die]);
         done = start + cfg_.timing.eraseLatency;
-        dieFree_[die] = done;
+        setDieFree(die, done);
         pendingErases_++;
         busyTicks_ += done - start;
         break;

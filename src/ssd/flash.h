@@ -80,16 +80,32 @@ class FlashChannel
     Tick latencyOf(FlashOpKind kind) const;
 
     /** Earliest time any die becomes free (tests / estimators). */
-    Tick earliestDieFree() const;
+    Tick earliestDieFree() const { return dieFree_[pickDie()]; }
+
+    /**
+     * Die the next operation will use: the least-loaded one, the
+     * lowest index among ties. The root of the winner tree, O(1).
+     */
+    std::size_t pickDie() const { return winner_[1]; }
 
   private:
-    /** Index of the least-loaded die. */
-    std::size_t pickDie() const;
+    /** Recompute winner-tree node @p k from its two children. */
+    void replay(std::size_t k);
+
+    /** Set die @p die's free time and replay its path to the root. */
+    void setDieFree(std::size_t die, Tick t);
 
     int id_;
     const FlashConfig &cfg_;
     EventQueue &eq_;
+    /** Per-die free times, padded to a power of two with kTickMax. */
     std::vector<Tick> dieFree_;
+    /**
+     * Winner tree over dieFree_: node k holds the die of the earlier
+     * free time among its children 2k and 2k+1 (the left, lower-index
+     * one on ties); the leaves sit at dieFree_.size() + die.
+     */
+    std::vector<std::uint32_t> winner_;
     Tick busFree_ = 0;
     bool gcActive_ = false;
     std::uint32_t pendingReads_ = 0;

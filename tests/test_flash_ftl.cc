@@ -4,12 +4,16 @@
  * (Table IV), die/bus queueing, the Algorithm 1 delay estimator, FTL
  * mapping with out-of-place updates, GC triggering and reclamation,
  * preconditioning (§VI-A), the dense host-LPN maps, and the FTL's
- * consistency audit.
+ * consistency audit. The channel's O(1) die choice is checked against
+ * a linear first-minimum scan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "common/event_queue.h"
 #include "ssd/flash.h"
@@ -96,6 +100,109 @@ TEST(FlashChannel, GcActiveFlag)
     EXPECT_FALSE(ch.gcActive());
     ch.setGcActive(true);
     EXPECT_TRUE(ch.gcActive());
+}
+
+/**
+ * The channel's timing with the die chosen by a linear scan for the
+ * first minimum free time: the reference the winner tree must match.
+ */
+struct LinearScanChannel
+{
+    const FlashConfig &cfg;
+    std::vector<Tick> dieFree;
+    Tick busFree = 0;
+
+    std::size_t
+    pickDie() const
+    {
+        std::size_t best = 0;
+        for (std::size_t d = 1; d < dieFree.size(); ++d) {
+            if (dieFree[d] < dieFree[best])
+                best = d;
+        }
+        return best;
+    }
+
+    Tick
+    enqueue(FlashOpKind kind, Tick when)
+    {
+        const std::size_t die = pickDie();
+        const NandTiming &t = cfg.timing;
+        Tick done = 0;
+        if (kind == FlashOpKind::Read) {
+            const Tick cell = std::max(when, dieFree[die]) + t.readLatency;
+            done = std::max(cell, busFree) + cfg.pageTransferTime;
+            busFree = done;
+        } else if (kind == FlashOpKind::Program) {
+            busFree = std::max(when, busFree) + cfg.pageTransferTime;
+            done = std::max(busFree, dieFree[die]) + t.programLatency;
+        } else {
+            done = std::max(when, dieFree[die]) + t.eraseLatency;
+        }
+        dieFree[die] = done;
+        return done;
+    }
+
+    Tick
+    estimateReadDelay(Tick now) const
+    {
+        const Tick cell =
+            std::max(now, dieFree[pickDie()]) + cfg.timing.readLatency;
+        return std::max(cell, busFree) + cfg.pageTransferTime - now;
+    }
+};
+
+TEST(FlashChannel, DieChoiceMatchesLinearFirstMinimumScan)
+{
+    struct Geometry
+    {
+        std::uint32_t chips, dies, planes;
+    };
+    for (const Geometry g : {Geometry{8, 8, 1}, Geometry{3, 5, 2},
+                             Geometry{1, 1, 1}}) {
+        FlashConfig cfg;
+        cfg.chipsPerChannel = g.chips;
+        cfg.diesPerChip = g.dies;
+        cfg.planesPerDie = g.planes;
+        EventQueue eq;
+        FlashChannel ch(0, cfg, eq);
+        LinearScanChannel ref{
+            cfg, std::vector<Tick>(std::size_t{g.chips} * g.dies * g.planes),
+            0};
+        // All dies tie at the start: die 0 wins.
+        EXPECT_EQ(ch.pickDie(), 0u);
+        std::vector<Tick> done, expected;
+        std::uint32_t rng = 0x1234567u + g.chips;
+        auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 17;
+            rng ^= rng << 5;
+            return rng;
+        };
+        Tick now = 0;
+        for (int op = 0; op < 4000; ++op) {
+            // Bursts at one tick, then gaps up to ~4 reads long, so the
+            // dies keep tying and overtaking each other.
+            if (next() % 4 == 0)
+                now += next() % (4 * cfg.timing.readLatency);
+            const std::uint32_t pick = next() % 8;
+            const FlashOpKind kind = pick < 5   ? FlashOpKind::Read
+                                     : pick < 7 ? FlashOpKind::Program
+                                                : FlashOpKind::Erase;
+            ASSERT_EQ(ch.pickDie(), ref.pickDie()) << "op " << op;
+            EXPECT_EQ(ch.estimateReadDelay(now), ref.estimateReadDelay(now))
+                << "op " << op;
+            expected.push_back(ref.enqueue(kind, now));
+            const std::size_t slot = done.size();
+            done.push_back(0);
+            ch.enqueue(kind, now, [&done, slot](Tick t) { done[slot] = t; });
+            EXPECT_EQ(ch.earliestDieFree(),
+                      ref.dieFree[ref.pickDie()]);
+        }
+        eq.run();
+        EXPECT_EQ(done, expected)
+            << g.chips << "x" << g.dies << "x" << g.planes;
+    }
 }
 
 TEST(Ftl, ReadMapsOnDemandAndCompletes)

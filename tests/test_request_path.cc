@@ -11,7 +11,10 @@
  *  - Request-path fingerprint pinning: full-system SimResult JSON must
  *    stay bit-identical to the checked-in references for SkyByte-Full,
  *    Base-CSSD, and DRAM-Only across three workload specs, with
- *    functional payload off (the default) and on (SimConfig::audit);
+ *    functional payload off (the default) and on (SimConfig::audit).
+ *    One pinned case runs SkyByte-Full at bench-scale caches on a
+ *    write-heavy workload, so the references also pin dirty-line
+ *    evictions to the device, log compaction and flash programs;
  *    configs with shrunk caches, which compact the write log and write
  *    dirty pages back, must also agree with payload off and on.
  *    Regenerate after an intentional behavior change with
@@ -32,6 +35,7 @@
 #include "common/flat_map.h"
 #include "common/inline_function.h"
 #include "common/slab.h"
+#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/system.h"
 #include "sweep_reference.h"
@@ -227,6 +231,11 @@ struct FingerprintCase
 {
     const char *variant;
     const char *workload;
+    /**
+     * Bench-scale caches (applyBenchScale): the case evicts dirty LLC
+     * lines to the device, and its test asserts that it does.
+     */
+    bool writePath = false;
 };
 
 constexpr FingerprintCase kCases[] = {
@@ -239,7 +248,16 @@ constexpr FingerprintCase kCases[] = {
     {"DRAM-Only", "zipf:footprint=4M,instr=60000,threads=2"},
     {"DRAM-Only", "scan:footprint=4M,instr=60000,threads=2"},
     {"DRAM-Only", "ptrchase:footprint=2M,instr=40000,threads=2"},
+    {"SkyByte-Full",
+     "zipf:footprint=64M,instr=200000,threads=2,write_ratio=0.9,theta=0.2",
+     true},
 };
+
+SimConfig
+caseConfig(const FingerprintCase &c)
+{
+    return c.writePath ? makeBenchConfig(c.variant) : makeConfig(c.variant);
+}
 
 std::string
 fingerprintPath(const FingerprintCase &c)
@@ -249,7 +267,7 @@ fingerprintPath(const FingerprintCase &c)
     if (colon != std::string::npos)
         wl = wl.substr(0, colon);
     return testDataPath(std::string("request_path/") + c.variant + "."
-                        + wl + ".json");
+                        + wl + (c.writePath ? ".bench" : "") + ".json");
 }
 
 /** Read the checked-in reference of @p c into @p out. */
@@ -273,9 +291,14 @@ TEST(RequestPathFingerprint, SimResultsMatchCheckedInReferences)
     const bool regen =
         std::getenv("SKYBYTE_REGEN_FINGERPRINTS") != nullptr;
     for (const FingerprintCase &c : kCases) {
-        SimConfig cfg = makeConfig(c.variant);
+        SimConfig cfg = caseConfig(c);
         const SimResult res =
             runSimulation(cfg, c.workload, WorkloadParams{});
+        if (c.writePath) {
+            EXPECT_GT(res.ssdWrites, 0u) << c.workload;
+            EXPECT_GT(res.compactions, 0u) << c.workload;
+            EXPECT_GT(res.flashHostPrograms, 0u) << c.workload;
+        }
         const std::string json = toJson(res);
         const std::string path = fingerprintPath(c);
         if (regen) {
@@ -298,7 +321,7 @@ TEST(RequestPathFingerprint, PayloadNeverDrivesResults)
     // results must still match the payload-free references byte for
     // byte, so no value ever feeds timing or statistics.
     for (const FingerprintCase &c : kCases) {
-        SimConfig cfg = makeConfig(c.variant);
+        SimConfig cfg = caseConfig(c);
         cfg.audit = true;
         const SimResult res =
             runSimulation(cfg, c.workload, WorkloadParams{});
