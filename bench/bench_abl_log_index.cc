@@ -41,8 +41,12 @@ BM_TwoLevelAppend(benchmark::State &state)
 }
 BENCHMARK(BM_TwoLevelAppend)->Arg(1)->Arg(8)->Arg(64);
 
+/**
+ * The flat single-level alternative: one std::unordered_map entry per
+ * logged line, keyed by line address.
+ */
 void
-BM_FlatMapAppend(benchmark::State &state)
+BM_LineKeyedAppend(benchmark::State &state)
 {
     const auto lines_per_page = static_cast<std::uint64_t>(state.range(0));
     Rng rng(7);
@@ -62,7 +66,7 @@ BM_FlatMapAppend(benchmark::State &state)
                             * static_cast<std::int64_t>(kLogBytes
                                                         / kCachelineBytes));
 }
-BENCHMARK(BM_FlatMapAppend)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_LineKeyedAppend)->Arg(1)->Arg(8)->Arg(64);
 
 void
 BM_TwoLevelLookup(benchmark::State &state)

@@ -18,6 +18,15 @@
 
 namespace skybyte {
 
+/** splitmix64's finalizer: a fixed, platform-independent 64-bit mix. */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /**
  * xoshiro256** pseudo-random generator (public-domain algorithm by
  * Blackman & Vigna), seeded via splitmix64.
@@ -35,10 +44,7 @@ class Rng
         for (auto &word : state_) {
             // splitmix64 step
             x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
+            word = mix64(x);
         }
     }
 

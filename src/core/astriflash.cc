@@ -10,9 +10,10 @@ AstriFlashCache::AstriFlashCache(const SimConfig &cfg, EventQueue &eq,
 
 AstriFlashCache::~AstriFlashCache()
 {
-    pending_.forEach([this](std::uint64_t, PendingFill *&fill) {
-        releaseFill(fill);
-    });
+    for (PendingFill *fill : pending_) {
+        if (fill != nullptr)
+            releaseFill(fill);
+    }
 }
 
 void
@@ -82,8 +83,9 @@ AstriFlashCache::read(Addr dev_line_addr, Tick when, MemCallback cb)
     }
 
     astriStats_.hostMisses++;
-    PendingFill **slot = pending_.find(lpn);
-    PendingFill *fill = slot != nullptr ? *slot : startFill(lpn, when);
+    PendingFill *fill = fillOf(lpn);
+    if (fill == nullptr)
+        fill = startFill(lpn, when);
 
     if (cfg_.policy.deviceTriggeredCtxSwitch) {
         // AstriFlash switches user-level threads on every host DRAM
@@ -115,13 +117,10 @@ AstriFlashCache::write(Addr dev_line_addr, LineValue value, Tick when)
         return;
     }
     // Write-allocate at page granularity.
-    PendingFill **slot = pending_.find(lpn);
-    PendingFill *fill;
-    if (slot == nullptr) {
+    PendingFill *fill = fillOf(lpn);
+    if (fill == nullptr) {
         astriStats_.hostMisses++;
         fill = startFill(lpn, when);
-    } else {
-        fill = *slot;
     }
     addWrite(*fill, off, value);
 }
@@ -129,14 +128,13 @@ AstriFlashCache::write(Addr dev_line_addr, LineValue value, Tick when)
 AstriFlashCache::PendingFill *
 AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
 {
+    if (lpn >= pending_.size())
+        pending_.resize(lpn + 1);
     PendingFill *fill = fillSlab_.alloc();
-    pending_.tryEmplace(lpn, fill);
+    pending_[lpn] = fill;
     ssd_.readPageToHost(lpn, when,
-                        [this, lpn](Tick t, const PageData *data) {
-        PendingFill **slot = pending_.find(lpn);
-        PendingFill *node = slot != nullptr ? *slot : nullptr;
-        if (node != nullptr)
-            pending_.erase(lpn);
+                        [this, lpn, fill](Tick t, const PageData *data) {
+        pending_[lpn] = nullptr;
         astriStats_.pageFills++;
 
         const Tick t_ins = hostDram_.serviceAt(t, kPageBytes,
@@ -147,29 +145,25 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         PageData *cached = tags_.data(*page);
         if (cached != nullptr && data != nullptr)
             *cached = *data;
-        if (node != nullptr) {
-            for (BufferedWrite *bw = node->writes.head; bw != nullptr;
-                 bw = bw->next) {
-                if (cached != nullptr)
-                    (*cached)[bw->off] = bw->value;
-                page->dirty = true;
-                page->dirtyMask |= 1ULL << bw->off;
-                page->touchedMask |= 1ULL << bw->off;
-            }
+        for (BufferedWrite *bw = fill->writes.head; bw != nullptr;
+             bw = bw->next) {
+            if (cached != nullptr)
+                (*cached)[bw->off] = bw->value;
+            page->dirty = true;
+            page->dirtyMask |= 1ULL << bw->off;
+            page->touchedMask |= 1ULL << bw->off;
         }
         if (ev.evicted && ev.dirty) {
             astriStats_.dirtyWritebacks++;
             ssd_.writePageFromHost(
                 ev.lpn, cached != nullptr ? &victim_data : nullptr, t_ins);
         }
-        if (node != nullptr) {
-            for (LineWaiter *w = node->readers.head; w != nullptr;
-                 w = w->next) {
-                respond(*w, lpn,
-                        cached != nullptr ? (*cached)[w->off] : 0, t_ins);
-            }
-            releaseFill(node);
+        for (LineWaiter *w = fill->readers.head; w != nullptr;
+             w = w->next) {
+            respond(*w, lpn, cached != nullptr ? (*cached)[w->off] : 0,
+                    t_ins);
         }
+        releaseFill(fill);
     });
     return fill;
 }

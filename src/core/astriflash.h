@@ -11,17 +11,19 @@
  *
  * The fill path mirrors the SSD controller's request-path layout:
  * in-flight fills are slab records with intrusive FIFO chains of
- * readers/buffered writes, indexed by an open-addressing FlatMap.
+ * readers/buffered writes, found through a dense per-page table.
  */
 
 #ifndef SKYBYTE_CORE_ASTRIFLASH_H
 #define SKYBYTE_CORE_ASTRIFLASH_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/slab.h"
 #include "core/page_cache.h"
 #include "core/ssd_controller.h"
@@ -67,6 +69,14 @@ class AstriFlashCache
 
     const AstriFlashStats &stats() const { return astriStats_; }
 
+    /** Page fills in flight (0 once a run has drained). */
+    std::size_t
+    pendingFills() const
+    {
+        return pending_.size()
+               - std::count(pending_.begin(), pending_.end(), nullptr);
+    }
+
   private:
     /** One read waiting on an in-flight fill (intrusive FIFO). */
     struct LineWaiter
@@ -92,6 +102,13 @@ class AstriFlashCache
         IntrusiveFifo<BufferedWrite> writes;
     };
 
+    /** In-flight fill of @p lpn, or nullptr. */
+    PendingFill *
+    fillOf(std::uint64_t lpn) const
+    {
+        return lpn < pending_.size() ? pending_[lpn] : nullptr;
+    }
+
     PendingFill *startFill(std::uint64_t lpn, Tick when);
     void addReader(PendingFill &fill, std::uint32_t off, Tick issued_at,
                    MemCallback cb);
@@ -105,7 +122,8 @@ class AstriFlashCache
     SsdController &ssd_;
     DramModel &hostDram_;
     PageCache tags_;
-    FlatMap<PendingFill *> pending_;
+    /** In-flight fills by lpn; nullptr when none. */
+    std::vector<PendingFill *> pending_;
     Slab<PendingFill> fillSlab_;
     Slab<LineWaiter> readerSlab_;
     Slab<BufferedWrite> writeSlab_;

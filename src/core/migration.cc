@@ -1,6 +1,7 @@
 #include "core/migration.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace skybyte {
 
@@ -26,9 +27,10 @@ MigrationEngine::~MigrationEngine()
     // The slab frees its chunks wholesale but never runs destructors
     // for still-live records; each region owns a dirty-page vector, so
     // drain the survivors explicitly.
-    promoted_.forEach([this](std::uint64_t, PromotedRegion *region) {
-        regionSlab_.release(region);
-    });
+    for (PromotedRegion *region : promoted_) {
+        if (region != nullptr)
+            regionSlab_.release(region);
+    }
 }
 
 void
@@ -63,8 +65,8 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
         return PageHome::Ssd; // copy of this line picks the write up
     }
     const std::uint64_t base = regionBase(lpn);
-    if (PromotedRegion *const *slot = promoted_.find(base)) {
-        PromotedRegion &region = **slot;
+    if (PromotedRegion *resident = regionAt(base)) {
+        PromotedRegion &region = *resident;
         region.lastUse = now;
         if (is_write)
             markDirty(region.dirtyPages, lpn);
@@ -72,7 +74,7 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
         // reclaim policy consults for victims; the unused one only
         // needs the unlink-on-demote invariant, not fresh order.
         if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
-            lists_.touch(base, now);
+            lists_.touch(regionIndex(base), now);
         else
             lruTouch(region);
         return PageHome::Host;
@@ -87,7 +89,7 @@ MigrationEngine::onHotPage(std::uint64_t lpn, Tick now)
     // Pinned pages stay on the device for persistence (§IV).
     if (regionPinned(base))
         return true; // latch: never a candidate
-    if (promoted_.contains(base) || plb_.find(lpn) != nullptr)
+    if (regionAt(base) != nullptr || plb_.find(lpn) != nullptr)
         return true; // already handled; latch it
     if (plb_.full()) {
         migStats_.rejectedPlbFull++;
@@ -112,14 +114,17 @@ MigrationEngine::onSsdAccess(std::uint64_t lpn, Tick now)
     const std::uint64_t base = regionBase(lpn);
     if (regionPinned(base))
         return; // pinned for persistence (§IV)
-    if (promoted_.contains(base) || plb_.find(lpn) != nullptr)
+    if (regionAt(base) != nullptr || plb_.find(lpn) != nullptr)
         return;
     // NUMA-hint-fault style sampling: 1/16 of accesses are observed.
     if (!rng_.chance(1.0 / 16.0))
         return;
-    if (++tppScores_[base] < 2)
+    const std::uint64_t idx = regionIndex(base);
+    if (idx >= tppScores_.size())
+        tppScores_.resize(idx + 1);
+    if (++tppScores_[idx] < 2)
         return;
-    tppScores_.erase(base);
+    tppScores_[idx] = 0;
     if (plb_.full()) {
         migStats_.rejectedPlbFull++;
         return;
@@ -169,7 +174,7 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
     // and migrating would just churn (page copies + TLB shootdowns), so
     // the candidate is rejected and stays eligible for later.
     while (promotedBytes() + region_bytes > cfg_.hostMem.promotedBytesMax
-           && !promoted_.empty()) {
+           && lruHead_ != nullptr) {
         if (!demoteColdest(now, kAntiThrashIdle))
             return false;
     }
@@ -253,17 +258,13 @@ MigrationEngine::finishMigration(std::uint64_t base)
         t_done += cfg_.hostMem.nvmeNotifyLatency;
     eq_.schedule(t_done, [this, base, huge] {
         const Tick now = eq_.now();
-        auto [slot, inserted] = promoted_.tryEmplace(base, nullptr);
-        if (inserted)
-            *slot = regionSlab_.alloc();
-        PromotedRegion &region = **slot;
-        if (!inserted) {
-            // Defensive: re-promotion of a live base (unreachable while
-            // route()/promote() guard on promoted_). The dirty list is
-            // replaced below, so stale dirty pages do not leak into the
-            // fresh residency.
-            lruUnlink(region);
-        }
+        // route() and promote() never re-promote a resident region.
+        assert(regionAt(base) == nullptr);
+        const std::uint64_t idx = regionIndex(base);
+        if (idx >= promoted_.size())
+            promoted_.resize(idx + 1);
+        PromotedRegion &region = *regionSlab_.alloc();
+        promoted_[idx] = &region;
         region.lastUse = now;
         region.base = base;
         // Writes that landed while the region copied must demote dirty;
@@ -276,7 +277,7 @@ MigrationEngine::finishMigration(std::uint64_t base)
         if (huge)
             migStats_.nvmeNotifies++;
         if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
-            lists_.insert(base, now);
+            lists_.insert(regionIndex(base), now);
         migStats_.promotions++;
         migStats_.tlbShootdowns++;
         if (shootdownHook_)
@@ -342,6 +343,7 @@ MigrationEngine::demoteColdest(Tick now, Tick min_idle)
     if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive) {
         if (!lists_.selectVictim(now, min_idle, victim))
             return false;
+        victim *= regionPages_; // the lists key regions by index
     } else if (!selectVictimLru(now, min_idle, victim)) {
         return false;
     }
@@ -352,10 +354,9 @@ MigrationEngine::demoteColdest(Tick now, Tick min_idle)
 void
 MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
 {
-    PromotedRegion *const *slot = promoted_.find(base);
-    if (slot == nullptr)
+    PromotedRegion *region = regionAt(base);
+    if (region == nullptr)
         return;
-    PromotedRegion *region = *slot;
     lruUnlink(*region);
     // Copy the host copy back into fresh SSD pages (§III-C eviction).
     // Clean pages need no copy at all: flash still holds their data.
@@ -371,10 +372,10 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
             data[off] = hostDram_.peek(hostKeyOf(lpn, off));
         ssd_.writePageFromHost(lpn, &data, now);
     }
-    promoted_.erase(base);
+    promoted_[regionIndex(base)] = nullptr;
     regionSlab_.release(region);
     if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
-        lists_.erase(base); // no-op when chosen via selectVictim
+        lists_.erase(regionIndex(base)); // no-op when chosen via selectVictim
     if (!tenantShareBytes_.empty()) {
         const std::uint64_t region_bytes =
             static_cast<std::uint64_t>(regionPages_) * kPageBytes;

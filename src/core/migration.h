@@ -35,7 +35,6 @@
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/slab.h"
 #include "core/plb.h"
@@ -125,7 +124,9 @@ class MigrationEngine
      *  host DRAM, so both count against the promotion budget. */
     std::uint64_t promotedPages() const
     {
-        return (promoted_.size() + plb_.occupancy()) * regionPages_;
+        return (migStats_.promotions - migStats_.demotions
+                + plb_.occupancy())
+               * regionPages_;
     }
     std::uint64_t promotedBytes() const
     {
@@ -133,7 +134,7 @@ class MigrationEngine
     }
     bool isPromoted(std::uint64_t lpn) const
     {
-        return promoted_.contains(regionBase(lpn));
+        return regionAt(regionBase(lpn)) != nullptr;
     }
     const MigrationStats &stats() const { return migStats_; }
     const Plb &plb() const { return plb_; }
@@ -148,9 +149,9 @@ class MigrationEngine
      * interleave non-monotonically across core quanta, so a touched
      * node is re-inserted by a backward walk from the tail; the input
      * is nearly sorted (displacement bounded by quantum interleaving),
-     * making the walk amortized O(1). Node addresses are stable: nodes
-     * live in regionSlab_ (chunks are never freed or compacted), and
-     * promoted_ only stores pointers, so its rehashes are harmless.
+     * making the walk amortized O(1). Nodes live in regionSlab_, whose
+     * chunks are never freed or compacted, so the list's pointers stay
+     * valid while promoted_ grows.
      */
     struct PromotedRegion
     {
@@ -214,6 +215,21 @@ class MigrationEngine
         return lpn - (lpn % regionPages_);
     }
 
+    /** Dense index of the region at @p base (promoted_, lists_). */
+    std::uint64_t
+    regionIndex(std::uint64_t base) const
+    {
+        return base / regionPages_;
+    }
+
+    /** Resident region at @p base, or nullptr (also while copying). */
+    PromotedRegion *
+    regionAt(std::uint64_t base) const
+    {
+        const std::uint64_t idx = regionIndex(base);
+        return idx < promoted_.size() ? promoted_[idx] : nullptr;
+    }
+
     bool
     regionPinned(std::uint64_t base) const
     {
@@ -247,10 +263,12 @@ class MigrationEngine
     ActiveInactiveLists lists_;
     /** Backing store for PromotedRegion nodes (stable addresses). */
     Slab<PromotedRegion> regionSlab_;
-    FlatMap<PromotedRegion *> promoted_;
+    /** Resident regions by region index; nullptr when not resident. */
+    std::vector<PromotedRegion *> promoted_;
     PromotedRegion *lruHead_ = nullptr; ///< coldest promoted region
     PromotedRegion *lruTail_ = nullptr; ///< hottest promoted region
-    FlatMap<std::uint32_t> tppScores_;
+    /** TPP sampled-access scores by region index (0 = unsampled). */
+    std::vector<std::uint32_t> tppScores_;
     MigrationStats migStats_;
     /** @name Per-tenant share state (empty = shares disabled). @{ */
     std::vector<Addr> tenantStarts_;

@@ -7,31 +7,33 @@ namespace skybyte {
 void
 ActiveInactiveLists::insert(std::uint64_t key, Tick now)
 {
-    if (index_.contains(key))
+    if (tracked(key))
         return;
+    if (key >= index_.size())
+        index_.resize(key + 1);
     active_.push_front(Node{key, false, now});
-    index_[key] = Position{true, active_.begin()};
+    index_[key] = Position{Where::Active, active_.begin()};
     rebalance();
 }
 
 void
 ActiveInactiveLists::touch(std::uint64_t key, Tick now)
 {
-    Position *pos = index_.find(key);
-    if (pos == nullptr)
+    if (!tracked(key))
         return;
-    pos->it->lastUse = now;
-    if (pos->inActive) {
-        pos->it->referenced = true; // lazy: no list movement on hot path
+    Position &pos = index_[key];
+    pos.it->lastUse = now;
+    if (pos.where == Where::Active) {
+        pos.it->referenced = true; // lazy: no list movement on hot path
         return;
     }
     // Inactive page referenced: activate it (mm moves it to the active
     // head and clears the referenced bit).
-    Node node = *pos->it;
-    inactive_.erase(pos->it);
+    Node node = *pos.it;
+    inactive_.erase(pos.it);
     node.referenced = false;
     active_.push_front(node);
-    *pos = Position{true, active_.begin()};
+    pos = Position{Where::Active, active_.begin()};
     stats_.activations++;
     rebalance();
 }
@@ -39,11 +41,11 @@ ActiveInactiveLists::touch(std::uint64_t key, Tick now)
 void
 ActiveInactiveLists::erase(std::uint64_t key)
 {
-    Position *pos = index_.find(key);
-    if (pos == nullptr)
+    if (!tracked(key))
         return;
-    (pos->inActive ? active_ : inactive_).erase(pos->it);
-    index_.erase(key);
+    Position &pos = index_[key];
+    (pos.where == Where::Active ? active_ : inactive_).erase(pos.it);
+    pos = Position{};
 }
 
 void
@@ -56,12 +58,12 @@ ActiveInactiveLists::rebalance()
             // Second chance: back to the active head, bit cleared.
             node.referenced = false;
             active_.push_front(node);
-            index_[node.key] = Position{true, active_.begin()};
+            index_[node.key] = Position{Where::Active, active_.begin()};
             stats_.secondChances++;
             continue;
         }
         inactive_.push_front(node);
-        index_[node.key] = Position{false, inactive_.begin()};
+        index_[node.key] = Position{Where::Inactive, inactive_.begin()};
         stats_.deactivations++;
     }
 }
@@ -71,7 +73,7 @@ ActiveInactiveLists::selectVictim(Tick now, Tick min_idle,
                                   std::uint64_t &victim)
 {
     // Bound the scan: each entry is inspected at most once per call.
-    std::uint64_t budget = index_.size();
+    std::uint64_t budget = size();
     while (budget-- > 0) {
         if (inactive_.empty())
             rebalance();
@@ -85,12 +87,12 @@ ActiveInactiveLists::selectVictim(Tick now, Tick min_idle,
             if (node.referenced) {
                 node.referenced = false;
                 active_.push_front(node);
-                index_[node.key] = Position{true, active_.begin()};
+                index_[node.key] = Position{Where::Active, active_.begin()};
                 stats_.secondChances++;
                 continue;
             }
             inactive_.push_front(node);
-            index_[node.key] = Position{false, inactive_.begin()};
+            index_[node.key] = Position{Where::Inactive, inactive_.begin()};
             stats_.deactivations++;
         }
         Node node = inactive_.back();
@@ -98,7 +100,7 @@ ActiveInactiveLists::selectVictim(Tick now, Tick min_idle,
         if (node.referenced) {
             node.referenced = false;
             active_.push_front(node);
-            index_[node.key] = Position{true, active_.begin()};
+            index_[node.key] = Position{Where::Active, active_.begin()};
             stats_.activations++;
             continue;
         }
@@ -106,10 +108,11 @@ ActiveInactiveLists::selectVictim(Tick now, Tick min_idle,
             // Even the coldest unreferenced page is recent: refuse to
             // churn. Put it back where it was.
             inactive_.push_back(node);
-            index_[node.key] = Position{false, std::prev(inactive_.end())};
+            index_[node.key] =
+                Position{Where::Inactive, std::prev(inactive_.end())};
             return false;
         }
-        index_.erase(node.key);
+        index_[node.key] = Position{};
         stats_.evictions++;
         victim = node.key;
         return true;

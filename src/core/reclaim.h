@@ -23,8 +23,8 @@
 
 #include <cstdint>
 #include <list>
+#include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace skybyte {
@@ -39,8 +39,8 @@ struct ReclaimStats
 };
 
 /**
- * Active/inactive list pair tracking promoted regions by an opaque key
- * (the region's base LPN).
+ * Active/inactive list pair tracking promoted regions by a small dense
+ * key (the region's index: base LPN / pages per region).
  */
 class ActiveInactiveLists
 {
@@ -65,9 +65,12 @@ class ActiveInactiveLists
 
     bool tracked(std::uint64_t key) const
     {
-        return index_.contains(key);
+        return key < index_.size() && index_[key].where != Where::None;
     }
-    std::uint64_t size() const { return index_.size(); }
+    std::uint64_t size() const
+    {
+        return active_.size() + inactive_.size();
+    }
     std::uint64_t activeSize() const { return active_.size(); }
     std::uint64_t inactiveSize() const { return inactive_.size(); }
     const ReclaimStats &stats() const { return stats_; }
@@ -81,9 +84,11 @@ class ActiveInactiveLists
     };
     using List = std::list<Node>;
 
+    enum class Where : std::uint8_t { None, Active, Inactive };
+
     struct Position
     {
-        bool inActive = false;
+        Where where = Where::None;
         List::iterator it;
     };
 
@@ -93,7 +98,7 @@ class ActiveInactiveLists
     List active_;
     List inactive_;
     /** key -> list position (std::list iterators stay valid on moves). */
-    FlatMap<Position> index_;
+    std::vector<Position> index_;
     ReclaimStats stats_;
 };
 

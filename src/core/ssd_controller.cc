@@ -30,9 +30,10 @@ SsdController::~SsdController()
 {
     // Fetches still in flight at teardown (timed-out runs) own waiter
     // records whose callbacks may hold heap fallbacks: drain them.
-    fetches_.forEach([this](std::uint64_t, PendingFetch *&pf) {
-        releaseFetch(pf);
-    });
+    for (PendingFetch *pf : fetches_) {
+        if (pf != nullptr)
+            releaseFetch(pf);
+    }
 }
 
 void
@@ -234,23 +235,18 @@ SsdController::touchForPromotion(std::uint64_t lpn, Tick now)
         || cfg_.policy.migration != MigrationMechanism::SkyByte) {
         return;
     }
-    auto &count = accessCounts_[lpn];
+    if (lpn >= accessCounts_.size())
+        accessCounts_.resize(lpn + 1);
+    const std::uint32_t count = accessCounts_[lpn];
     if (count == ~0u)
         return; // promotion already in flight / done
-    if (count < ~0u)
-        ++count;
+    accessCounts_[lpn] = count + 1;
     // Only cache-resident pages are candidates (§III-C); a rejected
     // candidate stays eligible and retries on a later access.
-    if (count >= cfg_.policy.hotPageThreshold && isPageCached(lpn)) {
-        if (hotPageHook_(lpn, now)) {
-            // The hook can demote other regions synchronously, and
-            // their writePageFromHost copy-backs erase counters from
-            // this open-addressing table — relocating slots. Re-find
-            // instead of writing through the pre-hook reference.
-            if (auto *latch = accessCounts_.find(lpn))
-                *latch = ~0u;
-            stats_.pagePromotionsSignalled++;
-        }
+    if (count + 1 >= cfg_.policy.hotPageThreshold && isPageCached(lpn)
+        && hotPageHook_(lpn, now)) {
+        accessCounts_[lpn] = ~0u;
+        stats_.pagePromotionsSignalled++;
     }
 }
 
@@ -321,8 +317,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     stats_.readMisses++;
     if (tenant != nullptr)
         tenant->readMisses++;
-    if (PendingFetch **slot = fetches_.find(lpn)) {
-        PendingFetch *pf = *slot;
+    if (PendingFetch *pf = fetchOf(lpn)) {
         const Tick remaining =
             pf->expectedDone > t_idx ? pf->expectedDone - t_idx : 0;
         if (cfg_.policy.deviceTriggeredCtxSwitch
@@ -337,15 +332,13 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
 
     const Tick est = ftl_.estimateReadDelay(lpn, t_idx);
     const bool hint = shouldHint(lpn, est);
-    // Slab records are address-stable: pf survives the prefetch's
-    // fetch-table insert below (the map only stores the pointer).
     PendingFetch *pf = startFetch(lpn, t_idx, false);
 
     // Sequential next-page prefetch (Base-CSSD optimization [32],[62]),
     // throttled so useless prefetches cannot saturate a busy channel.
     if (cfg_.ssdCache.baseCssdPrefetch) {
         const std::uint64_t next = lpn + 1;
-        if (cache_.probe(next) == nullptr && !fetches_.contains(next)
+        if (cache_.probe(next) == nullptr && fetchOf(next) == nullptr
             && next * kPageBytes < cfg_.flash.totalBytes()
             && ftl_.channelOf(next).pendingReads() < 2
             && !ftl_.gcActiveFor(next)) {
@@ -364,10 +357,11 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
 SsdController::PendingFetch *
 SsdController::startFetch(std::uint64_t lpn, Tick t, bool prefetch)
 {
-    auto [slot, inserted] = fetches_.tryEmplace(lpn, nullptr);
-    if (inserted)
-        *slot = fetchSlab_.alloc();
-    PendingFetch *pf = *slot;
+    assert(fetchOf(lpn) == nullptr);
+    if (lpn >= fetches_.size())
+        fetches_.resize(lpn + 1);
+    PendingFetch *pf = fetchSlab_.alloc();
+    fetches_[lpn] = pf;
     pf->startedAt = t;
     pf->prefetch = prefetch;
     pf->expectedDone = t + ftl_.estimateReadDelay(lpn, t);
@@ -444,11 +438,9 @@ SsdController::deliverPage(PageReadFn cb, Tick t_resp, const PageData *data)
 void
 SsdController::onPageArrived(std::uint64_t lpn, Tick done)
 {
-    PendingFetch **slot = fetches_.find(lpn);
-    if (slot == nullptr)
-        return;
-    PendingFetch *pf = *slot;
-    fetches_.erase(lpn);
+    PendingFetch *pf = fetchOf(lpn);
+    assert(pf != nullptr); // each fetch's flash read completes once
+    fetches_[lpn] = nullptr;
 
     stats_.flashReadLatency.record(done - pf->startedAt);
     if (SsdTenantCounters *tenant = tenantFor(lpn * kPageBytes)) {
@@ -570,8 +562,8 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
         dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
         return;
     }
-    if (PendingFetch **slot = fetches_.find(lpn)) {
-        addPendingWrite(**slot, off, value);
+    if (PendingFetch *pf = fetchOf(lpn)) {
+        addPendingWrite(*pf, off, value);
         return;
     }
     stats_.rmwFetches++;
@@ -590,10 +582,8 @@ SsdController::maybeStartCompaction(Tick now)
     stats_.compactionRuns++;
 
     // Enumerate the draining buffer's pages in ascending-LPA order:
-    // the flat index iterates in (deterministic but layout-defined)
-    // slot order, and the per-channel job order below is part of the
-    // simulation's observable timing, so it must not depend on hash
-    // container internals.
+    // the index lists them unsorted (see forEachPage), and the job
+    // order per channel is part of the simulation's observable timing.
     std::vector<std::uint64_t> lpas;
     lpas.reserve(buf.pageCount());
     buf.forEachPage([&lpas](std::uint64_t lpa, const LogPageTable &) {
@@ -723,8 +713,8 @@ SsdController::readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb)
         deliverPage(std::move(cb), t_resp, &data);
         return;
     }
-    if (PendingFetch **slot = fetches_.find(lpn)) {
-        addPageWaiter(**slot, t_idx, std::move(cb));
+    if (PendingFetch *pf = fetchOf(lpn)) {
+        addPageWaiter(*pf, t_idx, std::move(cb));
         return;
     }
     addPageWaiter(*startFetch(lpn, t_idx, false), t_idx, std::move(cb));
@@ -745,11 +735,10 @@ SsdController::writePageFromHost(std::uint64_t lpn, const PageData *data,
     if (logEnabled())
         log_->invalidatePage(lpn);
     // The host rewrote the page wholesale; its SSD-side access history
-    // is moot. A counter can only exist here if the page was never
-    // promoted (promotion completion already erased it), so this keeps
-    // the counter table from accumulating entries for pages the host
-    // owns. No-op in AstriFlash/TPP modes, which never populate it.
-    accessCounts_.erase(lpn);
+    // is moot, so its counter restarts from zero. No-op in
+    // AstriFlash/TPP modes, which never count.
+    if (lpn < accessCounts_.size())
+        accessCounts_[lpn] = 0;
     stats_.writeLocality.record(1.0);
     ftl_.writePage(lpn, t_arr, data, nullptr);
 }
@@ -780,11 +769,13 @@ SsdController::dropMigratedPage(std::uint64_t lpn)
     cache_.invalidate(lpn);
     if (logEnabled())
         log_->invalidatePage(lpn);
-    // Invalidation must drop the hot-page counter too: the migrated
-    // page's count is latched at ~0u and would otherwise be a dead
-    // entry forever. Counters of merely-evicted pages survive by
-    // design (§III-C: popularity seen via misses still promotes).
-    accessCounts_.erase(lpn);
+    // Invalidation must reset the hot-page counter too: the migrated
+    // page's count is latched at ~0u and would otherwise keep the page
+    // from promoting again after a demotion. Counters of merely-evicted
+    // pages survive by design (§III-C: popularity seen via misses still
+    // promotes).
+    if (lpn < accessCounts_.size())
+        accessCounts_[lpn] = 0;
 }
 
 void

@@ -15,12 +15,11 @@
  * Request-path design: the steady state is allocation-free. In-flight
  * fetches are slab records (common/slab.h) carrying intrusive FIFO
  * chains of waiter records instead of per-fetch vectors; the fetch
- * table and the hot-page access counters are open-addressing FlatMaps
- * (common/flat_map.h); and completion callbacks are move-only
- * InlineFunctions (common/inline_function.h) constructed in place in
- * waiter records and event-queue slots, never cloned. Record addresses
- * are slab-stable, so a fetch handle survives table rehashes (the old
- * unordered_map port re-looked-up after every possible insert).
+ * table and the hot-page access counters are dense vectors indexed by
+ * device page, grown to the highest page inserted (a probe past the
+ * end reads as absent and grows nothing); and completion callbacks are
+ * move-only InlineFunctions (common/inline_function.h) constructed in
+ * place in waiter records and event-queue slots, never cloned.
  *
  * Line values are carried only with SimConfig::audit. Without it the
  * data cache and FTL keep no page contents, reads answer value 0, and
@@ -30,6 +29,8 @@
 #ifndef SKYBYTE_CORE_SSD_CONTROLLER_H
 #define SKYBYTE_CORE_SSD_CONTROLLER_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,7 +39,6 @@
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/inline_function.h"
 #include "common/slab.h"
 #include "common/stats.h"
@@ -200,6 +200,14 @@ class SsdController
     const SsdStats &stats() const { return stats_; }
     DramModel &dram() { return dram_; }
 
+    /** Flash page fetches in flight (0 once a run has drained). */
+    std::size_t
+    fetchesInFlight() const
+    {
+        return fetches_.size()
+               - std::count(fetches_.begin(), fetches_.end(), nullptr);
+    }
+
     /**
      * Enable per-tenant counters. @p starts holds each tenant's first
      * device-byte offset in ascending order (starts[0] == 0); tenant i
@@ -274,7 +282,17 @@ class SsdController
     bool logEnabled() const { return log_ != nullptr; }
     Tick indexLatency() const;
 
-    /** Start (or join) the flash fetch of @p lpn at device time @p t. */
+    /** In-flight fetch of @p lpn, or nullptr. */
+    PendingFetch *
+    fetchOf(std::uint64_t lpn) const
+    {
+        return lpn < fetches_.size() ? fetches_[lpn] : nullptr;
+    }
+
+    /**
+     * Start the flash fetch of @p lpn, which has none in flight, at
+     * device time @p t.
+     */
     PendingFetch *startFetch(std::uint64_t lpn, Tick t, bool prefetch);
 
     /** Append a line waiter to @p pf (FIFO). */
@@ -356,8 +374,8 @@ class SsdController
     PageCache cache_;
     std::unique_ptr<WriteLog> log_;
 
-    /** In-flight fetch index: lpn -> slab record (address-stable). */
-    FlatMap<PendingFetch *> fetches_;
+    /** In-flight fetch table: lpn -> slab record, nullptr when idle. */
+    std::vector<PendingFetch *> fetches_;
     Slab<PendingFetch> fetchSlab_;
     Slab<Waiter> waiterSlab_;
     Slab<PageWaiter> pageWaiterSlab_;
@@ -365,7 +383,7 @@ class SsdController
 
     std::function<bool(std::uint64_t, Tick)> hotPageHook_;
     /** Per-page access counters for §III-C hot-page detection. */
-    FlatMap<std::uint32_t> accessCounts_;
+    std::vector<std::uint32_t> accessCounts_;
 
     /** Compaction state: per-channel pending page jobs. */
     std::vector<std::deque<std::uint64_t>> compactJobs_;

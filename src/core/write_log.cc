@@ -8,10 +8,17 @@ namespace skybyte {
 LogPageTable::LogPageTable(std::uint32_t initial_entries, double max_load)
     : maxLoad_(max_load)
 {
+    reset(initial_entries);
+}
+
+void
+LogPageTable::reset(std::uint32_t initial_entries)
+{
     std::uint32_t cap = 1;
     while (cap < std::max(initial_entries, 1u))
         cap <<= 1;
     slots_.assign(cap, kEmpty);
+    count_ = 0;
 }
 
 void
@@ -91,17 +98,27 @@ WriteLogBuffer::append(Addr line_addr, LineValue value, int tenant)
     const std::uint32_t off = lineInPage(line_addr);
     const auto log_off = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back({line_addr, value});
-    auto [table, inserted] =
-        index_.tryEmplace(lpa, initialEntries_, maxLoad_);
+    if (lpa >= slotOf_.size())
+        slotOf_.resize(lpa + 1);
+    const bool inserted = slotOf_[lpa] == 0;
+    if (inserted) {
+        if (livePages_ == pages_.size())
+            pages_.push_back({0, LogPageTable(initialEntries_, maxLoad_)});
+        IndexedPage &page = pages_[livePages_];
+        page.lpa = lpa;
+        page.table.reset(initialEntries_);
+        slotOf_[lpa] = static_cast<std::uint32_t>(++livePages_);
+    }
+    LogPageTable &table = pages_[slotOf_[lpa] - 1].table;
     // Incremental accounting: a new first-level entry costs 16 B plus
     // its fresh second-level table; put() may double the table.
     if (inserted)
         indexBytes_ += 16;
-    const std::uint32_t cap_before = inserted ? 0 : table->capacity();
-    const bool superseded = !inserted && table->get(off).has_value();
-    table->put(off, log_off);
+    const std::uint32_t cap_before = inserted ? 0 : table.capacity();
+    const bool superseded = !inserted && table.get(off).has_value();
+    table.put(off, log_off);
     indexBytes_ +=
-        static_cast<std::uint64_t>(table->capacity() - cap_before) * 4;
+        static_cast<std::uint64_t>(table.capacity() - cap_before) * 4;
     return superseded;
 }
 
@@ -114,7 +131,7 @@ WriteLogBuffer::lookup(Addr line_addr) const
 std::optional<LineValue>
 WriteLogBuffer::valueAt(std::uint64_t lpa, std::uint32_t line_off) const
 {
-    const LogPageTable *table = index_.find(lpa);
+    const LogPageTable *table = tableOf(lpa);
     if (table == nullptr)
         return std::nullopt;
     auto log_off = table->get(line_off);
@@ -126,7 +143,7 @@ WriteLogBuffer::valueAt(std::uint64_t lpa, std::uint32_t line_off) const
 std::uint64_t
 WriteLogBuffer::mergePageInto(std::uint64_t lpa, PageData *data) const
 {
-    const LogPageTable *table = index_.find(lpa);
+    const LogPageTable *table = tableOf(lpa);
     if (table == nullptr)
         return 0;
     std::uint64_t mask = 0;
@@ -141,13 +158,20 @@ WriteLogBuffer::mergePageInto(std::uint64_t lpa, PageData *data) const
 std::uint32_t
 WriteLogBuffer::invalidatePage(std::uint64_t lpa)
 {
-    const LogPageTable *table = index_.find(lpa);
+    const LogPageTable *table = tableOf(lpa);
     if (table == nullptr)
         return 0;
     const std::uint32_t dropped = table->count();
     indexBytes_ -=
         16 + static_cast<std::uint64_t>(table->capacity()) * 4;
-    index_.erase(lpa);
+    // The last indexed page takes the dropped page's place; the dropped
+    // table becomes the first spare.
+    const std::size_t pos = slotOf_[lpa] - 1;
+    slotOf_[lpa] = 0;
+    if (pos != --livePages_) {
+        std::swap(pages_[pos], pages_[livePages_]);
+        slotOf_[pages_[pos].lpa] = static_cast<std::uint32_t>(pos + 1);
+    }
     return dropped;
 }
 
@@ -155,8 +179,8 @@ std::uint64_t
 WriteLogBuffer::indexBytesRecomputed() const
 {
     // 16 B per first-level entry + 4 B per allocated second-level slot.
-    std::uint64_t bytes = index_.size() * 16;
-    index_.forEach([&bytes](std::uint64_t, const LogPageTable &table) {
+    std::uint64_t bytes = livePages_ * 16;
+    forEachPage([&bytes](std::uint64_t, const LogPageTable &table) {
         bytes += static_cast<std::uint64_t>(table.capacity()) * 4;
     });
     return bytes;
@@ -166,7 +190,10 @@ void
 WriteLogBuffer::clear()
 {
     entries_.clear();
-    index_.clear();
+    forEachPage([this](std::uint64_t lpa, const LogPageTable &) {
+        slotOf_[lpa] = 0;
+    });
+    livePages_ = 0;
     indexBytes_ = 0;
     std::fill(tenantEntries_.begin(), tenantEntries_.end(), 0);
 }

@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace skybyte {
@@ -35,6 +34,9 @@ class LogPageTable
   public:
     explicit LogPageTable(std::uint32_t initial_entries = 4,
                           double max_load = 0.75);
+
+    /** Empty the table to @p initial_entries slots, keeping storage. */
+    void reset(std::uint32_t initial_entries);
 
     /** Insert or update the log offset for @p line_off (0..63). */
     void put(std::uint32_t line_off, std::uint32_t log_off);
@@ -129,22 +131,21 @@ class WriteLogBuffer
     std::uint32_t invalidatePage(std::uint64_t lpa);
 
     /** Distinct pages currently indexed. */
-    std::size_t pageCount() const { return index_.size(); }
+    std::size_t pageCount() const { return livePages_; }
 
     /**
      * Visit each indexed page: fn(lpa, table). Used by compaction (L1
-     * traversal in Figure 13). Iteration is in the flat index's slot
-     * order — deterministic and platform-independent, but not sorted;
-     * order-sensitive consumers sort the keys they collect (see
+     * traversal in Figure 13). Pages come in first-append order, except
+     * that invalidatePage moves the last page into the dropped one's
+     * place; order-sensitive consumers sort the keys they collect (see
      * SsdController::maybeStartCompaction).
      */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        index_.forEach([&fn](std::uint64_t lpa, const LogPageTable &t) {
-            fn(lpa, t);
-        });
+        for (std::size_t i = 0; i < livePages_; ++i)
+            fn(pages_[i].lpa, pages_[i].table);
     }
 
     /** Latest value for @p line_off within @p lpa via the index. */
@@ -181,12 +182,34 @@ class WriteLogBuffer
         LineValue value;
     };
 
+    /** One first-level entry: an indexed page and its second level. */
+    struct IndexedPage
+    {
+        std::uint64_t lpa = 0;
+        LogPageTable table;
+    };
+
+    /** Second-level table of @p lpa, or nullptr when not indexed. */
+    const LogPageTable *
+    tableOf(std::uint64_t lpa) const
+    {
+        if (lpa >= slotOf_.size() || slotOf_[lpa] == 0)
+            return nullptr;
+        return &pages_[slotOf_[lpa] - 1].table;
+    }
+
     std::uint64_t capacityEntries_;
     std::uint32_t initialEntries_;
     double maxLoad_;
     std::vector<Entry> entries_;
-    /** First-level index: lpa -> second-level table (open addressing). */
-    FlatMap<LogPageTable> index_;
+    /** First level by lpa: 1 + its position in pages_, 0 if absent. */
+    std::vector<std::uint32_t> slotOf_;
+    /**
+     * The indexed pages in [0, livePages_); the rest are spare tables,
+     * so a drained buffer refills without allocating.
+     */
+    std::vector<IndexedPage> pages_;
+    std::size_t livePages_ = 0;
     std::uint64_t indexBytes_ = 0;
     /** Per-tenant appended-entry counts (empty unless QoS-configured). */
     std::vector<std::uint64_t> tenantEntries_;

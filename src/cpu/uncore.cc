@@ -1,5 +1,9 @@
 #include "cpu/uncore.h"
 
+#include <algorithm>
+#include <cassert>
+#include <numeric>
+
 #include "cpu/core.h"
 
 namespace skybyte {
@@ -7,8 +11,23 @@ namespace skybyte {
 Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend,
                bool payload)
     : eq_(eq), backend_(backend), l3_(cfg.llc, payload),
-      mshrCapacity_(cfg.llc.mshrs)
-{}
+      slots_(cfg.llc.mshrs), slotOrder_(cfg.llc.mshrs)
+{
+    liveLines_.reserve(cfg.llc.mshrs);
+    std::iota(slotOrder_.begin(), slotOrder_.end(), 0u);
+}
+
+void
+Uncore::addWaiter(MshrSlot &slot, MissStatus &status)
+{
+    ++status.refs;
+    status.nextWaiter = nullptr;
+    if (slot.tail != nullptr)
+        slot.tail->nextWaiter = &status;
+    else
+        slot.head = &status;
+    slot.tail = &status;
+}
 
 UncoreLoadResult
 Uncore::load(const MissRef &status, Tick when)
@@ -18,23 +37,30 @@ Uncore::load(const MissRef &status, Tick when)
         return UncoreLoadResult::HitL3;
 
     llcMisses_++;
-    if (auto *waiters = inFlight_.find(line)) {
-        waiters->push_back(status);
+    const auto live = std::find(liveLines_.begin(), liveLines_.end(), line);
+    if (live != liveLines_.end()) {
+        addWaiter(slots_[slotOrder_[static_cast<std::size_t>(
+                      live - liveLines_.begin())]],
+                  *status);
         llcCoalesced_++;
         return UncoreLoadResult::Pending;
     }
-    if (inFlight_.size() >= mshrCapacity_) {
+    if (liveLines_.size() >= slots_.size()) {
         llcMshrBlocks_++;
         return UncoreLoadResult::MshrBlocked;
     }
-    inFlight_[line].push_back(status);
+    const auto pos = static_cast<std::uint32_t>(liveLines_.size());
+    const std::uint32_t slot = slotOrder_[pos];
+    liveLines_.push_back(line);
+    slots_[slot].livePos = pos;
+    addWaiter(slots_[slot], *status);
 
     MemRequest req;
     req.lineAddr = line;
     req.isWrite = false;
     req.coreId = status->owner != nullptr ? status->owner->id() : -1;
-    backend_.read(req, when, [this, line](const MemResponse &resp) {
-        onResponse(line, resp);
+    backend_.read(req, when, [this, slot](const MemResponse &resp) {
+        onResponse(slot, resp);
     });
     return UncoreLoadResult::Pending;
 }
@@ -53,23 +79,25 @@ Uncore::writebackToL3(Addr line_addr, LineValue value, Tick when)
 }
 
 void
-Uncore::onResponse(Addr line_addr, const MemResponse &resp)
+Uncore::onResponse(std::uint32_t slot, const MemResponse &resp)
 {
-    // Detach the waiter list before completing anyone: a completion
-    // callback may re-enter load() and mutate the table.
-    std::vector<MissRef> waiters;
-    if (auto *entry = inFlight_.find(line_addr)) {
-        waiters = std::move(*entry);
-        inFlight_.erase(line_addr);
-    }
+    // Detach the chain and free the slot before completing anyone: a
+    // completion callback may re-enter load() and claim it. The last
+    // live line moves into the freed position.
+    MshrSlot &entry = slots_[slot];
+    MissStatus *chain = entry.head;
+    assert(chain != nullptr); // each backend callback fires once
+    entry.head = entry.tail = nullptr;
+    const std::uint32_t pos = entry.livePos;
+    const Addr line_addr = liveLines_[pos];
+    liveLines_[pos] = liveLines_.back();
+    liveLines_.pop_back();
+    std::swap(slotOrder_[pos], slotOrder_[liveLines_.size()]);
+    slots_[slotOrder_[pos]].livePos = pos;
     const Tick now = eq_.now();
 
-    if (waiters.empty()) {
-        wakeBlockedCores();
-        return;
-    }
-
-    if (resp.kind == MemResponseKind::Data) {
+    const bool data = resp.kind == MemResponseKind::Data;
+    if (data) {
         CacheResult res = l3_.fill(line_addr, false, resp.value);
         if (res.writeback) {
             MemRequest wb;
@@ -78,31 +106,34 @@ Uncore::onResponse(Addr line_addr, const MemResponse &resp)
             wb.value = res.victimValue;
             backend_.write(wb, now);
         }
-        for (auto &st : waiters) {
-            st->value = resp.value;
-            offchip_.record(now - st->issuedAt);
-            if (!tenantOffchip_.empty()) {
-                const int t = tenantOf_(st->lineAddr);
-                if (t >= 0
-                    && static_cast<std::size_t>(t)
-                           < tenantOffchip_.size()) {
-                    tenantOffchip_[static_cast<std::size_t>(t)].record(
-                        now - st->issuedAt);
-                }
-            }
-            if (st->owner != nullptr) {
-                st->owner->onMissData(st, now);
-            } else {
-                st->done = true;
-                st->doneAt = now;
-            }
-        }
-    } else {
-        for (auto &st : waiters) {
+    }
+    MissStatus *next = nullptr;
+    for (MissStatus *w = chain; w != nullptr; w = next) {
+        next = w->nextWaiter;
+        const MissRef st(w, &missSlab_); // adopts the chain's reference
+        if (!data) {
             if (st->owner != nullptr)
                 st->owner->onMissHint(st, now);
             else
                 st->hinted = true;
+            continue;
+        }
+        st->value = resp.value;
+        offchip_.record(now - st->issuedAt);
+        if (!tenantOffchip_.empty()) {
+            const int t = tenantOf_(st->lineAddr);
+            if (t >= 0
+                && static_cast<std::size_t>(t)
+                       < tenantOffchip_.size()) {
+                tenantOffchip_[static_cast<std::size_t>(t)].record(
+                    now - st->issuedAt);
+            }
+        }
+        if (st->owner != nullptr) {
+            st->owner->onMissData(st, now);
+        } else {
+            st->done = true;
+            st->doneAt = now;
         }
     }
     wakeBlockedCores();

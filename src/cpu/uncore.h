@@ -5,21 +5,27 @@
  * from several cores), and the dispatch of LLC misses to the off-chip
  * backend. Also records the off-chip latency distribution for Figure 3.
  *
- * Each in-flight LLC miss has one record: its entry in the waiter
- * table, which is the MSHR file (one entry per outstanding line, at
- * most CacheConfig::mshrs of them).
+ * The LLC MSHR file is CacheConfig::mshrs fixed slots. Each in-flight
+ * line holds one slot, whose loads wait in an intrusive FIFO chain
+ * through their MissStatus records, so a new missed line allocates
+ * nothing. The backend callback carries the slot index, so a response
+ * finds its slot without a lookup; a load finds a line to coalesce
+ * onto by scanning the compact array of in-flight lines, as the L1
+ * MshrFile does (a few dozen lines are in flight at a time: the cores'
+ * L1 MSHRs bound them).
  */
 
 #ifndef SKYBYTE_CPU_UNCORE_H
 #define SKYBYTE_CPU_UNCORE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/slab.h"
 #include "common/stats.h"
 #include "cpu/cache.h"
@@ -47,6 +53,8 @@ struct MissStatus
     LineValue value = 0; ///< functional payload of the data response
     /** Intrusive refcount managed by MissRef (single-threaded). */
     std::uint32_t refs = 0;
+    /** Next load on the same LLC miss (the chain holds a reference). */
+    MissStatus *nextWaiter = nullptr;
 };
 
 /**
@@ -172,6 +180,9 @@ class Uncore
     std::uint64_t llcCoalesced() const { return llcCoalesced_; }
     std::uint64_t llcMshrBlocks() const { return llcMshrBlocks_; }
 
+    /** LLC MSHRs in use: lines in flight (0 once a run has drained). */
+    std::size_t linesInFlight() const { return liveLines_.size(); }
+
     /** Off-chip (post-LLC) demand-load latency distribution (Fig 3). */
     const LatencyHistogram &offchipLatency() const { return offchip_; }
 
@@ -199,18 +210,40 @@ class Uncore
     }
 
   private:
-    void onResponse(Addr line_addr, const MemResponse &resp);
+    /** One LLC MSHR: the loads waiting on its in-flight line. */
+    struct MshrSlot
+    {
+        /** FIFO chain through MissStatus::nextWaiter. */
+        MissStatus *head = nullptr;
+        MissStatus *tail = nullptr;
+        std::uint32_t livePos = 0; ///< index of its line in liveLines_
+    };
+
+    /** Chain @p status (taking a reference) at the tail of @p slot. */
+    void addWaiter(MshrSlot &slot, MissStatus &status);
+
+    /** The response for the line held by MSHR @p slot. */
+    void onResponse(std::uint32_t slot, const MemResponse &resp);
     void wakeBlockedCores();
 
     EventQueue &eq_;
     MemoryBackend &backend_;
     SetAssocCache l3_;
-    std::uint32_t mshrCapacity_; ///< LLC MSHRs: in-flight line limit
-    /** Declared before inFlight_ so every waiter handle releases back
-     *  into the slab before the slab itself destructs. */
+    /**
+     * Records still chained at teardown (timed-out runs) need no
+     * release: the slab frees its chunks, and a MissStatus owns nothing.
+     */
     Slab<MissStatus> missSlab_;
-    /** The LLC MSHR file: the loads waiting on each in-flight line. */
-    FlatMap<std::vector<MissRef>> inFlight_;
+    static_assert(std::is_trivially_destructible_v<MissStatus>);
+    /** The LLC MSHR file (CacheConfig::mshrs slots). */
+    std::vector<MshrSlot> slots_;
+    /** Lines in flight, compact and in no particular order. */
+    std::vector<Addr> liveLines_;
+    /**
+     * A permutation of the slot indices: slotOrder_[i] holds
+     * liveLines_[i] for i < liveLines_.size(); the rest are free.
+     */
+    std::vector<std::uint32_t> slotOrder_;
     std::vector<Core *> cores_;
     LatencyHistogram offchip_;
     /** Per-tenant histograms (empty = disabled) + vaddr classifier. */

@@ -144,10 +144,10 @@ nondeterminismRule()
  * std::unordered_{map,set} iteration order is standard-library
  * specific, so any traversal that feeds simulation behavior or
  * serialized output silently unpins the cross-platform fingerprints
- * (and the per-node heap churn is what PR 4's FlatMap removed from the
- * hot indices). Use common/flat_map.h, or carry a justified pragma
- * when the container is never iterated (pure membership) or feeds an
- * order-insensitive reduction.
+ * (and per-node heap churn does not belong on the request path). Index
+ * a vector by page or slot, or use an ordered std::map, or carry a
+ * justified pragma when the container is never iterated (pure
+ * membership) or feeds an order-insensitive reduction.
  */
 LintRule
 unorderedContainerRule()
@@ -156,8 +156,8 @@ unorderedContainerRule()
         return std::string("'") + what
                + "' in result-producing code: iteration order is "
                  "stdlib-specific and per-node allocation is hot-path "
-                 "churn; port to common/flat_map.h (FlatMap) or "
-                 "justify with an allow pragma";
+                 "churn; index a vector by page or slot, or use an "
+                 "ordered std::map, or justify with an allow pragma";
     };
     std::vector<BannedIdent> banned;
     for (const char *ident :
@@ -210,7 +210,7 @@ rawFileWriteRule()
  * Rule family 4 — no heap churn in the request path.
  *
  * PR 4 made the CXL.mem request path allocation-free at steady state
- * (slab fetch records, inline callbacks, FlatMap indices); this rule
+ * (slab records, inline callbacks, dense tables); this rule
  * keeps it that way by flagging new/make_shared/make_unique in the
  * request-path files. Construction-time allocations are fine — mark
  * them with a justified allow pragma.
@@ -235,7 +235,7 @@ hotPathAllocRule()
         return std::string("'") + what
                + "' in a request-path file: the steady-state request "
                  "path is allocation-free (slabs, inline callbacks, "
-                 "FlatMap); justify construction-time use with an "
+                 "dense tables); justify construction-time use with an "
                  "allow pragma";
     };
     std::vector<BannedIdent> banned;

@@ -120,8 +120,8 @@ DramModel::peek(Addr line_addr) const
 {
     if (!payload_)
         return 0;
-    const LineValue *v = store_.find(line_addr);
-    return v == nullptr ? 0 : *v;
+    const auto it = store_.find(line_addr);
+    return it == store_.end() ? 0 : it->second;
 }
 
 void

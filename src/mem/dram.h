@@ -18,11 +18,11 @@
 #define SKYBYTE_MEM_DRAM_H
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "cpu/mem_backend.h"
 
 namespace skybyte {
@@ -109,10 +109,10 @@ class DramModel : public MemoryBackend
     std::vector<Bank> banks_; ///< channels x banksPerChannel
     bool payload_;
     /**
-     * Sparse functional payload store, probed once per DRAM access;
-     * empty without payload.
+     * Sparse functional payload store by line address; empty without
+     * payload (SimConfig::audit), so only audit runs probe it.
      */
-    FlatMap<LineValue> store_;
+    std::map<Addr, LineValue> store_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
     std::uint64_t bytes_ = 0;

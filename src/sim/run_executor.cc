@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/fs.h"
+#include "common/rng.h"
 #include "common/subprocess.h"
 
 namespace skybyte {
@@ -314,10 +315,9 @@ backoffDelayMs(std::uint64_t baseMs, std::uint32_t failedAttempt,
     const std::uint64_t delay = baseMs << exp;
     // Deterministic jitter in [0, baseMs): decorrelates retry storms
     // across points without sacrificing reproducibility.
-    const FlatHash mix;
     const std::uint64_t jitter =
-        mix(seed ^ mix(static_cast<std::uint64_t>(index) + 1)
-            ^ (static_cast<std::uint64_t>(failedAttempt) << 32))
+        mix64(seed ^ mix64(static_cast<std::uint64_t>(index) + 1)
+              ^ (static_cast<std::uint64_t>(failedAttempt) << 32))
         % baseMs;
     return delay + jitter;
 }

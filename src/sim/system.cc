@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_map.h"
 #include "trace/mix_workload.h"
 
 namespace skybyte {
@@ -57,8 +56,8 @@ MemRouter::read(const MemRequest &req, Tick when, MemCallback cb)
             MemRequest hreq = req;
             hreq.lineAddr = dev; // promoted pages keyed by device addr
             // The response's lineAddr carries the device address; the
-            // uncore matches in-flight misses by its own captured line
-            // address (as it already must for SSD responses), so no
+            // uncore finds the in-flight miss by the MSHR slot its
+            // callback captured (as it does for SSD responses), so no
             // rewrite wrap is needed.
             const Tick done =
                 sys_.hostDram_->readAt(hreq, when, std::move(cb));
@@ -260,7 +259,8 @@ System::warmupSsd(Workload &warm_ref)
     for (int t = 0; t < warm->numThreads(); ++t)
         cursors.emplace_back(*warm, t);
 
-    FlatMap<std::uint64_t> last_touch;
+    // Per device page: 1 + the seq of its last touch, 0 if untouched.
+    std::vector<std::uint64_t> last_touch;
     std::uint64_t seq = 0;
     std::uint64_t budget = 2'000'000;
     TraceRecord rec;
@@ -273,20 +273,23 @@ System::warmupSsd(Workload &warm_ref)
                     break;
                 progressed = true;
                 budget--;
-                if (isDeviceAddr(rec.vaddr))
-                    last_touch[pageNumber(toDeviceAddr(rec.vaddr))] =
-                        seq++;
+                if (!isDeviceAddr(rec.vaddr))
+                    continue;
+                const std::uint64_t lpn =
+                    pageNumber(toDeviceAddr(rec.vaddr));
+                if (lpn >= last_touch.size())
+                    last_touch.resize(lpn + 1);
+                last_touch[lpn] = ++seq;
             }
         }
     }
 
-    // Slot order is arbitrary; the sort below by (unique) touch seq
-    // fixes the fill order, so results are identical either way.
+    // Fill order is by (unique) touch seq, oldest first.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pages;
-    pages.reserve(last_touch.size());
-    last_touch.forEach([&](std::uint64_t lpn, std::uint64_t s) {
-        pages.emplace_back(lpn, s);
-    });
+    for (std::uint64_t lpn = 0; lpn < last_touch.size(); ++lpn) {
+        if (last_touch[lpn] != 0)
+            pages.emplace_back(lpn, last_touch[lpn]);
+    }
     std::sort(pages.begin(), pages.end(),
               [](const auto &a, const auto &b) {
                   return a.second < b.second;

@@ -325,6 +325,7 @@ class System
     SsdController &ssd() { return *ssd_; }
     MigrationEngine *migration() { return migration_.get(); }
     AstriFlashCache *astriflash() { return astri_.get(); }
+    Uncore &uncore() { return *uncore_; }
     DramModel &hostDram() { return *hostDram_; }
     CxlLink &cxlLink() { return *link_; }
     Workload &workload() { return *workload_; }

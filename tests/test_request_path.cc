@@ -2,9 +2,6 @@
  * @file
  * Tests for the allocation-free request-path infrastructure:
  *
- *  - FlatMap property test against a std::unordered_map oracle
- *    (random insert/erase/find/operator[] sequences across rehashes,
- *    plus iteration-sum and backward-shift-erase invariants)
  *  - InlineFunction semantics: inline vs heap-fallback targets, move
  *    transfer, null states, and destruction counts
  *  - Slab recycling: construct/destroy pairing and address stability
@@ -20,6 +17,9 @@
  *    Regenerate after an intentional behavior change with
  *      SKYBYTE_REGEN_FINGERPRINTS=1 ./test_request_path
  *    and commit the files under tests/data/request_path/.
+ *  - Drain invariant: the fingerprint configs, plus one AstriFlash-CXL
+ *    run, leave no LLC MSHR, flash fetch or AstriFlash fill in flight
+ *    once every event has run.
  */
 
 #include <gtest/gtest.h>
@@ -27,12 +27,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <sstream>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "common/flat_map.h"
 #include "common/inline_function.h"
 #include "common/slab.h"
 #include "sim/experiment.h"
@@ -42,98 +41,6 @@
 
 namespace skybyte {
 namespace {
-
-// --------------------------------------------------------------- FlatMap
-
-TEST(FlatMap, MatchesUnorderedMapOracle)
-{
-    FlatMap<std::uint64_t> map;
-    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
-    std::mt19937_64 rng(0xf1a7f1a7ULL);
-
-    for (int step = 0; step < 200'000; ++step) {
-        // Small key space so erases collide with probe chains often.
-        const std::uint64_t key = rng() % 701;
-        switch (rng() % 4) {
-          case 0: { // operator[] insert-or-update
-            const std::uint64_t v = rng();
-            map[key] = v;
-            oracle[key] = v;
-            break;
-          }
-          case 1: { // tryEmplace (no overwrite)
-            map.tryEmplace(key, step);
-            oracle.try_emplace(key, step);
-            break;
-          }
-          case 2: { // erase
-            EXPECT_EQ(map.erase(key), oracle.erase(key) > 0);
-            break;
-          }
-          default: { // find
-            const std::uint64_t *v = map.find(key);
-            auto it = oracle.find(key);
-            ASSERT_EQ(v != nullptr, it != oracle.end());
-            if (v != nullptr) {
-                EXPECT_EQ(*v, it->second);
-            }
-          }
-        }
-        ASSERT_EQ(map.size(), oracle.size());
-    }
-
-    // Iteration visits every element exactly once.
-    std::uint64_t key_sum = 0, val_sum = 0;
-    map.forEach([&](std::uint64_t k, std::uint64_t &v) {
-        key_sum += k;
-        val_sum += v;
-    });
-    std::uint64_t okey_sum = 0, oval_sum = 0;
-    for (const auto &[k, v] : oracle) {
-        okey_sum += k;
-        oval_sum += v;
-    }
-    EXPECT_EQ(key_sum, okey_sum);
-    EXPECT_EQ(val_sum, oval_sum);
-}
-
-TEST(FlatMap, EraseKeepsProbeChainsReachable)
-{
-    // Adversarial backward-shift case: many keys in one probe cluster,
-    // erased from the middle; every survivor must stay findable.
-    FlatMap<int> map;
-    for (std::uint64_t k = 0; k < 500; ++k)
-        map[k] = static_cast<int>(k);
-    for (std::uint64_t k = 0; k < 500; k += 3)
-        EXPECT_TRUE(map.erase(k));
-    for (std::uint64_t k = 0; k < 500; ++k) {
-        const int *v = map.find(k);
-        if (k % 3 == 0) {
-            EXPECT_EQ(v, nullptr) << k;
-        } else {
-            ASSERT_NE(v, nullptr) << k;
-            EXPECT_EQ(*v, static_cast<int>(k));
-        }
-    }
-}
-
-TEST(FlatMap, NonTrivialValuesSurviveRehashAndMove)
-{
-    FlatMap<std::unique_ptr<std::string>> map;
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        map[k] = std::make_unique<std::string>(std::to_string(k));
-    FlatMap<std::unique_ptr<std::string>> moved = std::move(map);
-    EXPECT_EQ(moved.size(), 1000u);
-    EXPECT_EQ(map.size(), 0u);
-    for (std::uint64_t k = 0; k < 1000; ++k) {
-        auto *v = moved.find(k);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(**v, std::to_string(k));
-    }
-    moved.clear();
-    EXPECT_EQ(moved.size(), 0u);
-    EXPECT_EQ(moved.find(1), nullptr);
-}
 
 // -------------------------------------------------------- InlineFunction
 
@@ -331,6 +238,32 @@ TEST(RequestPathFingerprint, PayloadNeverDrivesResults)
             << c.variant << " / " << c.workload
             << ": payload changed a simulated result";
     }
+}
+
+TEST(RequestPathFingerprint, RunsDrainEveryInFlightTable)
+{
+    // Once the events a finished run leaves behind have run too, every
+    // miss has been answered: no LLC MSHR, flash fetch or AstriFlash
+    // fill may still be held.
+    std::vector<std::pair<SimConfig, std::string>> runs;
+    for (const FingerprintCase &c : kCases)
+        runs.emplace_back(caseConfig(c), c.workload);
+    runs.emplace_back(makeConfig("AstriFlash-CXL"),
+                      "zipf:footprint=4M,instr=60000,threads=2");
+    int astri_runs = 0;
+    for (const auto &[cfg, workload] : runs) {
+        System sys(cfg, workload, WorkloadParams{});
+        sys.run();
+        sys.eventQueue().run();
+        ASSERT_EQ(sys.eventQueue().pending(), 0u) << workload;
+        EXPECT_EQ(sys.uncore().linesInFlight(), 0u) << workload;
+        EXPECT_EQ(sys.ssd().fetchesInFlight(), 0u) << workload;
+        if (AstriFlashCache *astri = sys.astriflash()) {
+            EXPECT_EQ(astri->pendingFills(), 0u) << workload;
+            ++astri_runs;
+        }
+    }
+    EXPECT_EQ(astri_runs, 1);
 }
 
 TEST(RequestPathFingerprint, PayloadNeverDrivesWritebackPaths)

@@ -223,6 +223,44 @@ TEST(SsdController, MigrationDropInvalidatesLogAndCache)
     EXPECT_FALSE(dev.ssd.writeLog()->lookup(4 * kPageBytes).has_value());
 }
 
+TEST(SsdController, PrefetchProbePastTheFetchTableReadsAbsent)
+{
+    // Base-CSSD's sequential prefetch probes lpn + 1, one past the
+    // highest page the fetch table has grown to.
+    SimConfig cfg = deviceConfig(false, false);
+    cfg.ssdCache.baseCssdPrefetch = true;
+    Device dev(cfg);
+    dev.ssd.read(5 * kPageBytes, 0, [](const MemResponse &) {});
+    EXPECT_EQ(dev.ssd.stats().prefetches, 1u);
+    EXPECT_EQ(dev.ssd.fetchesInFlight(), 2u);
+    dev.eq.run();
+    EXPECT_EQ(dev.ssd.fetchesInFlight(), 0u);
+    EXPECT_TRUE(dev.ssd.isPageCached(6));
+    // At the device's last page there is nothing to prefetch.
+    const std::uint64_t last = cfg.flash.totalBytes() / kPageBytes - 1;
+    dev.readSync(last * kPageBytes);
+    EXPECT_EQ(dev.ssd.stats().prefetches, 1u);
+    EXPECT_FALSE(dev.ssd.isPageCached(last + 1));
+}
+
+TEST(SsdController, HostPageOpsOnUntouchedPagesGrowNoTable)
+{
+    // Migration drops and host page writes reset the page's counter and
+    // log entries; on a page no table has reached they must be no-ops.
+    // A page this far out would throw if any table grew to it.
+    constexpr std::uint64_t kFar = 1ULL << 44;
+    Device dev(deviceConfig(true, false));
+    dev.ssd.write(2 * kPageBytes, 9, 0);
+    dev.ssd.dropMigratedPage(kFar);
+    const std::uint64_t untouched =
+        dev.cfg.flash.totalBytes() / kPageBytes - 1;
+    dev.ssd.writePageFromHost(untouched, nullptr, 0);
+    dev.eq.run();
+    EXPECT_EQ(dev.ssd.writeLog()->activeBuffer().pageCount(), 1u);
+    EXPECT_EQ(dev.ssd.peekLine(2 * kPageBytes), 9u);
+    EXPECT_FALSE(dev.ssd.isPageCached(kFar));
+}
+
 TEST(SsdController, PageInterfaceRoundTrip)
 {
     Device dev(deviceConfig(false, false));

@@ -3,13 +3,49 @@
  * Tests for the shared uncore: L3 behaviour, LLC MSHR capacity and
  * cross-core coalescing (§III-A C1: one CXL.mem request can serve
  * instructions from several cores), DelayHint fan-out, and the off-chip
- * latency histogram that backs Figure 3.
+ * latency histogram that backs Figure 3. The binary replaces the global
+ * operator new to count the miss path's allocations.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "common/event_queue.h"
 #include "cpu/uncore.h"
+
+namespace {
+
+/** Heap allocations counted while g_countAllocs is set. */
+bool g_countAllocs = false;
+std::size_t g_allocs = 0;
+
+} // namespace
+
+// Counting replacements of the global allocation functions; the array
+// and nothrow forms route through these by default.
+void *
+operator new(std::size_t n)
+{
+    if (g_countAllocs)
+        ++g_allocs;
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace skybyte {
 namespace {
@@ -39,8 +75,8 @@ class ManualBackend : public MemoryBackend
     void
     respondAll(MemResponseKind kind, LineValue value = 0)
     {
-        auto batch = std::move(pending);
-        pending.clear();
+        // Swap, not move: both buffers keep their storage.
+        batch.swap(pending);
         for (auto &p : batch) {
             MemResponse resp;
             resp.kind = kind;
@@ -48,9 +84,11 @@ class ManualBackend : public MemoryBackend
             resp.value = value;
             p.cb(resp);
         }
+        batch.clear();
     }
 
     std::vector<Pending> pending;
+    std::vector<Pending> batch;
     std::vector<Addr> writes;
 };
 
@@ -168,6 +206,27 @@ TEST(Uncore, OffchipHistogramRecordsLatency)
     EXPECT_EQ(fx.uncore->offchipLatency().count(), 1u);
     EXPECT_GE(fx.uncore->offchipLatency().meanTicks(),
               static_cast<double>(nsToTicks(400.0)));
+}
+
+TEST(Uncore, MissPathAllocatesNothingAfterWarmup)
+{
+    UncoreFixture fx; // 4 LLC MSHRs
+    // Four distinct missed lines, a second load coalescing onto each,
+    // then every response.
+    auto round = [&fx](Addr base) {
+        for (Addr i = 0; i < 8; ++i)
+            fx.uncore->load(fx.makeStatus(base + i / 2 * kCachelineBytes), 0);
+        fx.backend.respondAll(MemResponseKind::Data);
+    };
+    round(0x100000); // warm-up: the miss slab and the backend's buffers
+    round(0x200000);
+    g_allocs = 0;
+    g_countAllocs = true;
+    round(0x300000);
+    g_countAllocs = false;
+    EXPECT_EQ(g_allocs, 0u);
+    EXPECT_EQ(fx.uncore->llcCoalesced(), 12u);
+    EXPECT_EQ(fx.uncore->linesInFlight(), 0u);
 }
 
 } // namespace

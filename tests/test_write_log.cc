@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "common/rng.h"
 #include "core/write_log.h"
@@ -102,6 +103,23 @@ TEST(WriteLogBuffer, InvalidatePageDropsOnlyThatPage)
     EXPECT_TRUE(buf.lookup(addrOf(2, 0)).has_value());
 }
 
+TEST(WriteLogBuffer, ProbesPastTheTableEndReadAsAbsent)
+{
+    // The first level grows only on append: a page far past any logged
+    // one reads as absent, and growing to it would throw.
+    constexpr std::uint64_t kFar = 1ULL << 44;
+    WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
+    buf.append(addrOf(3, 0), 1);
+    EXPECT_FALSE(buf.valueAt(4, 0).has_value());
+    EXPECT_FALSE(buf.valueAt(kFar, 0).has_value());
+    EXPECT_FALSE(buf.lookup(addrOf(kFar, 5)).has_value());
+    EXPECT_EQ(buf.mergePageInto(kFar, nullptr), 0u);
+    EXPECT_EQ(buf.invalidatePage(kFar), 0u);
+    EXPECT_EQ(buf.pageCount(), 1u);
+    EXPECT_EQ(buf.indexBytes(), 32u);
+    EXPECT_EQ(buf.valueAt(3, 0), std::optional<LineValue>(1));
+}
+
 TEST(WriteLogBuffer, IndexBytesAccounting)
 {
     WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
@@ -183,6 +201,14 @@ TEST_P(WriteLogProperty, MatchesReferenceMap)
         const LineValue v = rng.next();
         log.append(a, v);
         ref[a] = v;
+        if (rng.below(32) == 0) {
+            // A migrated page: its lines drop out of both buffers.
+            const std::uint64_t page = rng.below(32);
+            log.invalidatePage(page);
+            std::erase_if(ref, [page](const auto &kv) {
+                return pageNumber(kv.first) == page;
+            });
+        }
         if (log.needCompaction()) {
             // Emulate the controller: drain everything synchronously,
             // removing drained values from the reference visibility only
