@@ -55,6 +55,7 @@ struct CacheConfig
 struct CpuConfig
 {
     int numCores = 8;
+    /** > 0: sizes each thread's window ring at construction. */
     std::uint32_t robEntries = 256;
     CacheConfig l1d{32 * 1024, 8, 8, nsToTicks(1.0)};
     CacheConfig l2{512 * 1024, 32, 128, nsToTicks(3.5)};

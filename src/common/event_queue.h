@@ -81,9 +81,8 @@ struct EventRecord
     /**
      * Sized so that the request path's largest steady-state completion
      * lambda — a move-only MemCallback (48 B) plus a MemResponse
-     * payload (32 B) — is stored inline. Oversized callables
-     * (page-payload captures on the rare page-granular paths) fall back
-     * to one heap cell.
+     * payload (32 B) — is stored inline. A larger callable does not
+     * compile.
      */
     InlineFunction<void(), 80> cb;
 };

@@ -13,10 +13,10 @@
  * InlineFunction<Sig, Bytes> removes that traffic: a move-only
  * std::function replacement with a Bytes-sized inline buffer. Moving
  * relocates the callable (via its move constructor) instead of cloning
- * it; oversized callables (rare: page-payload captures) fall back to
- * one heap cell whose ownership moves by pointer swap. Event-queue
- * records emplace() each scheduled lambda straight into their member
- * InlineFunction, so that callable is never moved at all.
+ * it. A callable that does not fit the buffer does not construct: the
+ * size is checked at compile time, so no callback ever allocates.
+ * Event-queue records emplace() each scheduled lambda straight into
+ * their member InlineFunction, so that callable is never moved at all.
  *
  * It is deliberately not copyable: a callback is consumed exactly once
  * in this codebase, and cloning is the cost being removed.
@@ -26,7 +26,6 @@
 #define SKYBYTE_COMMON_INLINE_FUNCTION_H
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -35,6 +34,11 @@ namespace skybyte {
 
 template <typename Sig, std::size_t Bytes = 48>
 class InlineFunction; // primary; only the R(Args...) form exists
+
+/** @p Fn fits an InlineFunction buffer of @p Bytes. */
+template <typename Fn, std::size_t Bytes>
+concept FitsInline = sizeof(Fn) <= Bytes
+                     && alignof(Fn) <= alignof(std::max_align_t);
 
 /**
  * Move-only type-erased callable with a Bytes-sized inline buffer.
@@ -48,10 +52,10 @@ class InlineFunction<R(Args...), Bytes>
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction>
-                  && std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, InlineFunction>
+                 && std::is_invocable_r_v<R, std::decay_t<F> &, Args...>
+                 && FitsInline<std::decay_t<F>, Bytes>)
     InlineFunction(F &&fn)
     {
         emplace(std::forward<F>(fn));
@@ -91,39 +95,23 @@ class InlineFunction<R(Args...), Bytes>
 
     /** Destroy the current target and construct @p fn in place. */
     template <typename F>
+        requires FitsInline<std::decay_t<F>, Bytes>
     void
     emplace(F &&fn)
     {
         using Fn = std::decay_t<F>;
         reset();
-        if constexpr (sizeof(Fn) <= Bytes
-                      && alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            invoke_ = [](void *buf, Args &&...args) -> R {
-                return (*std::launder(reinterpret_cast<Fn *>(buf)))(
-                    std::forward<Args>(args)...);
-            };
-            manage_ = [](Op op, void *self, void *dst) {
-                Fn *fn_p = std::launder(reinterpret_cast<Fn *>(self));
-                if (op == Op::MoveTo)
-                    ::new (dst) Fn(std::move(*fn_p));
-                fn_p->~Fn();
-            };
-        } else {
-            auto *heap = new Fn(std::forward<F>(fn));
-            ::new (static_cast<void *>(buf_)) Fn *(heap);
-            invoke_ = [](void *buf, Args &&...args) -> R {
-                return (**std::launder(reinterpret_cast<Fn **>(buf)))(
-                    std::forward<Args>(args)...);
-            };
-            manage_ = [](Op op, void *self, void *dst) {
-                Fn **slot = std::launder(reinterpret_cast<Fn **>(self));
-                if (op == Op::MoveTo)
-                    ::new (dst) Fn *(*slot); // ownership moves by pointer
-                else
-                    delete *slot;
-            };
-        }
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        invoke_ = [](void *buf, Args &&...args) -> R {
+            return (*std::launder(reinterpret_cast<Fn *>(buf)))(
+                std::forward<Args>(args)...);
+        };
+        manage_ = [](Op op, void *self, void *dst) {
+            Fn *fn_p = std::launder(reinterpret_cast<Fn *>(self));
+            if (op == Op::MoveTo)
+                ::new (dst) Fn(std::move(*fn_p));
+            fn_p->~Fn();
+        };
     }
 
   private:

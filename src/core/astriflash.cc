@@ -132,8 +132,7 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         pending_.resize(lpn + 1);
     PendingFill *fill = fillSlab_.alloc();
     pending_[lpn] = fill;
-    ssd_.readPageToHost(lpn, when,
-                        [this, lpn, fill](Tick t, const PageData *data) {
+    ssd_.readPageToHost(lpn, when, [this, lpn, fill](Tick t) {
         pending_[lpn] = nullptr;
         astriStats_.pageFills++;
 
@@ -142,9 +141,11 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         PageEvict ev;
         PageData victim_data;
         CachedPage *page = tags_.fill(lpn, ev, &victim_data);
+        // The device page cannot have changed since the read: writes to
+        // it wait in fill->writes.
         PageData *cached = tags_.data(*page);
-        if (cached != nullptr && data != nullptr)
-            *cached = *data;
+        if (cached != nullptr)
+            ssd_.snapshotPage(lpn, *cached);
         for (BufferedWrite *bw = fill->writes.head; bw != nullptr;
              bw = bw->next) {
             if (cached != nullptr)

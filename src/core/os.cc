@@ -13,6 +13,7 @@ void
 CxlAwareScheduler::addThread(ThreadContext *thread)
 {
     threads_.push_back(thread);
+    runQueue_.reserve(threads_.size());
 }
 
 void

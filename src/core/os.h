@@ -12,7 +12,6 @@
 #define SKYBYTE_CORE_OS_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/config.h"
@@ -30,7 +29,7 @@ class CxlAwareScheduler : public Scheduler
   public:
     CxlAwareScheduler(SchedPolicy policy, std::uint64_t seed);
 
-    /** Register a thread (before start()). */
+    /** Register a thread (before start()); reserves its run-queue spot. */
     void addThread(ThreadContext *thread);
 
     /** Register the cores (before start()). */
@@ -65,7 +64,8 @@ class CxlAwareScheduler : public Scheduler
     Rng rng_;
     std::vector<ThreadContext *> threads_;
     std::vector<Core *> cores_;
-    std::deque<ThreadContext *> runQueue_;
+    /** Runnable threads; holds each at most once, so never reallocates. */
+    std::vector<ThreadContext *> runQueue_;
     std::size_t finishedCount_ = 0;
     Tick lastFinish_ = 0;
     std::uint64_t dispatches_ = 0;

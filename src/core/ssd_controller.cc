@@ -29,7 +29,7 @@ SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
 SsdController::~SsdController()
 {
     // Fetches still in flight at teardown (timed-out runs) own waiter
-    // records whose callbacks may hold heap fallbacks: drain them.
+    // records whose callbacks' captures must be destroyed: drain them.
     for (PendingFetch *pf : fetches_) {
         if (pf != nullptr)
             releaseFetch(pf);
@@ -422,20 +422,6 @@ SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
 }
 
 void
-SsdController::deliverPage(PageReadFn cb, Tick t_resp, const PageData *data)
-{
-    if (data == nullptr) {
-        eq_.schedule(t_resp, [cb = std::move(cb), t_resp]() mutable {
-            cb(t_resp, nullptr);
-        });
-        return;
-    }
-    // The page travels by value: a 512 B capture, audit mode only.
-    eq_.schedule(t_resp, [cb = std::move(cb), t_resp,
-                          page = *data]() mutable { cb(t_resp, &page); });
-}
-
-void
 SsdController::onPageArrived(std::uint64_t lpn, Tick done)
 {
     PendingFetch *pf = fetchOf(lpn);
@@ -481,7 +467,9 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
         const Tick t_data = dram_.serviceAt(t_ins, kPageBytes,
                                             lpn * kPageBytes);
         const Tick t_resp = link_.deliverToHost(t_data, kPageBytes);
-        deliverPage(std::move(pw->cb), t_resp, data);
+        eq_.schedule(t_resp, [cb = std::move(pw->cb), t_resp]() mutable {
+            cb(t_resp);
+        });
     }
 
     // Base-CSSD write-allocate: apply buffered line writes.
@@ -634,35 +622,15 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
             flushCompacted(ch, lpa, when, data);
             return;
         }
-        if (!cfg_.audit) {
-            // No payload to merge: time the program, and for a partly
-            // covered page the flash read before it (L3-L5).
-            if (covered) {
-                flushCompacted(ch, lpa, when, nullptr);
-            } else {
-                stats_.compactionFlashReads++;
-                ftl_.readPage(lpa, when, [this, ch, lpa](Tick t) {
-                    flushCompacted(ch, lpa, t, nullptr);
-                });
-            }
-            return;
-        }
-        PageData merged{};
-        log_->gatherDraining(lpa, &merged);
         if (covered) {
             // Fully covered: program directly, no flash read.
-            flushCompacted(ch, lpa, when, &merged);
+            flushCompacted(ch, lpa, when, nullptr);
             return;
         }
         // L3-L5: read into the coalescing buffer, merge, program.
         stats_.compactionFlashReads++;
-        ftl_.readPage(lpa, when, [this, ch, lpa, mask, merged](Tick t) {
-            PageData full = ftl_.pageData(lpa);
-            for (std::uint32_t off = 0; off < kLinesPerPage; ++off) {
-                if (mask & (1ULL << off))
-                    full[off] = merged[off];
-            }
-            flushCompacted(ch, lpa, t, &full);
+        ftl_.readPage(lpa, when, [this, ch, lpa](Tick t) {
+            flushCompacted(ch, lpa, t, nullptr);
         });
         return;
     }
@@ -674,23 +642,24 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
         stats_.compactionTicksTotal += eq_.now() - compactStart_;
         maybeStartCompaction(eq_.now()); // active may already be full
     }
-    (void)when;
 }
 
 void
 SsdController::flushCompacted(std::uint32_t ch, std::uint64_t lpa,
-                              Tick when, const PageData *data)
+                              Tick when, const PageData *cached)
 {
     stats_.compactionPagesFlushed++;
-    ftl_.writePage(lpa, when, data, [this, ch](Tick t) {
-        compactionJobDone(ch, t);
-    });
-}
-
-void
-SsdController::compactionJobDone(std::uint32_t ch, Tick done)
-{
-    issueCompactionJob(ch, done);
+    PageData merged{};
+    const PageData *data = cached;
+    if (data == nullptr && cfg_.audit) {
+        // The drained lines over the flash copy (a fully covered page
+        // takes every line from the log).
+        merged = ftl_.pageData(lpa);
+        log_->gatherDraining(lpa, &merged);
+        data = &merged;
+    }
+    ftl_.writePage(lpa, when, data,
+                   [this, ch](Tick t) { issueCompactionJob(ch, t); });
 }
 
 void
@@ -699,18 +668,12 @@ SsdController::readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb)
     const Tick t_arr = link_.deliverToDevice(when, kHeaderBytes);
     const Tick t_idx = t_arr + indexLatency();
 
-    if (CachedPage *page = cache_.lookup(lpn)) {
+    if (cache_.lookup(lpn) != nullptr) {
         const Tick t_data = dram_.serviceAt(t_idx, kPageBytes,
                                             lpn * kPageBytes);
         const Tick t_resp = link_.deliverToHost(t_data, kPageBytes);
-        const PageData *cached = cache_.data(*page);
-        if (cached == nullptr) {
-            deliverPage(std::move(cb), t_resp, nullptr);
-            return;
-        }
-        PageData data = *cached;
-        mergeLogInto(lpn, data);
-        deliverPage(std::move(cb), t_resp, &data);
+        eq_.schedule(t_resp,
+                     [cb = std::move(cb), t_resp]() mutable { cb(t_resp); });
         return;
     }
     if (PendingFetch *pf = fetchOf(lpn)) {

@@ -53,10 +53,11 @@ namespace skybyte {
 
 /**
  * Page-read completion callback (page-granular host interface), fired
- * with the delivery time and the merged page payload (nullptr without
- * payload, see SimConfig::audit).
+ * with the delivery time. A consumer keeping payload reads the page with
+ * snapshotPage() then; it must not write the page while the read is in
+ * flight (AstriFlash buffers such writes).
  */
-using PageReadFn = InlineFunction<void(Tick, const PageData *), 32>;
+using PageReadFn = InlineFunction<void(Tick), 32>;
 
 /** Controller statistics (feeds Figs 5/6, 16, 17, 18 and Table III). */
 struct SsdStats
@@ -138,7 +139,7 @@ class SsdController
     /** CXL.mem MemWr (posted) for a device-relative line address. */
     void write(Addr dev_line_addr, LineValue value, Tick when);
 
-    /** Page-granular host read (AstriFlash / migration copies). */
+    /** Page-granular host read (AstriFlash page fills). */
     void readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb);
 
     /**
@@ -326,12 +327,6 @@ class SsdController
     void respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
                      LineValue value);
 
-    /**
-     * Deliver a page read to the host at @p t_resp: @p cb receives a
-     * copy of @p data, or nullptr without payload.
-     */
-    void deliverPage(PageReadFn cb, Tick t_resp, const PageData *data);
-
     /** Send the SkyByte-Delay NDR back to the host. */
     void sendDelayHint(Tick t, MemCallback cb);
 
@@ -343,10 +338,12 @@ class SsdController
 
     void maybeStartCompaction(Tick now);
     void issueCompactionJob(std::uint32_t ch, Tick when);
-    /** Program compacted page @p lpa (@p data nullptr: no payload). */
+    /**
+     * Program compacted page @p lpa: @p cached is its merged cache copy,
+     * or nullptr (uncached: merge over the flash copy; or no payload).
+     */
     void flushCompacted(std::uint32_t ch, std::uint64_t lpa, Tick when,
-                        const PageData *data);
-    void compactionJobDone(std::uint32_t ch, Tick done);
+                        const PageData *cached);
 
     /**
      * Tenant bucket for device byte offset @p dev, or nullptr when

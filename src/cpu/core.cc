@@ -44,7 +44,7 @@ Core::scheduleRun(Tick when)
 Tick
 Core::headCompleteAt() const
 {
-    const RobEntry &head = rob_.front();
+    const RobSlot &head = thread_->inFlightAt(0);
     if (head.miss)
         return head.miss->done ? head.miss->doneAt : kTickMax;
     return head.completeAt;
@@ -53,10 +53,11 @@ Core::headCompleteAt() const
 void
 Core::retire()
 {
-    while (!rob_.empty() && headCompleteAt() <= cursor_) {
-        stats_.committedInstructions += rob_.front().slots;
-        robSlotsUsed_ -= rob_.front().slots;
-        rob_.pop_front();
+    while (thread_->inFlight() != 0 && headCompleteAt() <= cursor_) {
+        const std::uint32_t slots = thread_->inFlightAt(0).rec.computeOps + 1;
+        stats_.committedInstructions += slots;
+        robSlotsUsed_ -= slots;
+        thread_->retireHead();
     }
 }
 
@@ -78,8 +79,9 @@ Core::fillLocal(Addr line, LineValue value, Tick now)
 }
 
 bool
-Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
+Core::issueMem(RobSlot &slot, Tick t)
 {
+    const TraceRecord &rec = slot.rec;
     const Addr line = lineAlign(rec.vaddr);
 
     if (rec.isWrite) {
@@ -97,12 +99,12 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
                 }
             }
         }
-        entry.completeAt = t + cfg_.l1d.hitLatency;
+        slot.completeAt = t + cfg_.l1d.hitLatency;
         return true;
     }
 
     if (l1_.access(line, false)) {
-        entry.completeAt = t + cfg_.l1d.hitLatency;
+        slot.completeAt = t + cfg_.l1d.hitLatency;
         return true;
     }
     LineValue l2_value = 0;
@@ -113,7 +115,7 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
             if (c.writeback)
                 uncore_.writebackToL3(c.victimAddr, c.victimValue, t);
         }
-        entry.completeAt = t + cfg_.l2.hitLatency;
+        slot.completeAt = t + cfg_.l2.hitLatency;
         return true;
     }
 
@@ -133,15 +135,15 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
     switch (uncore_.load(status, t)) {
       case UncoreLoadResult::HitL3:
         fillLocal(line, status->value, t);
-        entry.completeAt = t + cfg_.llc.hitLatency;
+        slot.completeAt = t + cfg_.llc.hitLatency;
         return true;
       case UncoreLoadResult::Pending:
         if (!coalesced) {
             l1Mshrs_.allocate(line);
             status->l1MshrHeld = true;
         }
-        entry.miss = std::move(status);
-        entry.completeAt = kTickMax;
+        slot.miss = std::move(status);
+        slot.completeAt = kTickMax;
         return true;
       case UncoreLoadResult::MshrBlocked:
         state_ = State::StalledLlcMshr;
@@ -163,22 +165,28 @@ Core::runLoop()
             pendingPenalty_ = 0;
         }
 
-        if (!hasPendingRec_) {
-            if (!thread_->fetch(pendingRec_)) {
-                // Trace exhausted: drain the ROB, then finish.
-                if (rob_.empty()) {
-                    threadDone();
-                    return;
-                }
-                if (!waitOnHead(quantum_end))
-                    return;
-                continue;
-            }
-            hasPendingRec_ = true;
+        // A full window takes no record (each needs a slot), so the
+        // thread's ring never holds more than robEntries records.
+        if (robSlotsUsed_ >= cfg_.robEntries) {
+            if (!waitOnHead(quantum_end))
+                return;
+            continue;
         }
 
-        const std::uint32_t slots = pendingRec_.computeOps + 1;
-        if (!rob_.empty()
+        RobSlot *next = thread_->peek();
+        if (next == nullptr) {
+            // Trace exhausted: drain the ROB, then finish.
+            if (thread_->inFlight() == 0) {
+                threadDone();
+                return;
+            }
+            if (!waitOnHead(quantum_end))
+                return;
+            continue;
+        }
+
+        const std::uint32_t slots = next->rec.computeOps + 1;
+        if (thread_->inFlight() != 0
             && robSlotsUsed_ + slots > cfg_.robEntries) {
             if (!waitOnHead(quantum_end))
                 return;
@@ -186,20 +194,16 @@ Core::runLoop()
         }
 
         const Tick issue_end = cursor_ + slots;
-        RobEntry entry;
-        entry.slots = slots;
-        entry.rec = pendingRec_;
-        if (!issueMem(pendingRec_, issue_end, entry)) {
+        if (!issueMem(*next, issue_end)) {
             stats_.mshrBlockedStalls++;
             return; // woken by onMshrFree / own completions
         }
-        rob_.push_back(std::move(entry));
+        thread_->issue();
         robSlotsUsed_ += slots;
         stats_.issuedInstructions += slots;
         stats_.computeTicks += slots;
         thread_->addVruntime(slots);
         cursor_ = issue_end;
-        hasPendingRec_ = false;
 
         if (cursor_ >= quantum_end) {
             scheduleRun(cursor_);
@@ -213,7 +217,7 @@ Core::waitOnHead(Tick quantum_end)
 {
     const Tick t = headCompleteAt();
     if (t == kTickMax) {
-        const RobEntry &head = rob_.front();
+        const RobSlot &head = thread_->inFlightAt(0);
         if (head.miss->hinted && policy_.deviceTriggeredCtxSwitch) {
             doContextSwitch();
             return false;
@@ -231,26 +235,22 @@ Core::waitOnHead(Tick quantum_end)
 }
 
 void
-Core::squashToReplay()
+Core::squash()
 {
-    std::deque<TraceRecord> recs;
-    for (auto &entry : rob_) {
-        recs.push_back(entry.rec);
+    const std::uint64_t n = thread_->inFlight();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        RobSlot &slot = thread_->inFlightAt(i);
         stats_.squashedRecords++;
-        if (entry.miss && !entry.miss->done) {
-            entry.miss->orphaned = true;
-            if (cfg_.freeMshrOnSquash && entry.miss->l1MshrHeld) {
-                l1Mshrs_.release(entry.miss->lineAddr);
-                entry.miss->l1MshrHeld = false;
+        if (slot.miss && !slot.miss->done) {
+            slot.miss->orphaned = true;
+            if (cfg_.freeMshrOnSquash && slot.miss->l1MshrHeld) {
+                l1Mshrs_.release(slot.miss->lineAddr);
+                slot.miss->l1MshrHeld = false;
             }
         }
+        slot.miss.reset();
     }
-    if (hasPendingRec_) {
-        recs.push_back(pendingRec_);
-        hasPendingRec_ = false;
-    }
-    thread_->unfetch(recs);
-    rob_.clear();
+    thread_->rewind();
     robSlotsUsed_ = 0;
 }
 
@@ -258,7 +258,7 @@ void
 Core::doContextSwitch()
 {
     stats_.contextSwitches++;
-    squashToReplay();
+    squash();
     ThreadContext *next = scheduler_->pickNext(coreId_, thread_, cursor_);
     stats_.ctxSwitchTicks += policy_.ctxSwitchOverhead;
     cursor_ += policy_.ctxSwitchOverhead;

@@ -4,7 +4,8 @@
  * L1D/L2, 4 GHz).
  *
  * The core consumes TraceRecords ("k compute ops + 1 memory op"), issuing
- * one instruction per tick (4-wide at 4 GHz) into a ROB window. Memory
+ * one instruction per tick (4-wide at 4 GHz) into a ROB window held in
+ * the thread's ring (a record takes computeOps + 1 slots). Memory
  * ops probe L1/L2 functionally; LLC-bound loads go to the Uncore and
  * complete via callback. The core stalls when the ROB head is incomplete
  * and the window is full; stall time is attributed to memory-boundedness
@@ -12,7 +13,7 @@
  *
  * Coordinated context switches (§III-A): when a blocking ROB head carries
  * a SkyByte-Delay hint, the core raises the Long Delay Exception, squashes
- * un-retired records into the thread's replay buffer, optionally frees its
+ * un-retired records by rewinding the thread's ring, optionally frees its
  * L1 MSHRs, charges the OS switch overhead and asks the scheduler for the
  * next thread.
  *
@@ -38,7 +39,6 @@
 #ifndef SKYBYTE_CPU_CORE_H
 #define SKYBYTE_CPU_CORE_H
 
-#include <deque>
 #include <memory>
 
 #include "common/config.h"
@@ -117,14 +117,6 @@ class Core
         Switching
     };
 
-    struct RobEntry
-    {
-        std::uint32_t slots = 0;
-        Tick completeAt = 0; ///< kTickMax while a miss is pending
-        MissRef miss;
-        TraceRecord rec;
-    };
-
     /** Main execution loop; runs until stalled or quantum expires. */
     void runLoop();
 
@@ -152,11 +144,12 @@ class Core
     Tick headCompleteAt() const;
 
     /**
-     * Issue the memory op of @p rec at time @p t.
-     * @retval false if blocked on an MSHR (record stays pending);
+     * Issue the memory op of @p slot's record at time @p t, setting its
+     * completion time or miss.
+     * @retval false if blocked on an MSHR (the record stays unissued);
      *         state_ then holds the stall reason.
      */
-    bool issueMem(const TraceRecord &rec, Tick t, RobEntry &entry);
+    bool issueMem(RobSlot &slot, Tick t);
 
     /**
      * Fill @p line, holding the loaded @p value, clean into L1/L2,
@@ -167,8 +160,8 @@ class Core
     /** Raise the Long Delay Exception and switch threads (§III-A C3). */
     void doContextSwitch();
 
-    /** Move all un-retired records back to the thread (squash). */
-    void squashToReplay();
+    /** Squash the un-retired records: the thread re-issues them. */
+    void squash();
 
     /** Current thread ended; pick another or go idle. */
     void threadDone();
@@ -191,10 +184,7 @@ class Core
     State state_ = State::Idle;
     Tick cursor_ = 0;       ///< core-local time (>= last event time)
     Tick idleSince_ = 0;
-    std::deque<RobEntry> rob_;
-    std::uint32_t robSlotsUsed_ = 0;
-    bool hasPendingRec_ = false;
-    TraceRecord pendingRec_{};
+    std::uint32_t robSlotsUsed_ = 0; ///< of the current thread's ROB
     Tick pendingPenalty_ = 0;
     bool runScheduled_ = false;
 

@@ -1,70 +1,87 @@
 /**
  * @file
- * Software thread state: the per-thread trace cursor, the replay buffer
- * that receives squashed records on a coordinated context switch
- * (§III-A C3/C4 — the thread resumes from the faulting instruction), and
- * the scheduler bookkeeping (CFS vruntime).
+ * Software thread state: the per-thread trace cursor, the ring holding
+ * its ROB and squashed records (§III-A C3/C4 — a switch rewinds it, so
+ * the thread resumes from the faulting instruction), and the scheduler
+ * bookkeeping (CFS vruntime).
  */
 
 #ifndef SKYBYTE_CPU_THREAD_H
 #define SKYBYTE_CPU_THREAD_H
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
 
 #include "common/types.h"
+#include "cpu/uncore.h"
 #include "trace/workload.h"
 
 namespace skybyte {
 
+/** One trace record in a thread's window (see ThreadContext). */
+struct RobSlot
+{
+    TraceRecord rec;
+    Tick completeAt = 0; ///< kTickMax while a miss is pending
+    MissRef miss;
+};
+
 /**
  * One software thread replaying its own per-thread stream of the
- * workload trace.
+ * workload trace. Its ring of RobSlots has counters head <= issued <=
+ * end: [head, issued) is the ROB and [issued, end) is squashed work.
+ * A fresh record enters only when issued == end, so a squash (issued =
+ * head) replays the ROB, then the peeked record, then older squashed
+ * work, then fresh records. Each record takes at least one of the
+ * core's robEntries slots and the core peeks only while one is free,
+ * so end - head <= robEntries.
  */
 class ThreadContext
 {
   public:
-    ThreadContext(int thread_id, Workload *workload)
-        : threadId_(thread_id), workload_(workload)
-    {}
+    ThreadContext(int thread_id, Workload *workload,
+                  std::uint32_t rob_entries)
+        : threadId_(thread_id), workload_(workload),
+          robEntries_(rob_entries), mask_(std::bit_ceil(rob_entries) - 1),
+          ring_(std::make_unique<RobSlot[]>(mask_ + 1))
+    {
+        assert(rob_entries > 0);
+    }
 
     int threadId() const { return threadId_; }
 
     /**
-     * Next record to execute: the replay buffer (squashed work) first,
-     * then fresh trace records. Fresh records come from a per-thread
-     * TraceBatch, so the common case is an inline array walk; the
-     * workload's virtual refill() runs once per batch. Prefetched
-     * records waiting in the batch were never issued, so a squash never
-     * touches them — only ROB/pending records go back through unfetch().
-     * @retval false when the thread has fully exhausted its trace.
+     * Next record to issue (consumed by issue()): squashed work first,
+     * then the TraceBatch, refilled by one virtual call per batch.
+     * @return nullptr when the thread has fully exhausted its trace.
      */
-    bool
-    fetch(TraceRecord &rec)
+    RobSlot *
+    peek()
     {
-        if (!replay_.empty()) {
-            rec = replay_.front();
-            replay_.pop_front();
-            return true;
+        if (issued_ == end_) {
+            if (batch_.drained()
+                && workload_->refill(threadId_, batch_) == 0)
+                return nullptr;
+            assert(end_ - head_ < robEntries_);
+            ring_[end_++ & mask_].rec = batch_.records[batch_.cursor++];
         }
-        if (batch_.drained() && workload_->refill(threadId_, batch_) == 0)
-            return false;
-        rec = batch_.records[batch_.cursor++];
-        return true;
+        return &ring_[issued_ & mask_];
     }
 
-    /**
-     * Return squashed records (oldest first) to the front of the stream
-     * so the thread re-executes from the faulting instruction.
-     */
-    void
-    unfetch(const std::deque<TraceRecord> &records)
-    {
-        replay_.insert(replay_.begin(), records.begin(), records.end());
-    }
+    /** The peeked record entered the ROB. */
+    void issue() { ++issued_; }
 
-    /** Prepend a single record (the faulting access itself). */
-    void unfetchOne(const TraceRecord &rec) { replay_.push_front(rec); }
+    /** ROB entries: issued and not yet retired. */
+    std::uint64_t inFlight() const { return issued_ - head_; }
+    RobSlot &inFlightAt(std::uint64_t i) { return ring_[(head_ + i) & mask_]; }
+
+    /** Retire the ROB head, dropping its miss handle. */
+    void retireHead() { ring_[head_++ & mask_].miss.reset(); }
+
+    /** Squash the ROB (its misses released): it re-issues first. */
+    void rewind() { issued_ = head_; }
 
     bool finished() const { return finished_; }
     void markFinished() { finished_ = true; }
@@ -84,7 +101,12 @@ class ThreadContext
     int threadId_;
     Workload *workload_;
     TraceBatch batch_;
-    std::deque<TraceRecord> replay_;
+    std::uint32_t robEntries_;
+    std::uint64_t mask_;
+    std::unique_ptr<RobSlot[]> ring_;
+    std::uint64_t head_ = 0;
+    std::uint64_t issued_ = 0;
+    std::uint64_t end_ = 0;
     bool finished_ = false;
     Tick vruntime_ = 0;
     LineValue storeSeq_ = 0;

@@ -108,8 +108,13 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
     } else if (key == "num_cores") {
         cfg.cpu.numCores = static_cast<int>(parseU64(value, key));
     } else if (key == "rob_entries") {
-        cfg.cpu.robEntries =
-            static_cast<std::uint32_t>(parseU64(value, key));
+        // Every thread's window ring is allocated at this size.
+        const std::uint64_t entries = parseU64(value, key);
+        if (entries == 0 || entries > 4096) {
+            throw std::invalid_argument(
+                "rob_entries must be in [1, 4096]: " + value);
+        }
+        cfg.cpu.robEntries = static_cast<std::uint32_t>(entries);
     } else if (key == "hot_page_threshold") {
         cfg.policy.hotPageThreshold =
             static_cast<std::uint32_t>(parseU64(value, key));

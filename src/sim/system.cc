@@ -219,7 +219,8 @@ System::buildSystem(
     }
     for (int t = 0; t < params_.numThreads; ++t) {
         threads_.push_back(
-            std::make_unique<ThreadContext>(t, workload_.get()));
+            std::make_unique<ThreadContext>(t, workload_.get(),
+                                            cfg_.cpu.robEntries));
     }
 
     sched_ = std::make_unique<CxlAwareScheduler>(cfg_.policy.schedPolicy,

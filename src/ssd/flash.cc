@@ -54,7 +54,8 @@ FlashChannel::setDieFree(std::size_t die, Tick t)
 }
 
 void
-FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
+FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done,
+                      bool hook)
 {
     const std::size_t die = pickDie();
     Tick done = when;
@@ -92,7 +93,8 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
         break;
       }
     }
-    eq_.schedule(done, [this, kind, done, cb = std::move(on_done)]() mutable {
+    eq_.schedule(done, [this, kind, hook, done,
+                        cb = std::move(on_done)]() mutable {
         switch (kind) {
           case FlashOpKind::Read:
             pendingReads_--;
@@ -109,6 +111,8 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done)
         }
         if (cb)
             cb(done);
+        if (hook)
+            hook_(done);
     });
 }
 

@@ -24,10 +24,8 @@ enum class FlashOpKind { Read, Program, Erase };
 
 /**
  * Flash-operation completion callback, fired with the completion time.
- * Move-only with a 32-byte inline buffer: the demand-read chain
- * ([controller, lpn] captures) constructs inline; the wider GC /
- * compaction continuations fall back to one heap cell, which is fine —
- * they are amortized over whole-block operations.
+ * Move-only with a 32-byte inline buffer: every continuation captures
+ * an owner pointer plus at most 16 bytes.
  */
 using FlashDoneFn = InlineFunction<void(Tick), 32>;
 
@@ -47,9 +45,13 @@ class FlashChannel
 
     /**
      * Enqueue an operation at time @p when; @p on_done fires at its
-     * completion time.
+     * completion time, followed by the completion hook if @p hook.
      */
-    void enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done);
+    void enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done,
+                 bool hook = false);
+
+    /** Set the hook (the FTL's GC check after a host program). */
+    void setCompletionHook(FlashDoneFn hook) { hook_ = std::move(hook); }
 
     /**
      * Algorithm 1: estimated latency a read arriving at @p now would
@@ -106,6 +108,7 @@ class FlashChannel
      * one on ties); the leaves sit at dieFree_.size() + die.
      */
     std::vector<std::uint32_t> winner_;
+    FlashDoneFn hook_;
     Tick busFree_ = 0;
     bool gcActive_ = false;
     std::uint32_t pendingReads_ = 0;

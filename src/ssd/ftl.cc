@@ -16,10 +16,11 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
         Channel &ch = channels_[c];
         ch.flash = std::make_unique<FlashChannel>(static_cast<int>(c),
                                                   cfg_, eq_);
+        ch.flash->setCompletionHook(
+            [this, c](Tick done) { maybeStartGc(c, done); });
         ch.blocks.resize(blocks);
-        ch.slotLpn.assign(static_cast<std::size_t>(blocks)
-                              * cfg_.pagesPerBlock,
-                          kInvalidLpn);
+        ch.slotLpn = std::make_unique_for_overwrite<std::uint64_t[]>(
+            static_cast<std::size_t>(blocks) * cfg_.pagesPerBlock);
         // All blocks initially free except the first, which opens.
         for (std::uint32_t b = blocks; b > 1; --b)
             ch.freeList.push_back(b - 1);
@@ -105,8 +106,6 @@ Ftl::ensureOpenBlock(Channel &ch)
     blk.isOpen = true;
     blk.writeCursor = 0;
     blk.validCount = 0;
-    std::fill_n(ch.slotLpn.begin() + slotIndex(next), cfg_.pagesPerBlock,
-                kInvalidLpn);
     ch.openBlock = next;
 }
 
@@ -141,6 +140,10 @@ Ftl::mapToOpenBlock(Channel &ch, std::uint64_t lpn)
 {
     ensureOpenBlock(ch);
     Block &blk = ch.blocks[ch.openBlock];
+    if (blk.writeCursor == 0) {
+        std::fill_n(ch.slotLpn.get() + slotIndex(ch.openBlock),
+                    cfg_.pagesPerBlock, kInvalidLpn);
+    }
     const Ppa ppa{ch.openBlock, blk.writeCursor++};
     ch.slotLpn[slotIndex(ppa.block, ppa.slot)] = lpn;
     blk.validCount++;
@@ -177,15 +180,10 @@ Ftl::writePage(std::uint64_t lpn, Tick when, const PageData *data,
     if (payload_ && data != nullptr)
         pageData(lpn) = *data;
     stats_.hostPrograms++;
-    const std::uint32_t ch_idx = channelIdx(lpn);
-    ch.flash->enqueue(FlashOpKind::Program, when,
-                      [this, ch_idx, cb = std::move(cb)](Tick done) mutable {
-                          if (cb)
-                              cb(done);
-                          maybeStartGc(ch_idx, done);
-                      });
+    // The channel's completion hook runs maybeStartGc after cb.
+    ch.flash->enqueue(FlashOpKind::Program, when, std::move(cb), true);
     // Also evaluate GC eagerly so back-to-back writes cannot outrun it.
-    maybeStartGc(ch_idx, when);
+    maybeStartGc(channelIdx(lpn), when);
 }
 
 Tick
@@ -242,7 +240,7 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 
     // Relocate valid pages: read + program per page, sharing the FIFO.
     Block &blk = ch.blocks[victim];
-    std::uint64_t *slots = ch.slotLpn.data() + slotIndex(victim);
+    std::uint64_t *slots = ch.slotLpn.get() + slotIndex(victim);
     Tick cursor = when;
     for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
         const std::uint64_t lpn = slots[s];
@@ -266,7 +264,7 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
         vb.validCount = 0;
         vb.writeCursor = 0;
         vb.eraseCount++;
-        std::fill_n(chn.slotLpn.begin() + slotIndex(victim),
+        std::fill_n(chn.slotLpn.get() + slotIndex(victim),
                     cfg_.pagesPerBlock, kInvalidLpn);
         chn.freeList.push_back(victim);
         stats_.gcErases++;
@@ -372,8 +370,12 @@ Ftl::audit() const
         const Channel &ch = channels_[c];
         for (std::uint32_t b = 0; b < ch.blocks.size(); ++b) {
             const Block &blk = ch.blocks[b];
+            // Slots are written from a block's first mapped page on
+            // (and by every erase); a never-written block has none.
+            const bool written = blk.writeCursor > 0 || blk.eraseCount > 0;
             std::uint32_t live = 0;
-            for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
+            for (std::uint32_t s = 0; written && s < cfg_.pagesPerBlock;
+                 ++s) {
                 const std::uint64_t lpn = ch.slotLpn[slotIndex(b, s)];
                 if (lpn == kInvalidLpn)
                     continue;

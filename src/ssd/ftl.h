@@ -63,6 +63,10 @@ class Ftl
     Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
         bool payload = true);
 
+    /** Its channels' completion hooks point back at it. */
+    Ftl(const Ftl &) = delete;
+    Ftl &operator=(const Ftl &) = delete;
+
     /**
      * Read logical page @p lpn at time @p when; @p cb fires with the
      * completion time. The page must be mapped (reads of never-written
@@ -73,7 +77,7 @@ class Ftl
     /**
      * Program logical page @p lpn (out-of-place) at @p when with new
      * contents @p data (stored only with payload; nullptr without);
-     * @p cb fires at completion. May trigger GC.
+     * @p cb fires at completion, before the GC check. May trigger GC.
      */
     void writePage(std::uint64_t lpn, Tick when, const PageData *data,
                    FlashDoneFn cb);
@@ -140,10 +144,11 @@ class Ftl
 
     /**
      * Consistency check of the mapping state: every block's valid count
-     * equals its live slots, every valid host mapping points at a slot
-     * holding that LPN, free blocks hold no live slots, and valid host
-     * mappings plus live cold slots sum to the valid counts. Returns ""
-     * when consistent, else a description of the first violation.
+     * equals its live slots (0 for a block never written), every valid
+     * host mapping points at a slot holding that LPN, erased free
+     * blocks hold no live slots, and valid host mappings plus live cold
+     * slots sum to the valid counts. Returns "" when consistent, else a
+     * description of the first violation.
      */
     std::string audit() const;
 
@@ -173,8 +178,10 @@ class Ftl
         /**
          * LPN stored in each page slot, block-major
          * (block * pagesPerBlock + slot); kInvalidLpn when dead/empty.
+         * A block's slots are written from its first mapped page on, so
+         * an unwritten channel (DRAM-Only) touches none of this array.
          */
-        std::vector<std::uint64_t> slotLpn;
+        std::unique_ptr<std::uint64_t[]> slotLpn;
         std::vector<std::uint32_t> freeList;
         std::uint32_t openBlock = 0;
         bool gcRunning = false;

@@ -12,7 +12,7 @@
  * A trace record is "k compute instructions followed by one memory access".
  * Generators are pull-based and **batched**: the front end refills a
  * fixed-capacity per-thread TraceBatch in one virtual call, and the core
- * model consumes it as a flat pointer walk (ThreadContext::fetch is an
+ * model consumes it as a flat pointer walk (ThreadContext::peek is an
  * inline array read). The record stream per thread is identical to
  * fetching records one at a time — batching is a wall-clock optimization
  * with no simulated-behaviour effect, which the equivalence tests in

@@ -28,7 +28,7 @@ class ScriptedBackend : public MemoryBackend
     read(const MemRequest &req, Tick when, MemCallback cb) override
     {
         reads_++;
-        if (hintAll) {
+        if (hintAll || reads_ <= hintFirst) {
             MemResponse resp;
             resp.kind = MemResponseKind::DelayHint;
             resp.lineAddr = req.lineAddr;
@@ -67,6 +67,8 @@ class ScriptedBackend : public MemoryBackend
     std::vector<Tick> coreDataLatency;
     Tick hintLatency = nsToTicks(100.0);
     bool hintAll = false;
+    /** Hint the first this-many reads, then answer with data. */
+    std::uint64_t hintFirst = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };
@@ -173,7 +175,7 @@ struct CoreFixture
         sched.setCores(std::move(raw));
         for (int t = 0; t < workload->numThreads(); ++t) {
             threads.push_back(std::make_unique<ThreadContext>(
-                t, workload.get()));
+                t, workload.get(), cpu.robEntries));
             sched.addThread(threads.back().get());
         }
     }
@@ -351,6 +353,34 @@ TEST(CoreModel, HintTriggersContextSwitchAndReplay)
     // Each hinted access re-issues after resume (C4): reads exceed
     // context switches.
     EXPECT_GE(fx.backend.reads_, fx.core->stats().contextSwitches);
+}
+
+TEST(CoreModel, SquashedWorkCommitsOnceThroughASmallRing)
+{
+    // A 3-slot ROB (a 4-record ring) with records of 1 to 3 slots, and
+    // the first 30 reads hinted: each hint squashes the window and the
+    // thread comes back to re-issue it, so the ring rewinds and wraps
+    // many times. Every record still commits exactly once.
+    PolicyConfig pol;
+    pol.deviceTriggeredCtxSwitch = true;
+    CpuConfig cpu;
+    cpu.robEntries = 3;
+    std::vector<TraceRecord> records;
+    for (std::uint32_t i = 0; i < 40; ++i)
+        records.push_back(
+            {i % 3, false, Workload::kDataBase + (i + 1) * kPageBytes});
+    CoreFixture fx(std::make_unique<ListWorkload>(std::move(records)),
+                   pol, cpu);
+    fx.backend.hintFirst = 30;
+    fx.run();
+    ASSERT_TRUE(fx.sched.allFinished());
+    const CoreStats &st = fx.core->stats();
+    EXPECT_GE(st.contextSwitches, 10u);
+    EXPECT_GT(st.squashedRecords, st.contextSwitches);
+    EXPECT_EQ(st.committedInstructions, 40u + 39u); // 40 + sum of i % 3
+    EXPECT_EQ(st.committedInstructions,
+              fx.workload->instructionsEmitted(0));
+    EXPECT_EQ(fx.backend.reads_, 30u + 40u);
 }
 
 TEST(CoreModel, NoSwitchesWhenPolicyDisabled)

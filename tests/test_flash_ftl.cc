@@ -290,6 +290,36 @@ TEST(Ftl, ColdLpnRangeIsNotHostAddressable)
     EXPECT_EQ(ftl.audit(), "");
 }
 
+TEST(Ftl, ProgramCompletionRechecksGcAfterItsCallback)
+{
+    // Every page stays valid, so a GC round finds nothing to reclaim
+    // and stops at once, and each check below the free-block threshold
+    // counts one run. A host program checks when it is issued and again
+    // when it completes, after the caller's callback.
+    EventQueue eq;
+    const FlashConfig cfg = tinyFlash();
+    Ftl ftl(cfg, eq, 1);
+    const auto threshold = static_cast<std::uint32_t>(
+        static_cast<double>(cfg.blocksPerChannel())
+        * cfg.gcFreeBlockThreshold);
+    std::uint64_t lpn = 0;
+    while (ftl.freeBlocks(0) >= threshold) {
+        ftl.writePage(lpn, eq.now(), nullptr, nullptr);
+        lpn += cfg.channels; // channel 0, never rewritten
+    }
+    eq.run();
+    const std::uint64_t before = ftl.stats().gcRuns;
+    std::uint64_t at_callback = 0;
+    ftl.writePage(lpn, eq.now(), nullptr,
+                  [&](Tick) { at_callback = ftl.stats().gcRuns; });
+    EXPECT_EQ(ftl.stats().gcRuns, before + 1);
+    eq.run();
+    EXPECT_EQ(at_callback, before + 1);
+    EXPECT_EQ(ftl.stats().gcRuns, before + 2);
+    EXPECT_EQ(ftl.stats().gcErases, 0u);
+    EXPECT_EQ(ftl.audit(), "");
+}
+
 TEST(Ftl, GcTriggersAndReclaims)
 {
     EventQueue eq;

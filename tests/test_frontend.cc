@@ -183,6 +183,25 @@ TEST(ConfigFile, RejectsUnknownKeys)
     }
 }
 
+TEST(ConfigFile, RejectsOutOfRangeRobEntries)
+{
+    ExperimentSpec spec;
+    applyAssignment("rob_entries=4096", spec);
+    EXPECT_EQ(spec.config.cpu.robEntries, 4096u);
+    for (const char *bad : {"rob_entries=0", "rob_entries=4097",
+                            "rob_entries=4294967552"}) {
+        try {
+            applyAssignment(bad, spec);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("rob_entries"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(spec.config.cpu.robEntries, 4096u);
+}
+
 TEST(ConfigFile, RejectsMalformedValues)
 {
     ExperimentSpec spec;

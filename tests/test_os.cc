@@ -31,7 +31,8 @@ struct SchedFixture
         workload = makeWorkload("uniform", p);
         for (int i = 0; i < num_threads; ++i)
             threads.push_back(
-                std::make_unique<ThreadContext>(i, workload.get()));
+                std::make_unique<ThreadContext>(i, workload.get(),
+                                                cpu_cfg.robEntries));
         core = std::make_unique<Core>(0, cpu_cfg, policy_cfg, eq, uncore);
         core->setScheduler(&sched);
         sched.setCores({core.get()});

@@ -24,11 +24,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,26 +73,20 @@ TEST(InlineFunction, InlineTargetInvokesAndDestructsOnce)
     EXPECT_EQ(destroyed, 1);
 }
 
-TEST(InlineFunction, OversizedTargetFallsBackToHeap)
+TEST(InlineFunction, OversizedTargetDoesNotConstruct)
 {
-    int destroyed = 0;
-    {
-        // 64-byte payload exceeds the 16-byte buffer: heap cell.
-        std::array<std::uint64_t, 8> payload{};
-        payload[7] = 7;
-        InlineFunction<std::uint64_t(), 16> fn(
-            [payload, d = DtorCounter(&destroyed)] {
-                return payload[7];
-            });
-        EXPECT_EQ(fn(), 7u);
-
-        // Moving transfers heap ownership; source becomes null.
-        InlineFunction<std::uint64_t(), 16> moved = std::move(fn);
-        EXPECT_FALSE(static_cast<bool>(fn));
-        EXPECT_EQ(moved(), 7u);
-        EXPECT_EQ(destroyed, 0); // pointer handoff, no dtor run
-    }
-    EXPECT_EQ(destroyed, 1);
+    // A callable larger than the buffer is a compile error, so no
+    // callback ever spills to the heap.
+    std::array<std::uint64_t, 8> payload{};
+    payload[7] = 7;
+    auto fn = [payload] { return payload[7]; };
+    static_assert(sizeof(fn) == 64);
+    static_assert(!std::is_constructible_v<
+                  InlineFunction<std::uint64_t(), 16>, decltype(fn)>);
+    static_assert(std::is_constructible_v<
+                  InlineFunction<std::uint64_t(), 64>, decltype(fn)>);
+    InlineFunction<std::uint64_t(), 64> fits(fn);
+    EXPECT_EQ(fits(), 7u);
 }
 
 TEST(InlineFunction, MoveAssignDestroysPreviousTarget)

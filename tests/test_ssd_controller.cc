@@ -270,12 +270,10 @@ TEST(SsdController, PageInterfaceRoundTrip)
     dev.eq.run();
     PageData got{};
     bool done = false;
-    dev.ssd.readPageToHost(6, dev.eq.now(),
-                           [&](Tick, const PageData *d) {
-                               ASSERT_NE(d, nullptr);
-                               got = *d;
-                               done = true;
-                           });
+    dev.ssd.readPageToHost(6, dev.eq.now(), [&](Tick) {
+        got = dev.ssd.snapshotPage(6);
+        done = true;
+    });
     while (!done && dev.eq.step()) {
     }
     EXPECT_EQ(got[5], 505u);

@@ -4,7 +4,8 @@
  * cross-core coalescing (§III-A C1: one CXL.mem request can serve
  * instructions from several cores), DelayHint fan-out, and the off-chip
  * latency histogram that backs Figure 3. The binary replaces the global
- * operator new to count the miss path's allocations.
+ * operator new to count the allocations of the miss path and of a
+ * whole System::run.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 
 #include "common/event_queue.h"
 #include "cpu/uncore.h"
+#include "sim/experiment.h"
+#include "sim/system.h"
 
 namespace {
 
@@ -227,6 +230,30 @@ TEST(Uncore, MissPathAllocatesNothingAfterWarmup)
     EXPECT_EQ(g_allocs, 0u);
     EXPECT_EQ(fx.uncore->llcCoalesced(), 12u);
     EXPECT_EQ(fx.uncore->linesInFlight(), 0u);
+}
+
+TEST(RunPhase, AllocationsStayBoundedAtAnyRunLength)
+{
+    // What a run keeps is sized at construction or recycled from slabs,
+    // so System::run (result included) allocates only while slabs and
+    // page tables grow to their peak, not per instruction, squash or
+    // callback: doubling the run length stays within the same bound.
+    for (const char *variant :
+         {"DRAM-Only", "Base-CSSD", "SkyByte-C", "AstriFlash-CXL"}) {
+        for (const char *workload :
+             {"zipf:footprint=64M,instr=200000,threads=4",
+              "zipf:footprint=64M,instr=400000,threads=4"}) {
+            System sys(makeBenchConfig(variant), workload,
+                       WorkloadParams{});
+            g_allocs = 0;
+            g_countAllocs = true;
+            const SimResult res = sys.run();
+            g_countAllocs = false;
+            EXPECT_LE(g_allocs, 64u) << variant << " / " << workload;
+            EXPECT_FALSE(res.timedOut);
+            EXPECT_GT(res.committedInstructions, 0u);
+        }
+    }
 }
 
 } // namespace
