@@ -1,7 +1,10 @@
 #include "core/migration.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace skybyte {
 
@@ -12,6 +15,12 @@ MigrationEngine::MigrationEngine(const SimConfig &cfg, EventQueue &eq,
       rng_(cfg.seed ^ 0x711fULL), plb_(cfg.hostMem.plbEntries)
 {
     if (cfg_.hostMem.hugePageBytes >= kPageBytes) {
+        // A PLB entry's chunk and dirty bitmaps hold one 2 MB region.
+        if (cfg_.hostMem.hugePageBytes / kPageBytes > Plb::kMaxRegionPages) {
+            throw std::invalid_argument(
+                "MigrationEngine: huge pages larger than 2 MiB: "
+                + std::to_string(cfg_.hostMem.hugePageBytes));
+        }
         regionPages_ = static_cast<std::uint32_t>(
             cfg_.hostMem.hugePageBytes / kPageBytes);
     }
@@ -20,26 +29,6 @@ MigrationEngine::MigrationEngine(const SimConfig &cfg, EventQueue &eq,
             return onHotPage(lpn, now);
         });
     }
-}
-
-MigrationEngine::~MigrationEngine()
-{
-    // The slab frees its chunks wholesale but never runs destructors
-    // for still-live records; each region owns a dirty-page vector, so
-    // drain the survivors explicitly.
-    for (PromotedRegion *region : promoted_) {
-        if (region != nullptr)
-            regionSlab_.release(region);
-    }
-}
-
-void
-MigrationEngine::markDirty(std::vector<std::uint64_t> &pages,
-                           std::uint64_t lpn)
-{
-    const auto it = std::lower_bound(pages.begin(), pages.end(), lpn);
-    if (it == pages.end() || *it != lpn)
-        pages.insert(it, lpn);
 }
 
 PageHome
@@ -57,7 +46,7 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
         // Either way the write only survives in the host copy once the
         // migration completes (the SSD drops its log/cache state), so
         // the page must demote dirty later.
-        markDirty(entry->dirtyPages, lpn);
+        markDirty(entry->dirtyPages, chunk);
         if (entry->lineMigrated(chunk, line)) {
             migStats_.inflightWriteRedirects++;
             return PageHome::Host;
@@ -69,7 +58,7 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
         PromotedRegion &region = *resident;
         region.lastUse = now;
         if (is_write)
-            markDirty(region.dirtyPages, lpn);
+            markDirty(region.dirtyPages, lpn - base);
         // Per-access recency upkeep for whichever structure the active
         // reclaim policy consults for victims; the unused one only
         // needs the unlink-on-demote invariant, not fresh order.
@@ -269,7 +258,7 @@ MigrationEngine::finishMigration(std::uint64_t base)
         region.base = base;
         // Writes that landed while the region copied must demote dirty;
         // the PLB entry is the one record of them.
-        region.dirtyPages = std::move(plb_.find(base)->dirtyPages);
+        region.dirtyPages = plb_.find(base)->dirtyPages;
         plb_.release(base);
         lruInsertByLastUse(region);
         for (std::uint32_t p = 0; p < regionPages_; ++p)
@@ -360,17 +349,23 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
     lruUnlink(*region);
     // Copy the host copy back into fresh SSD pages (§III-C eviction).
     // Clean pages need no copy at all: flash still holds their data.
-    // dirtyPages is sorted, so the copy-back order is the ascending
-    // page order regardless of the order the writes arrived in.
-    for (std::uint64_t lpn : region->dirtyPages) {
-        if (!cfg_.audit) {
-            ssd_.writePageFromHost(lpn, nullptr, now);
-            continue;
+    // Walking the bitmap's set bits gives the ascending page order
+    // regardless of the order the writes arrived in.
+    for (std::size_t word = 0; word < region->dirtyPages.size(); ++word) {
+        for (std::uint64_t bits = region->dirtyPages[word]; bits != 0;
+             bits &= bits - 1) {
+            const std::uint64_t lpn =
+                base + word * 64
+                + static_cast<std::uint64_t>(std::countr_zero(bits));
+            if (!cfg_.audit) {
+                ssd_.writePageFromHost(lpn, nullptr, now);
+                continue;
+            }
+            PageData data{};
+            for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
+                data[off] = hostDram_.peek(hostKeyOf(lpn, off));
+            ssd_.writePageFromHost(lpn, &data, now);
         }
-        PageData data{};
-        for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
-            data[off] = hostDram_.peek(hostKeyOf(lpn, off));
-        ssd_.writePageFromHost(lpn, &data, now);
     }
     promoted_[regionIndex(base)] = nullptr;
     regionSlab_.release(region);

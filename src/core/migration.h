@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
@@ -68,11 +69,11 @@ struct MigrationStats
 class MigrationEngine
 {
   public:
+    /** @throws std::invalid_argument if hostMem.hugePageBytes spans
+     *  more than Plb::kMaxRegionPages pages */
     MigrationEngine(const SimConfig &cfg, EventQueue &eq,
                     SsdController &ssd, DramModel &host_dram,
                     CxlLink &link);
-
-    ~MigrationEngine();
 
     /** Hook charging TLB-shootdown cost to every core. */
     void
@@ -159,14 +160,19 @@ class MigrationEngine
         std::uint64_t base = 0;
         PromotedRegion *lruPrev = nullptr;
         PromotedRegion *lruNext = nullptr;
-        /** Pages written while promoted (need copy-back on demotion):
-         *  sorted and unique, so demotion copy-back walks ascending. */
-        std::vector<std::uint64_t> dirtyPages;
+        /** Pages written while promoted (need copy-back on demotion),
+         *  by offset from base; demotion walks them ascending. */
+        Plb::PageBitmap dirtyPages{};
     };
+    // regionSlab_ frees still-live regions without destroying them.
+    static_assert(std::is_trivially_destructible_v<PromotedRegion>);
 
-    /** Record @p lpn in a sorted-unique dirty-page list. */
-    static void markDirty(std::vector<std::uint64_t> &pages,
-                          std::uint64_t lpn);
+    /** Mark page @p offset of a region in @p pages. */
+    static void
+    markDirty(Plb::PageBitmap &pages, std::uint64_t offset)
+    {
+        pages[offset / 64] |= std::uint64_t{1} << (offset % 64);
+    }
 
     /** Detach @p region from the recency list. */
     void lruUnlink(PromotedRegion &region);

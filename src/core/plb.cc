@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace skybyte {
 
@@ -55,6 +56,7 @@ Plb::allocate(std::uint64_t base_lpn, std::uint32_t region_pages)
     }
     if (find(base_lpn) != nullptr)
         return nullptr; // already migrating: caller bug, refuse quietly
+    assert(region_pages <= kMaxRegionPages);
     Entry *entry = free_.back();
     free_.pop_back();
     *entry = Entry{};

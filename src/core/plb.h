@@ -53,6 +53,12 @@ struct PlbStats
 class Plb
 {
   public:
+    /** Largest region an entry tracks: a 2 MB huge page of 4 KB pages. */
+    static constexpr std::uint32_t kMaxRegionPages = 512;
+    /** One bit per 4 KB page of a region, indexed by offset from its
+     *  first page. */
+    using PageBitmap = std::array<std::uint64_t, kMaxRegionPages / 64>;
+
     /** One in-flight migration. */
     struct Entry
     {
@@ -63,14 +69,14 @@ class Plb
         /** Chunk currently under migration (always 0 for 4 KB pages). */
         std::uint32_t currentChunk = 0;
         /** First-level 64 B bitmap: chunks fully migrated (§IV). */
-        std::array<std::uint64_t, 8> chunkBitmap{};
+        PageBitmap chunkBitmap{};
         /**
-         * Pages dirtied by writes while the region migrates, sorted and
-         * unique. Simulator state, not hardware (hardwareBytes() does
-         * not count it): the migration engine moves it onto the
-         * promoted region before release().
+         * Pages dirtied by writes while the region migrates. Simulator
+         * state, not hardware (hardwareBytes() does not count it): the
+         * migration engine copies it onto the promoted region before
+         * release().
          */
-        std::vector<std::uint64_t> dirtyPages;
+        PageBitmap dirtyPages{};
 
         /** Does the region cover 4 KB page @p lpn? */
         bool
@@ -97,8 +103,8 @@ class Plb
     explicit Plb(std::uint32_t entries);
 
     /**
-     * Start tracking a migration of @p region_pages 4 KB pages beginning
-     * at @p base_lpn.
+     * Start tracking a migration of @p region_pages (at most
+     * kMaxRegionPages) 4 KB pages beginning at @p base_lpn.
      * @return the live entry (valid until release()), or nullptr when
      *         the PLB is full or a live entry already covers @p base_lpn.
      */

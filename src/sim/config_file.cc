@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/plb.h"
 #include "trace/mix_workload.h"
 
 namespace skybyte {
@@ -151,6 +152,14 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
             throw std::invalid_argument(
                 "huge_page_byte must be 0 or a power-of-two multiple "
                 "of 4096: " + value);
+        }
+        // A PLB entry's bitmaps cover at most one 2 MB region.
+        constexpr std::uint64_t kMaxBytes =
+            std::uint64_t{Plb::kMaxRegionPages} * kPageBytes;
+        if (bytes > kMaxBytes) {
+            throw std::invalid_argument(
+                "huge_page_byte must be at most "
+                + std::to_string(kMaxBytes) + ": " + value);
         }
         cfg.hostMem.hugePageBytes = bytes;
     } else if (key == "plb_entries") {

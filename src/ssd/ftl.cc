@@ -304,17 +304,14 @@ Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
     //    quarter of the cold pages are dead (over-written data), leaving
     //    GC victims with reclaimable space — a steady-state device, not
     //    a pathological 100%-valid one. Nothing can have moved a cold
-    //    page yet, so its slot is killed directly.
+    //    page yet, so its slot is killed directly, right after mapping
+    //    (mapping draws no random number, so the draws keep their order).
     const std::uint32_t target_free = gcThresholdBlocks() + 2;
-    std::vector<Ppa> cold_pages;
     for (auto &ch : channels_) {
-        cold_pages.clear();
         while (ch.freeList.size() > target_free) {
             const std::uint64_t cold = ch.coldLpnNext;
             ch.coldLpnNext += cfg_.channels;
-            cold_pages.push_back(mapToOpenBlock(ch, cold));
-        }
-        for (const Ppa &at : cold_pages) {
+            const Ppa at = mapToOpenBlock(ch, cold);
             if (rng_.chance(0.25)) {
                 ch.slotLpn[slotIndex(at.block, at.slot)] = kInvalidLpn;
                 ch.blocks[at.block].validCount--;

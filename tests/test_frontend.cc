@@ -130,6 +130,24 @@ TEST(ConfigFile, RejectsBadHugePageSizes)
     EXPECT_NO_THROW(applyConfigStream(in, spec));
 }
 
+TEST(ConfigFile, RejectsOversizedHugePages)
+{
+    // A PLB entry's chunk bitmap holds the 512 pages of one 2 MB region.
+    for (const char *bad :
+         {"huge_page_byte=4194304", "huge_page_byte=1073741824"}) {
+        ExperimentSpec spec;
+        try {
+            applyAssignment(bad, spec);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("huge_page_byte"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(spec.config.hostMem.hugePageBytes, 0u) << bad;
+    }
+}
+
 TEST(ConfigFile, RejectsBadReclaimPolicy)
 {
     ExperimentSpec spec;

@@ -377,6 +377,42 @@ TEST(Migration, HugePageDemotionWritesBackOnlyDirtyChunks)
     EXPECT_EQ(fx.ssd.peekLine(6 * kPageBytes), 4321u);
 }
 
+TEST(Migration, RejectsHugePagesLargerThanAPlbEntryTracks)
+{
+    SimConfig cfg = migConfig(MigrationMechanism::SkyByte, 1024);
+    cfg.hostMem.hugePageBytes = 4 * 1024 * 1024;
+    EXPECT_THROW(MigFixture fx(cfg), std::invalid_argument);
+    cfg.hostMem.hugePageBytes = 2 * 1024 * 1024;
+    EXPECT_NO_THROW(MigFixture fx(cfg));
+}
+
+TEST(Migration, HugePageDemotionWritesBackDirtyPagesAcrossBitmapWords)
+{
+    SimConfig cfg = migConfig(MigrationMechanism::SkyByte, 512);
+    cfg.hostMem.hugePageBytes = 2 * 1024 * 1024;
+    MigFixture fx(cfg);
+    fx.cachePage(2);
+    ASSERT_TRUE(fx.engine.onHotPage(2, 0));
+    fx.eq.run();
+    ASSERT_TRUE(fx.engine.isPromoted(0));
+    // Pages in three different bitmap words, one of them written twice.
+    for (std::uint64_t lpn : {511u, 5u, 300u, 5u}) {
+        ASSERT_EQ(fx.engine.route(lpn, 0, fx.eq.now(), true),
+                  PageHome::Host);
+        fx.host.poke(lpn * kPageBytes, 7000 + lpn);
+    }
+    const std::uint64_t programs_before =
+        fx.ssd.ftl().stats().hostPrograms;
+    fx.cachePage(512);
+    const Tick later = fx.eq.now() + usToTicks(5'000.0);
+    ASSERT_TRUE(fx.engine.onHotPage(512, later));
+    fx.eq.run();
+    EXPECT_EQ(fx.engine.stats().demotions, 1u);
+    EXPECT_EQ(fx.ssd.ftl().stats().hostPrograms, programs_before + 3);
+    for (std::uint64_t lpn : {5u, 300u, 511u})
+        EXPECT_EQ(fx.ssd.peekLine(lpn * kPageBytes), 7000 + lpn) << lpn;
+}
+
 TEST(Migration, PinnedRegionNeverPromotesUnderHugePages)
 {
     SimConfig cfg = migConfig(MigrationMechanism::SkyByte, 8);

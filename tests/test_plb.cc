@@ -168,7 +168,7 @@ TEST(Plb, EntryPointersSurviveLaterAllocations)
     Plb::Entry *first = plb.allocate(1000, 1);
     ASSERT_NE(first, nullptr);
     EXPECT_FALSE(plb.markLine(*first, 0, 3));
-    first->dirtyPages.push_back(1000);
+    first->dirtyPages[0] |= 1; // page 1000, offset 0
     std::vector<Plb::Entry *> later;
     for (std::uint64_t i = 0; i < 11; ++i) {
         Plb::Entry *e = plb.allocate(i * 512, 512);
@@ -181,7 +181,7 @@ TEST(Plb, EntryPointersSurviveLaterAllocations)
 
     EXPECT_EQ(first->baseLpn, 1000u);
     EXPECT_TRUE(first->lineMigrated(0, 3));
-    EXPECT_EQ(first->dirtyPages, std::vector<std::uint64_t>{1000});
+    EXPECT_EQ(first->dirtyPages, Plb::PageBitmap{1});
     EXPECT_EQ(plb.find(1000), first);
     for (std::uint64_t i = 0; i < later.size(); ++i) {
         EXPECT_EQ(plb.find(i * 512), later[i]);

@@ -239,7 +239,8 @@ TEST(RunPhase, AllocationsStayBoundedAtAnyRunLength)
     // page tables grow to their peak, not per instruction, squash or
     // callback: doubling the run length stays within the same bound.
     for (const char *variant :
-         {"DRAM-Only", "Base-CSSD", "SkyByte-C", "AstriFlash-CXL"}) {
+         {"DRAM-Only", "Base-CSSD", "SkyByte-C", "SkyByte-CP",
+          "AstriFlash-CXL"}) {
         for (const char *workload :
              {"zipf:footprint=64M,instr=200000,threads=4",
               "zipf:footprint=64M,instr=400000,threads=4"}) {
