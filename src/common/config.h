@@ -205,10 +205,6 @@ struct SsdCacheConfig
     std::uint32_t dataCacheWays = 16; ///< ssd_cache_way
     Tick writeLogIndexLatency = nsToTicks(72.0);  ///< FPGA-measured (§V)
     Tick dataCacheIndexLatency = nsToTicks(49.0); ///< FPGA-measured (§V)
-    /** Second-level hash tables start at this many entries (§III-B). */
-    std::uint32_t logIndexInitialEntries = 4;
-    /** Resize when the load factor exceeds this (§III-B). */
-    double logIndexLoadFactor = 0.75;
     /** Base-CSSD sequential next-page prefetch on cache miss [32],[62]. */
     bool baseCssdPrefetch = true;
 };

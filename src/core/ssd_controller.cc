@@ -17,11 +17,9 @@ SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
              cfg.audit)
 {
     if (cfg.policy.writeLogEnable) {
-        // skybyte-lint: allow(hot-path-alloc) one-time construction; steady-state appends reuse the log's own slabs
-        log_ = std::make_unique<WriteLog>(
-            cfg.ssdCache.writeLogBytes,
-            cfg.ssdCache.logIndexInitialEntries,
-            cfg.ssdCache.logIndexLoadFactor);
+        // skybyte-lint: allow(hot-path-alloc) one-time construction; without payload, appends allocate only while the index grows to its peak
+        log_ = std::make_unique<WriteLog>(cfg.ssdCache.writeLogBytes,
+                                          cfg.audit);
     }
     compactJobs_.resize(cfg.flash.channels);
 }
@@ -574,9 +572,8 @@ SsdController::maybeStartCompaction(Tick now)
     // order per channel is part of the simulation's observable timing.
     std::vector<std::uint64_t> lpas;
     lpas.reserve(buf.pageCount());
-    buf.forEachPage([&lpas](std::uint64_t lpa, const LogPageTable &) {
-        lpas.push_back(lpa);
-    });
+    buf.forEachPage(
+        [&lpas](std::uint64_t lpa, std::uint64_t) { lpas.push_back(lpa); });
     std::sort(lpas.begin(), lpas.end());
     for (std::uint64_t lpa : lpas)
         compactJobs_[lpa % cfg_.flash.channels].push_back(lpa);

@@ -2,78 +2,35 @@
  * @file
  * The cacheline-granular write log (§III-B, Figures 11-13).
  *
- * All host writes append 64 B entries to a circular log in SSD DRAM; a
- * two-level hash index (first level keyed by logical page address, second
- * level mapping the 6-bit in-page offset to a 26-bit log offset) gives
- * O(1) lookups and lets compaction enumerate all logged lines of a page
- * in one traversal. Second-level tables start at 4 entries and double
- * when their load factor exceeds 0.75, exactly as the paper sizes them;
- * indexBytes() reproduces the paper's memory accounting (16 B first-level
- * entries, 4 B second-level entries).
+ * All host writes append 64 B entries to a circular log in SSD DRAM. The
+ * index has two levels: the first is keyed by logical page address, and
+ * each indexed page records which of its 64 lines are logged as one
+ * 64-bit line mask. That answers lookups in O(1) and lets compaction
+ * enumerate a page's logged lines in one traversal.
+ *
+ * The hardware's second level is a per-page hash table that starts at 4
+ * entries and doubles past load factor 0.75. Its shape decides no
+ * timing (the index latency is the FPGA-measured
+ * SsdCacheConfig::writeLogIndexLatency), so only its size is modelled:
+ * pageIndexBytes() gives a page's share of the paper's accounting from
+ * its logged-line count, and indexBytes() sums it.
+ *
+ * Line values are kept only with payload (SimConfig::audit). Without
+ * it, the log still knows which lines it holds and lookup() returns 0
+ * for each of them, as the other payload-off components do.
  */
 
 #ifndef SKYBYTE_CORE_WRITE_LOG_H
 #define SKYBYTE_CORE_WRITE_LOG_H
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "common/types.h"
 
 namespace skybyte {
-
-/**
- * Resizable second-level hash table: in-page line offset -> log offset.
- *
- * Open addressing with linear probing over packed 4 B entries (6-bit page
- * offset + 26-bit log offset), mirroring the hardware structure.
- */
-class LogPageTable
-{
-  public:
-    explicit LogPageTable(std::uint32_t initial_entries = 4,
-                          double max_load = 0.75);
-
-    /** Empty the table to @p initial_entries slots, keeping storage. */
-    void reset(std::uint32_t initial_entries);
-
-    /** Insert or update the log offset for @p line_off (0..63). */
-    void put(std::uint32_t line_off, std::uint32_t log_off);
-
-    /** Latest log offset for @p line_off, if any. */
-    std::optional<std::uint32_t> get(std::uint32_t line_off) const;
-
-    /** Number of distinct line offsets present. */
-    std::uint32_t count() const { return count_; }
-
-    /** Allocated entry slots (for memory accounting). */
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(slots_.size());
-    }
-
-    /** Visit all (line_off, log_off) pairs. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::uint32_t packed : slots_) {
-            if (packed != kEmpty)
-                fn(packed >> 26, packed & kLogOffMask);
-        }
-    }
-
-  private:
-    static constexpr std::uint32_t kEmpty = 0xffffffffu;
-    static constexpr std::uint32_t kLogOffMask = (1u << 26) - 1;
-
-    void grow();
-
-    std::vector<std::uint32_t> slots_;
-    std::uint32_t count_ = 0;
-    double maxLoad_;
-};
 
 /** Aggregate write-log statistics. */
 struct WriteLogStats
@@ -92,11 +49,25 @@ class WriteLogBuffer
   public:
     /**
      * @param capacity_bytes log array capacity (64 B per entry)
-     * @param initial_entries initial second-level table size
-     * @param max_load second-level resize threshold
+     * @param payload keep line values (SimConfig::audit)
      */
-    WriteLogBuffer(std::uint64_t capacity_bytes,
-                   std::uint32_t initial_entries, double max_load);
+    explicit WriteLogBuffer(std::uint64_t capacity_bytes,
+                            bool payload = true);
+
+    /**
+     * Index bytes of one page holding @p lines (>= 1) logged lines, per
+     * the paper (§III-B): a 16 B first-level entry plus 4 B per
+     * second-level slot, where the slots start at 4 and double while
+     * the load factor lines / slots exceeds 0.75.
+     */
+    static constexpr std::uint64_t
+    pageIndexBytes(std::uint32_t lines)
+    {
+        std::uint64_t slots = 4;
+        while (4ULL * lines > 3 * slots)
+            slots *= 2;
+        return 16 + 4 * slots;
+    }
 
     /**
      * Append one written line. Appending past capacity is allowed (the
@@ -117,46 +88,46 @@ class WriteLogBuffer
                                               : 0;
     }
 
-    /** Latest value of @p line_addr, if logged. */
+    /**
+     * Latest value of @p line_addr if logged (0 without payload);
+     * nullopt when not logged.
+     */
     std::optional<LineValue> lookup(Addr line_addr) const;
 
-    /** Number of live entries appended (including superseded ones). */
-    std::uint64_t size() const { return entries_.size(); }
+    /** Entries appended since the last clear(), superseded included. */
+    std::uint64_t size() const { return appended_; }
 
     std::uint64_t capacityEntries() const { return capacityEntries_; }
-    bool full() const { return entries_.size() >= capacityEntries_; }
-    bool empty() const { return entries_.empty(); }
+    bool full() const { return appended_ >= capacityEntries_; }
+    bool empty() const { return appended_ == 0; }
 
-    /** Drop every logged line of @p lpa (page migrated away, §III-C). */
+    /**
+     * Drop every logged line of @p lpa (page migrated away, §III-C).
+     * @return the number of lines dropped
+     */
     std::uint32_t invalidatePage(std::uint64_t lpa);
 
     /** Distinct pages currently indexed. */
-    std::size_t pageCount() const { return livePages_; }
+    std::size_t pageCount() const { return pages_.size(); }
 
     /**
-     * Visit each indexed page: fn(lpa, table). Used by compaction (L1
-     * traversal in Figure 13). Pages come in first-append order, except
-     * that invalidatePage moves the last page into the dropped one's
-     * place; order-sensitive consumers sort the keys they collect (see
-     * SsdController::maybeStartCompaction).
+     * Visit each indexed page: fn(lpa, line mask). Used by compaction
+     * (L1 traversal in Figure 13). Pages come in first-append order,
+     * except that invalidatePage moves the last page into the dropped
+     * one's place; order-sensitive consumers sort the keys they collect
+     * (see SsdController::maybeStartCompaction).
      */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < livePages_; ++i)
-            fn(pages_[i].lpa, pages_[i].table);
+        for (const IndexedPage &page : pages_)
+            fn(page.lpa, page.mask);
     }
 
-    /** Latest value for @p line_off within @p lpa via the index. */
-    std::optional<LineValue> valueAt(std::uint64_t lpa,
-                                     std::uint32_t line_off) const;
-
     /**
-     * Apply every logged line of @p lpa onto @p data in one index
-     * probe (the per-line valueAt loop cost 64 first-level lookups per
-     * page merge). Offsets are distinct, so application order within
-     * the table is immaterial. A null @p data only collects the mask.
+     * Apply every logged line of @p lpa onto @p data (0 for each line
+     * without payload). A null @p data only collects the mask.
      * @return bitmask of the logged line offsets
      */
     std::uint64_t mergePageInto(std::uint64_t lpa, PageData *data) const;
@@ -176,40 +147,30 @@ class WriteLogBuffer
     void clear();
 
   private:
-    struct Entry
-    {
-        Addr lineAddr;
-        LineValue value;
-    };
-
-    /** One first-level entry: an indexed page and its second level. */
+    /** One first-level entry: an indexed page and its logged lines. */
     struct IndexedPage
     {
-        std::uint64_t lpa = 0;
-        LogPageTable table;
+        std::uint64_t lpa;
+        std::uint64_t mask;
     };
 
-    /** Second-level table of @p lpa, or nullptr when not indexed. */
-    const LogPageTable *
-    tableOf(std::uint64_t lpa) const
+    /** Bitmask of the logged lines of @p lpa (0 when not indexed). */
+    std::uint64_t
+    maskOf(std::uint64_t lpa) const
     {
         if (lpa >= slotOf_.size() || slotOf_[lpa] == 0)
-            return nullptr;
-        return &pages_[slotOf_[lpa] - 1].table;
+            return 0;
+        return pages_[slotOf_[lpa] - 1].mask;
     }
 
     std::uint64_t capacityEntries_;
-    std::uint32_t initialEntries_;
-    double maxLoad_;
-    std::vector<Entry> entries_;
+    bool payload_;
+    std::uint64_t appended_ = 0;
     /** First level by lpa: 1 + its position in pages_, 0 if absent. */
     std::vector<std::uint32_t> slotOf_;
-    /**
-     * The indexed pages in [0, livePages_); the rest are spare tables,
-     * so a drained buffer refills without allocating.
-     */
     std::vector<IndexedPage> pages_;
-    std::size_t livePages_ = 0;
+    /** Latest value per logged line (payload only). */
+    std::map<Addr, LineValue> values_;
     std::uint64_t indexBytes_ = 0;
     /** Per-tenant appended-entry counts (empty unless QoS-configured). */
     std::vector<std::uint64_t> tenantEntries_;
@@ -223,8 +184,11 @@ class WriteLogBuffer
 class WriteLog
 {
   public:
-    WriteLog(std::uint64_t capacity_bytes, std::uint32_t initial_entries,
-             double max_load);
+    /**
+     * @param capacity_bytes capacity of each buffer (64 B per entry)
+     * @param payload keep line values (SimConfig::audit)
+     */
+    explicit WriteLog(std::uint64_t capacity_bytes, bool payload = true);
 
     /** Append to the active buffer (optionally tenant-attributed). */
     void append(Addr line_addr, LineValue value, int tenant = -1);
@@ -272,18 +236,6 @@ class WriteLog
 
     /** Invalidate a migrated page in both buffers. */
     void invalidatePage(std::uint64_t lpa);
-
-    /**
-     * Value of a line in the DRAINING buffer only (the compaction
-     * source); nullopt when not draining or not logged there.
-     */
-    std::optional<LineValue>
-    drainingValueAt(std::uint64_t lpa, std::uint32_t line_off) const
-    {
-        if (!drainInProgress_)
-            return std::nullopt;
-        return standby_.valueAt(lpa, line_off);
-    }
 
     /**
      * Gather every draining-buffer line of @p lpa into @p out in one

@@ -107,7 +107,12 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
     } else if (key == "flash_type") {
         cfg.flash.timing = nandTiming(parseNand(value));
     } else if (key == "num_cores") {
-        cfg.cpu.numCores = static_cast<int>(parseU64(value, key));
+        const std::uint64_t cores = parseU64(value, key);
+        if (cores == 0 || cores > 1024) {
+            throw std::invalid_argument(
+                "num_cores must be in [1, 1024]: " + value);
+        }
+        cfg.cpu.numCores = static_cast<int>(cores);
     } else if (key == "rob_entries") {
         // Every thread's window ring is allocated at this size.
         const std::uint64_t entries = parseU64(value, key);

@@ -10,7 +10,7 @@
  *   ssd_cache_size_byte=8388608   ssd_cache_way=16
  *   host_dram_size_byte=33554432  t_policy=FAIRNESS        (RR|RANDOM|FAIRNESS)
  *   write_log_size_byte=1048576   flash_type=ULL           (ULL|ULL2|SLC|MLC)
- *   num_cores=8                   rob_entries=256          (1-4096)
+ *   num_cores=8         (1-1024)  rob_entries=256          (1-4096)
  *   workload=ycsb                 num_threads=24
  *   instr_per_thread=100000       footprint_byte=134217728
  *   seed=42                       dram_only=0

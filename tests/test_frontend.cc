@@ -220,6 +220,25 @@ TEST(ConfigFile, RejectsOutOfRangeRobEntries)
     EXPECT_EQ(spec.config.cpu.robEntries, 4096u);
 }
 
+TEST(ConfigFile, RejectsOutOfRangeNumCores)
+{
+    ExperimentSpec spec;
+    applyAssignment("num_cores=1024", spec);
+    EXPECT_EQ(spec.config.cpu.numCores, 1024);
+    for (const char *bad : {"num_cores=0", "num_cores=1025",
+                            "num_cores=4294967297"}) {
+        try {
+            applyAssignment(bad, spec);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("num_cores"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(spec.config.cpu.numCores, 1024);
+}
+
 TEST(ConfigFile, RejectsMalformedValues)
 {
     ExperimentSpec spec;

@@ -1,20 +1,22 @@
 /**
  * @file
  * Functional payload is optional (SimConfig::audit). Each component that
- * can carry line values (SetAssocCache, DramModel, PageCache, Ftl) runs
- * one seeded random access/fill/evict mix twice, with payload off and on.
- * Timings, hits, victims and evictions must be identical; the instance
- * with payload returns the values last stored, and the one without
- * holds none (every value it reports is 0).
+ * can carry line values (SetAssocCache, DramModel, PageCache, Ftl,
+ * WriteLog) runs one seeded random access/fill/evict mix twice, with
+ * payload off and on. Timings, hits, victims and evictions must be
+ * identical; the instance with payload returns the values last stored,
+ * and the one without holds none (every value it reports is 0).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "common/rng.h"
 #include "core/page_cache.h"
+#include "core/write_log.h"
 #include "cpu/cache.h"
 #include "mem/dram.h"
 #include "ssd/ftl.h"
@@ -234,6 +236,101 @@ TEST(Payload, FtlProgramsTheSameWithoutValues)
     EXPECT_GT(on.stats().gcRuns, 0u); // the mix reached GC
     EXPECT_EQ(off.audit(), "");
     EXPECT_THROW(off.pageData(0), std::logic_error);
+}
+
+TEST(Payload, WriteLogBehavesTheSameWithoutValues)
+{
+    WriteLog on(64 * kCachelineBytes, true);
+    WriteLog off(64 * kCachelineBytes, false);
+    // Newest value of each line in the active and the draining buffer.
+    std::map<Addr, LineValue> active, draining;
+    auto same_buffers = [](const WriteLogBuffer &a, const WriteLogBuffer &b) {
+        return a.size() == b.size() && a.pageCount() == b.pageCount()
+               && a.indexBytes() == b.indexBytes();
+    };
+    auto newest = [&](Addr line) -> std::optional<LineValue> {
+        if (const auto it = active.find(line); it != active.end())
+            return it->second;
+        if (const auto it = draining.find(line); it != draining.end())
+            return it->second;
+        return std::nullopt;
+    };
+    Rng rng(0x1a9);
+    for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t lpa = rng.below(16);
+        const Addr line = lpa * kPageBytes + rng.below(kLinesPerPage)
+                                                 * kCachelineBytes;
+        switch (rng.below(8)) {
+          case 0: // a migrated page leaves both buffers
+            on.invalidatePage(lpa);
+            off.invalidatePage(lpa);
+            std::erase_if(active, [lpa](const auto &kv) {
+                return pageNumber(kv.first) == lpa;
+            });
+            std::erase_if(draining, [lpa](const auto &kv) {
+                return pageNumber(kv.first) == lpa;
+            });
+            break;
+          case 1: // compaction: start when full, finish when draining
+            if (on.draining()) {
+                on.finishCompaction();
+                off.finishCompaction();
+                draining.clear();
+            } else if (on.needCompaction()) {
+                ASSERT_TRUE(off.needCompaction()) << i;
+                on.beginCompaction();
+                off.beginCompaction();
+                draining = std::move(active);
+                active.clear();
+            }
+            break;
+          default: { // append
+            const LineValue v = rng.next() | 1;
+            on.append(line, v);
+            off.append(line, v);
+            active[line] = v;
+          }
+        }
+        ASSERT_EQ(off.draining(), on.draining()) << i;
+        ASSERT_EQ(off.stats().updateHits, on.stats().updateHits) << i;
+        ASSERT_EQ(off.stats().overflowAppends, on.stats().overflowAppends)
+            << i;
+        ASSERT_EQ(off.stats().indexBytesPeak, on.stats().indexBytesPeak)
+            << i;
+        ASSERT_TRUE(same_buffers(off.activeBuffer(), on.activeBuffer()))
+            << i;
+        ASSERT_TRUE(same_buffers(off.standbyBuffer(), on.standbyBuffer()))
+            << i;
+        ASSERT_EQ(off.activeBuffer().mergePageInto(lpa, nullptr),
+                  on.activeBuffer().mergePageInto(lpa, nullptr))
+            << i;
+        ASSERT_EQ(off.gatherDraining(lpa, nullptr),
+                  on.gatherDraining(lpa, nullptr))
+            << i;
+
+        const std::optional<LineValue> want = newest(line);
+        const std::optional<LineValue> got_on = on.lookup(line);
+        const std::optional<LineValue> got_off = off.lookup(line);
+        ASSERT_EQ(got_on.has_value(), want.has_value()) << i;
+        ASSERT_EQ(got_off.has_value(), want.has_value()) << i;
+        if (want) {
+            EXPECT_EQ(*got_on, *want) << i;
+            EXPECT_EQ(*got_off, 0u) << i;
+        }
+        // The merged page overlays the newest values (0 without payload)
+        // on exactly the logged lines.
+        PageData page_on{}, page_off{};
+        page_off.fill(7);
+        on.mergePageInto(lpa, page_on);
+        off.mergePageInto(lpa, page_off);
+        for (std::uint32_t o = 0; o < kLinesPerPage; ++o) {
+            const auto logged = newest(lpa * kPageBytes + o * kCachelineBytes);
+            EXPECT_EQ(page_on[o], logged.value_or(0)) << i;
+            EXPECT_EQ(page_off[o], logged ? 0u : 7u) << i;
+        }
+    }
+    EXPECT_GT(on.stats().updateHits, 0u);
+    EXPECT_GT(on.stats().overflowAppends, 0u); // appends outran drains
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit + property tests for the write log: the resizable two-level hash
- * index (§III-B, Figure 12), read-your-writes through double buffering,
+ * Unit + property tests for the write log: the two-level index
+ * (§III-B, Figure 12), read-your-writes through double buffering,
  * compaction source enumeration, migration invalidation, and the
  * paper's index memory accounting.
  */
@@ -23,60 +23,27 @@ addrOf(std::uint64_t page, std::uint32_t off)
     return page * kPageBytes + static_cast<Addr>(off) * kCachelineBytes;
 }
 
-TEST(LogPageTable, PutGetUpdate)
+TEST(WriteLogBuffer, IndexBytesFollowThePaperDoubling)
 {
-    LogPageTable t(4, 0.75);
-    EXPECT_FALSE(t.get(5).has_value());
-    t.put(5, 100);
-    ASSERT_TRUE(t.get(5).has_value());
-    EXPECT_EQ(*t.get(5), 100u);
-    t.put(5, 200);
-    EXPECT_EQ(*t.get(5), 200u);
-    EXPECT_EQ(t.count(), 1u);
-}
-
-TEST(LogPageTable, StartsAtFourEntriesAndDoubles)
-{
-    LogPageTable t(4, 0.75);
-    EXPECT_EQ(t.capacity(), 4u);
-    t.put(0, 1);
-    t.put(1, 2);
-    t.put(2, 3);
-    EXPECT_EQ(t.capacity(), 4u); // 3/4 = load factor 0.75, not exceeded
-    t.put(3, 4);
-    EXPECT_GT(t.capacity(), 4u); // doubled
-    // All survive the resize.
-    for (std::uint32_t off = 0; off < 4; ++off)
-        EXPECT_EQ(*t.get(off), off + 1);
-}
-
-TEST(LogPageTable, HoldsAllSixtyFourOffsets)
-{
-    LogPageTable t(4, 0.75);
-    for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
-        t.put(off, off * 3);
-    EXPECT_EQ(t.count(), kLinesPerPage);
-    for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
-        EXPECT_EQ(*t.get(off), off * 3);
-}
-
-TEST(LogPageTable, ForEachVisitsAll)
-{
-    LogPageTable t(4, 0.75);
-    t.put(1, 10);
-    t.put(7, 70);
-    t.put(63, 630);
-    std::map<std::uint32_t, std::uint32_t> seen;
-    t.forEach([&](std::uint32_t off, std::uint32_t log_off) {
-        seen[off] = log_off;
-    });
-    EXPECT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen[63], 630u);
+    // One page at every line count: 16 B first level + 4 B per slot,
+    // slots starting at 4 and doubling past load factor 0.75.
+    WriteLogBuffer buf(1024 * kCachelineBytes);
+    for (std::uint32_t lines = 1; lines <= kLinesPerPage; ++lines) {
+        buf.append(addrOf(9, lines - 1), lines);
+        const std::uint64_t want = lines <= 3    ? 32
+                                   : lines <= 6  ? 48
+                                   : lines <= 12 ? 80
+                                   : lines <= 24 ? 144
+                                   : lines <= 48 ? 272
+                                                 : 528;
+        EXPECT_EQ(buf.indexBytes(), want) << lines << " lines";
+        EXPECT_EQ(WriteLogBuffer::pageIndexBytes(lines), want) << lines;
+    }
 }
 
 TEST(WriteLogBuffer, AppendLookupSupersede)
 {
-    WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
+    WriteLogBuffer buf(1024 * kCachelineBytes);
     EXPECT_FALSE(buf.append(addrOf(1, 3), 10));
     EXPECT_TRUE(buf.append(addrOf(1, 3), 20)); // superseded
     ASSERT_TRUE(buf.lookup(addrOf(1, 3)).has_value());
@@ -86,7 +53,7 @@ TEST(WriteLogBuffer, AppendLookupSupersede)
 
 TEST(WriteLogBuffer, FullAtCapacity)
 {
-    WriteLogBuffer buf(8 * kCachelineBytes, 4, 0.75);
+    WriteLogBuffer buf(8 * kCachelineBytes);
     for (std::uint64_t i = 0; i < 8; ++i)
         buf.append(addrOf(i, 0), i);
     EXPECT_TRUE(buf.full());
@@ -94,7 +61,7 @@ TEST(WriteLogBuffer, FullAtCapacity)
 
 TEST(WriteLogBuffer, InvalidatePageDropsOnlyThatPage)
 {
-    WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
+    WriteLogBuffer buf(1024 * kCachelineBytes);
     buf.append(addrOf(1, 0), 1);
     buf.append(addrOf(1, 1), 2);
     buf.append(addrOf(2, 0), 3);
@@ -108,34 +75,34 @@ TEST(WriteLogBuffer, ProbesPastTheTableEndReadAsAbsent)
     // The first level grows only on append: a page far past any logged
     // one reads as absent, and growing to it would throw.
     constexpr std::uint64_t kFar = 1ULL << 44;
-    WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
+    WriteLogBuffer buf(1024 * kCachelineBytes);
     buf.append(addrOf(3, 0), 1);
-    EXPECT_FALSE(buf.valueAt(4, 0).has_value());
-    EXPECT_FALSE(buf.valueAt(kFar, 0).has_value());
+    EXPECT_FALSE(buf.lookup(addrOf(4, 0)).has_value());
+    EXPECT_FALSE(buf.lookup(addrOf(kFar, 0)).has_value());
     EXPECT_FALSE(buf.lookup(addrOf(kFar, 5)).has_value());
     EXPECT_EQ(buf.mergePageInto(kFar, nullptr), 0u);
     EXPECT_EQ(buf.invalidatePage(kFar), 0u);
     EXPECT_EQ(buf.pageCount(), 1u);
     EXPECT_EQ(buf.indexBytes(), 32u);
-    EXPECT_EQ(buf.valueAt(3, 0), std::optional<LineValue>(1));
+    EXPECT_EQ(buf.lookup(addrOf(3, 0)), std::optional<LineValue>(1));
 }
 
 TEST(WriteLogBuffer, IndexBytesAccounting)
 {
-    WriteLogBuffer buf(1024 * kCachelineBytes, 4, 0.75);
+    WriteLogBuffer buf(1024 * kCachelineBytes);
     EXPECT_EQ(buf.indexBytes(), 0u);
     buf.append(addrOf(42, 0), 1);
     // One first-level entry (16 B) + one 4-entry second-level (16 B).
     EXPECT_EQ(buf.indexBytes(), 32u);
-    // Filling the page forces second-level growth to >= 128 slots.
+    // Filling the page forces second-level growth to 128 slots.
     for (std::uint32_t off = 0; off < kLinesPerPage; ++off)
         buf.append(addrOf(42, off), off);
-    EXPECT_GE(buf.indexBytes(), 16u + 128u * 4u);
+    EXPECT_EQ(buf.indexBytes(), 528u);
 }
 
 TEST(WriteLog, DoubleBufferingReadYourWrites)
 {
-    WriteLog log(8 * kCachelineBytes, 4, 0.75);
+    WriteLog log(8 * kCachelineBytes);
     for (std::uint64_t i = 0; i < 8; ++i)
         log.append(addrOf(i, 0), i + 100);
     ASSERT_TRUE(log.needCompaction());
@@ -145,9 +112,9 @@ TEST(WriteLog, DoubleBufferingReadYourWrites)
     log.append(addrOf(0, 1), 999);
     EXPECT_EQ(*log.lookup(addrOf(0, 1)), 999u);
     EXPECT_EQ(*log.lookup(addrOf(3, 0)), 103u);
-    // drainingValueAt only exposes the draining buffer.
-    EXPECT_TRUE(log.drainingValueAt(3, 0).has_value());
-    EXPECT_FALSE(log.drainingValueAt(0, 1).has_value());
+    // gatherDraining only exposes the draining buffer.
+    EXPECT_EQ(log.gatherDraining(3, nullptr), 1u);
+    EXPECT_EQ(log.gatherDraining(0, nullptr), 1u); // line 0, not line 1
     log.finishCompaction();
     EXPECT_FALSE(log.lookup(addrOf(3, 0)).has_value());
     EXPECT_EQ(*log.lookup(addrOf(0, 1)), 999u);
@@ -155,7 +122,7 @@ TEST(WriteLog, DoubleBufferingReadYourWrites)
 
 TEST(WriteLog, ActiveValueShadowsDraining)
 {
-    WriteLog log(4 * kCachelineBytes, 4, 0.75);
+    WriteLog log(4 * kCachelineBytes);
     for (std::uint64_t i = 0; i < 4; ++i)
         log.append(addrOf(7, static_cast<std::uint32_t>(i)), i);
     log.beginCompaction();
@@ -165,7 +132,7 @@ TEST(WriteLog, ActiveValueShadowsDraining)
 
 TEST(WriteLog, OverflowCountedNotDropped)
 {
-    WriteLog log(4 * kCachelineBytes, 4, 0.75);
+    WriteLog log(4 * kCachelineBytes);
     for (std::uint64_t i = 0; i < 4; ++i)
         log.append(addrOf(i, 0), i);
     log.beginCompaction();
@@ -178,7 +145,7 @@ TEST(WriteLog, OverflowCountedNotDropped)
 
 TEST(WriteLog, StatsTrackUpdatesAndCompactions)
 {
-    WriteLog log(16 * kCachelineBytes, 4, 0.75);
+    WriteLog log(16 * kCachelineBytes);
     log.append(addrOf(1, 1), 1);
     log.append(addrOf(1, 1), 2);
     EXPECT_EQ(log.stats().appends, 2u);
@@ -193,7 +160,7 @@ class WriteLogProperty : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(WriteLogProperty, MatchesReferenceMap)
 {
     Rng rng(GetParam());
-    WriteLog log(256 * kCachelineBytes, 4, 0.75);
+    WriteLog log(256 * kCachelineBytes);
     std::map<Addr, LineValue> ref;
     for (int i = 0; i < 4000; ++i) {
         const Addr a = addrOf(rng.below(32), static_cast<std::uint32_t>(
@@ -246,7 +213,7 @@ TEST_P(WriteLogProperty, IncrementalIndexBytesMatchesRecomputation)
     // from-scratch walk across random append / invalidate / compaction
     // sequences in both buffers.
     Rng rng(GetParam() ^ 0xacc01a7ULL);
-    WriteLog log(128 * kCachelineBytes, 4, 0.75);
+    WriteLog log(128 * kCachelineBytes);
     auto check = [&log] {
         ASSERT_EQ(log.activeBuffer().indexBytes(),
                   log.activeBuffer().indexBytesRecomputed());
@@ -283,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WriteLogProperty,
 
 TEST(WriteLog, TenantQuotaTripsAndClearsWithCompaction)
 {
-    WriteLog log(8 * kCachelineBytes, 4, 0.75);
+    WriteLog log(8 * kCachelineBytes);
     log.setTenantQuotas({2, 100});
     EXPECT_FALSE(log.overQuota(0));
     log.append(addrOf(0, 0), 1, 0);

@@ -10,7 +10,7 @@
  *   -k        inline override, e.g. -k cs_threshold=2000 or
  *             -k workload=zipf:theta=0.99,footprint=64M (any
  *             registered workload spec string)
- *   -c        number of simulated cores
+ *   -c        number of simulated cores, 1-1024 (same as -k num_cores=)
  *   -f        write the result as JSON to this file ("-" = stdout)
  *   -p        print detailed runtime information (summary to stdout)
  *   -d        run with effectively infinite host DRAM for promotions
@@ -78,7 +78,7 @@ main(int argc, char **argv)
             } else if (arg == "-k") {
                 applyAssignment(next(), spec);
             } else if (arg == "-c") {
-                spec.config.cpu.numCores = std::stoi(next());
+                applyAssignment("num_cores=" + next(), spec);
             } else if (arg == "-f") {
                 out_path = next();
             } else if (arg == "-p") {
