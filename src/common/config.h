@@ -38,7 +38,8 @@ enum class NandType { ULL, ULL2, SLC, MLC };
 
 /**
  * Host page-reclaim policy used to pick demotion victims (§III-C cites
- * Linux's active/inactive lists; LruScan is the simpler exact-LRU scan).
+ * Linux's active/inactive lists; LruScan is the simpler exact LRU: the
+ * head of a recency list kept sorted by last use).
  */
 enum class ReclaimPolicy { LruScan, ActiveInactive };
 

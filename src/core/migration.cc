@@ -6,13 +6,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "trace/tenant_map.h"
+
 namespace skybyte {
 
 MigrationEngine::MigrationEngine(const SimConfig &cfg, EventQueue &eq,
                                  SsdController &ssd, DramModel &host_dram,
-                                 CxlLink &link)
+                                 CxlLink &link, const TenantMap *tenants)
     : cfg_(cfg), eq_(eq), ssd_(ssd), hostDram_(host_dram), link_(link),
-      rng_(cfg.seed ^ 0x711fULL), plb_(cfg.hostMem.plbEntries)
+      rng_(cfg.seed ^ 0x711fULL), plb_(cfg.hostMem.plbEntries),
+      tenants_(tenants)
 {
     if (cfg_.hostMem.hugePageBytes >= kPageBytes) {
         // A PLB entry's chunk and dirty bitmaps hold one 2 MB region.
@@ -23,6 +26,14 @@ MigrationEngine::MigrationEngine(const SimConfig &cfg, EventQueue &eq,
         }
         regionPages_ = static_cast<std::uint32_t>(
             cfg_.hostMem.hugePageBytes / kPageBytes);
+    }
+    if (tenants_ != nullptr && cfg_.qos.migrationShare) {
+        // Floored at one region so no tenant is locked out of host
+        // DRAM entirely.
+        tenantShareBytes_ = tenants_->splitByWeight(
+            static_cast<double>(cfg_.hostMem.promotedBytesMax),
+            static_cast<std::uint64_t>(regionPages_) * kPageBytes);
+        tenantPromotedBytes_.assign(tenantShareBytes_.size(), 0);
     }
     if (cfg_.policy.migration == MigrationMechanism::SkyByte) {
         ssd_.setHotPageHook([this](std::uint64_t lpn, Tick now) {
@@ -123,23 +134,11 @@ MigrationEngine::onSsdAccess(std::uint64_t lpn, Tick now)
     promote(base, now, usToTicks(3.0));
 }
 
-void
-MigrationEngine::setTenantShares(std::vector<Addr> device_starts,
-                                 std::vector<std::uint64_t> share_bytes)
+int
+MigrationEngine::shareTenantOf(std::uint64_t base) const
 {
-    tenantStarts_ = std::move(device_starts);
-    tenantShareBytes_ = std::move(share_bytes);
-    tenantPromotedBytes_.assign(tenantShareBytes_.size(), 0);
-}
-
-std::size_t
-MigrationEngine::tenantOfBase(std::uint64_t base) const
-{
-    const Addr dev = base * kPageBytes;
-    std::size_t t = tenantStarts_.size() - 1;
-    while (t > 0 && dev < tenantStarts_[t])
-        t--;
-    return t;
+    return tenantShareBytes_.empty() ? -1
+                                     : tenants_->ofDevice(base * kPageBytes);
 }
 
 bool
@@ -149,13 +148,13 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
         static_cast<std::uint64_t>(regionPages_) * kPageBytes;
     // Per-tenant share cap first: a promotion the cap will reject must
     // not demote other tenants' regions on its way to the rejection.
-    if (!tenantShareBytes_.empty()) {
-        const std::size_t t = tenantOfBase(base);
-        if (tenantPromotedBytes_[t] + region_bytes
-            > tenantShareBytes_[t]) {
-            migStats_.rejectedTenantShare++;
-            return false;
-        }
+    const int tenant = shareTenantOf(base);
+    if (tenant >= 0
+        && tenantPromotedBytes_[static_cast<std::size_t>(tenant)]
+                   + region_bytes
+               > tenantShareBytes_[static_cast<std::size_t>(tenant)]) {
+        migStats_.rejectedTenantShare++;
+        return false;
     }
     // Anti-thrash guard: when the host budget is full, only displace a
     // region that has been idle for a while. If even the coldest
@@ -182,8 +181,9 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
     scheduleBurst(base, 0, t_irq);
     // The PLB entry already holds host DRAM, so the share is charged
     // from the start of the copy, mirroring promotedPages().
-    if (!tenantShareBytes_.empty())
-        tenantPromotedBytes_[tenantOfBase(base)] += region_bytes;
+    if (tenant >= 0)
+        tenantPromotedBytes_[static_cast<std::size_t>(tenant)] +=
+            region_bytes;
     return true;
 }
 
@@ -371,11 +371,11 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
     regionSlab_.release(region);
     if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
         lists_.erase(regionIndex(base)); // no-op when chosen via selectVictim
-    if (!tenantShareBytes_.empty()) {
+    if (const int tenant = shareTenantOf(base); tenant >= 0) {
         const std::uint64_t region_bytes =
             static_cast<std::uint64_t>(regionPages_) * kPageBytes;
         std::uint64_t &held =
-            tenantPromotedBytes_[tenantOfBase(base)];
+            tenantPromotedBytes_[static_cast<std::size_t>(tenant)];
         held -= std::min(held, region_bytes);
     }
 

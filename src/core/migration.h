@@ -16,9 +16,10 @@
  * custom NVMe notify command of §IV).
  *
  * When the host budget is exhausted, a demotion victim is chosen either
- * by an exact-LRU scan or by Linux-style active/inactive lists
- * (src/core/reclaim.h), per HostMemConfig::reclaim. Clean regions demote
- * for free; dirty pages are copied back into fresh SSD pages.
+ * by exact LRU (the head of a recency list sorted by last use) or by
+ * Linux-style active/inactive lists (src/core/reclaim.h), per
+ * HostMemConfig::reclaim. Clean regions demote for free; dirty pages
+ * are copied back into fresh SSD pages.
  *
  * TPP mode [43]: hotness is estimated host-side by sampling CXL accesses
  * (less accurate than the SSD's per-page counters, as §VI-H observes),
@@ -46,6 +47,8 @@
 
 namespace skybyte {
 
+class TenantMap;
+
 /** Where a cacheline access should be served right now. */
 enum class PageHome { Ssd, Host };
 
@@ -69,11 +72,18 @@ struct MigrationStats
 class MigrationEngine
 {
   public:
-    /** @throws std::invalid_argument if hostMem.hugePageBytes spans
-     *  more than Plb::kMaxRegionPages pages */
+    /**
+     * With QosConfig::migrationShare and non-null @p tenants, each
+     * tenant's promoted regions may hold at most max(one region,
+     * promotedBytesMax x weight share) bytes of host DRAM; promotions
+     * beyond the share are rejected and counted in
+     * MigrationStats::rejectedTenantShare.
+     * @throws std::invalid_argument if hostMem.hugePageBytes spans
+     *  more than Plb::kMaxRegionPages pages
+     */
     MigrationEngine(const SimConfig &cfg, EventQueue &eq,
                     SsdController &ssd, DramModel &host_dram,
-                    CxlLink &link);
+                    CxlLink &link, const TenantMap *tenants = nullptr);
 
     /** Hook charging TLB-shootdown cost to every core. */
     void
@@ -98,17 +108,6 @@ class MigrationEngine
 
     /** TPP policy entry: sample an SSD access host-side. */
     void onSsdAccess(std::uint64_t lpn, Tick now);
-
-    /**
-     * Per-tenant migration-budget shares (QosConfig::migrationShare):
-     * tenant t (device regions starting at @p device_starts[t]) may
-     * hold at most @p share_bytes[t] bytes of promoted host DRAM;
-     * promotions beyond the share are rejected and counted in
-     * MigrationStats::rejectedTenantShare. Both vectors are indexed by
-     * tenant in declaration order; empty share vectors disable the cap.
-     */
-    void setTenantShares(std::vector<Addr> device_starts,
-                         std::vector<std::uint64_t> share_bytes);
 
     /** Promoted bytes currently attributed to @p tenant (QoS view). */
     std::uint64_t tenantPromotedBytes(std::size_t tenant) const
@@ -242,8 +241,11 @@ class MigrationEngine
         return base * kPageBytes < cfg_.hostMem.pinnedDeviceBytes;
     }
 
-    /** Tenant owning region @p base (valid only with shares set). */
-    std::size_t tenantOfBase(std::uint64_t base) const;
+    /**
+     * Tenant whose share region @p base counts against, or -1 when
+     * shares are off.
+     */
+    int shareTenantOf(std::uint64_t base) const;
 
     /** Idle window a victim must exceed before displacement. */
     static constexpr Tick kAntiThrashIdle =
@@ -277,7 +279,7 @@ class MigrationEngine
     std::vector<std::uint32_t> tppScores_;
     MigrationStats migStats_;
     /** @name Per-tenant share state (empty = shares disabled). @{ */
-    std::vector<Addr> tenantStarts_;
+    const TenantMap *tenants_;
     std::vector<std::uint64_t> tenantShareBytes_;
     std::vector<std::uint64_t> tenantPromotedBytes_;
     /** @} */

@@ -14,8 +14,9 @@
  * Victims are taken from the inactive tail, skipping referenced entries.
  *
  * The exact-LRU alternative the simulator also offers (ReclaimPolicy::
- * LruScan) scans all promoted regions for the smallest last-use stamp;
- * the ablation bench compares both.
+ * LruScan) takes the head of a recency list the migration engine keeps
+ * sorted by last use (MigrationEngine::selectVictimLru); the ablation
+ * bench compares both.
  */
 
 #ifndef SKYBYTE_CORE_RECLAIM_H

@@ -3,18 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <stdexcept>
 
 #include "cxl/ndr.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 
 SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
-                             CxlLink &link)
+                             CxlLink &link, TenantMap *tenants)
     : cfg_(cfg), eq_(eq), link_(link), dram_(eq, cfg.ssdDram, cfg.audit),
       ftl_(cfg.flash, eq, cfg.seed ^ 0xf7a5ULL, cfg.audit),
       cache_(cfg.ssdCache.dataCacheBytes, cfg.ssdCache.dataCacheWays,
-             cfg.audit)
+             cfg.audit),
+      tenants_(tenants)
 {
     if (cfg.policy.writeLogEnable) {
         // skybyte-lint: allow(hot-path-alloc) one-time construction; without payload, appends allocate only while the index grows to its peak
@@ -22,6 +23,21 @@ SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
                                           cfg.audit);
     }
     compactJobs_.resize(cfg.flash.channels);
+    if (tenants_ == nullptr)
+        return;
+    if (cfg.qos.weightedAdmission) {
+        qosEpochTicks_ = std::max<Tick>(cfg.qos.epochTicks, 1);
+        for (const std::uint64_t credits : tenants_->splitByWeight(
+                 static_cast<double>(cfg.qos.creditsPerEpoch), 1)) {
+            admission_.push_back(
+                {.budget = static_cast<std::uint32_t>(credits)});
+        }
+    }
+    if (cfg.qos.writeLogQuota && log_ != nullptr) {
+        log_->setTenantQuotas(tenants_->splitByWeight(
+            static_cast<double>(log_->activeBuffer().capacityEntries()),
+            1));
+    }
 }
 
 SsdController::~SsdController()
@@ -74,80 +90,10 @@ SsdController::addPendingWrite(PendingFetch &pf, std::uint32_t off,
     pf.pendingWrites.append(wr);
 }
 
-void
-SsdController::setTenantBounds(std::vector<Addr> starts, Addr end_bytes)
-{
-    if (!starts.empty()
-        && (starts.front() != 0
-            || !std::is_sorted(starts.begin(), starts.end())
-            || starts.back() >= end_bytes)) {
-        throw std::invalid_argument(
-            "tenant bounds must start at 0, ascend, and end before "
-            "end_bytes");
-    }
-    tenantStarts_ = std::move(starts);
-    tenantEnd_ = end_bytes;
-    tenantStats_.assign(tenantStarts_.size(), SsdTenantCounters{});
-}
-
-int
-SsdController::tenantIndexFor(Addr dev) const
-{
-    // Addresses past the last tenant's region (a sequential prefetch
-    // running off the end of the mix footprint) belong to nobody.
-    if (tenantStarts_.empty() || dev >= tenantEnd_)
-        return -1;
-    std::size_t t = tenantStarts_.size() - 1;
-    while (t > 0 && dev < tenantStarts_[t])
-        t--;
-    return static_cast<int>(t);
-}
-
-SsdTenantCounters *
-SsdController::tenantFor(Addr dev)
-{
-    const int t = tenantIndexFor(dev);
-    return t < 0 ? nullptr : &tenantStats_[static_cast<std::size_t>(t)];
-}
-
-void
-SsdController::configureQos(const QosConfig &qos,
-                            const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (const double w : weights)
-        total += w;
-    if (weights.size() != tenantStarts_.size() || total <= 0.0)
-        throw std::invalid_argument(
-            "configureQos needs one positive weight per tenant bound");
-    if (qos.weightedAdmission) {
-        weightedAdmission_ = true;
-        qosEpochTicks_ = std::max<Tick>(qos.epochTicks, 1);
-        admission_.assign(weights.size(), AdmissionState{});
-        for (std::size_t t = 0; t < weights.size(); ++t) {
-            admission_[t].budget = std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(
-                       static_cast<double>(qos.creditsPerEpoch)
-                       * weights[t] / total));
-        }
-    }
-    if (qos.writeLogQuota && log_ != nullptr) {
-        const auto cap = static_cast<double>(
-            log_->activeBuffer().capacityEntries());
-        std::vector<std::uint64_t> quotas(weights.size());
-        for (std::size_t t = 0; t < weights.size(); ++t) {
-            quotas[t] = std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(cap * weights[t] / total));
-        }
-        log_->setTenantQuotas(std::move(quotas));
-    }
-}
-
 Tick
 SsdController::admit(int tenant, Tick t_arr, std::uint32_t cost)
 {
-    if (!weightedAdmission_ || tenant < 0
-        || static_cast<std::size_t>(tenant) >= admission_.size())
+    if (tenant < 0 || static_cast<std::size_t>(tenant) >= admission_.size())
         return t_arr;
     AdmissionState &st = admission_[static_cast<std::size_t>(tenant)];
     const std::uint64_t e = t_arr / qosEpochTicks_;
@@ -254,7 +200,8 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     const std::uint64_t lpn = pageNumber(dev_line_addr);
     const std::uint32_t off = lineInPage(dev_line_addr);
     const Tick t_link = link_.deliverToDevice(when, kHeaderBytes);
-    const int tenant_idx = tenantIndexFor(dev_line_addr);
+    const int tenant_idx =
+        tenants_ != nullptr ? tenants_->ofDevice(dev_line_addr) : -1;
     // Weighted admission (QoS): a tenant past its epoch credit budget
     // has the request held at the device front end; the late response
     // backpressures that tenant's cores through their ROB/MSHR limits.
@@ -268,13 +215,11 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
         log_val = log_->lookup(dev_line_addr);
     CachedPage *page = cache_.lookup(lpn);
 
-    SsdTenantCounters *tenant =
-        tenant_idx < 0
-            ? nullptr
-            : &tenantStats_[static_cast<std::size_t>(tenant_idx)];
+    TenantCounters *tenant =
+        tenant_idx < 0 ? nullptr : tenants_->counters(tenant_idx);
     if (tenant != nullptr && t_arr > t_link) {
-        tenant->delayedReads++;
-        tenant->throttleDelayTicks += t_arr - t_link;
+        tenant->qosDelayedReads++;
+        tenant->qosThrottleTicks += t_arr - t_link;
     }
 
     if (page != nullptr || log_val.has_value()) {
@@ -285,19 +230,19 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
             value = log_val.value_or(data != nullptr ? (*data)[off] : 0);
             stats_.readHitsCache++;
             if (tenant != nullptr)
-                tenant->readHitsCache++;
+                tenant->ssdReadHits++;
         } else {
             value = *log_val;
             stats_.readHitsLog++;
             if (tenant != nullptr)
-                tenant->readHitsLog++;
+                tenant->ssdReadHits++;
         }
         const Tick t_data =
             dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
         const Tick t_resp = link_.deliverToHost(t_data, kCachelineBytes);
         stats_.amatReads++;
         // Admission hold time (t_arr - t_link) is QoS throttling, not
-        // protocol: it lands in the tenant's throttleDelayTicks instead.
+        // protocol: it lands in the tenant's qosThrottleTicks instead.
         stats_.protocolTicks += static_cast<double>(
             (t_link - when) + (t_resp - t_data));
         stats_.indexingTicks += static_cast<double>(indexLatency());
@@ -314,7 +259,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     // R3: flash fetch needed.
     stats_.readMisses++;
     if (tenant != nullptr)
-        tenant->readMisses++;
+        tenant->ssdReadMisses++;
     if (PendingFetch *pf = fetchOf(lpn)) {
         const Tick remaining =
             pf->expectedDone > t_idx ? pf->expectedDone - t_idx : 0;
@@ -427,10 +372,13 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
     fetches_[lpn] = nullptr;
 
     stats_.flashReadLatency.record(done - pf->startedAt);
-    if (SsdTenantCounters *tenant = tenantFor(lpn * kPageBytes)) {
-        tenant->flashPageReads++;
-        tenant->flashReadTicks +=
-            static_cast<double>(done - pf->startedAt);
+    if (tenants_ != nullptr) {
+        if (TenantCounters *tenant =
+                tenants_->counters(tenants_->ofDevice(lpn * kPageBytes))) {
+            tenant->flashPageReads++;
+            tenant->flashReadTicks +=
+                static_cast<double>(done - pf->startedAt);
+        }
     }
 
     // Install into the data cache (a 4 KB SSD DRAM write). The payload,
@@ -493,30 +441,28 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
     const std::uint64_t lpn = pageNumber(dev_line_addr);
     const std::uint32_t off = lineInPage(dev_line_addr);
     const Tick t_link = link_.deliverToDevice(when, kCachelineBytes);
-    const int tenant_idx = tenantIndexFor(dev_line_addr);
-    SsdTenantCounters *tenant =
-        tenant_idx < 0
-            ? nullptr
-            : &tenantStats_[static_cast<std::size_t>(tenant_idx)];
+    const int tenant_idx =
+        tenants_ != nullptr ? tenants_->ofDevice(dev_line_addr) : -1;
+    TenantCounters *tenant =
+        tenant_idx < 0 ? nullptr : tenants_->counters(tenant_idx);
     // Over-quota log residency pays a one-credit admission surcharge,
     // so a tenant hogging the write log drains its epoch budget twice
     // as fast (QosConfig::writeLogQuota).
     std::uint32_t cost = 1;
-    if (logEnabled() && tenant_idx >= 0
+    if (logEnabled() && tenant != nullptr
         && log_->overQuota(static_cast<std::size_t>(tenant_idx))) {
         cost = 2;
-        if (tenant != nullptr)
-            tenant->logOverQuota++;
+        tenant->qosLogOverQuota++;
     }
     const Tick t_arr = admit(tenant_idx, t_link, cost);
     const Tick t_idx = t_arr + indexLatency();
     if (tenant != nullptr && t_arr > t_link) {
-        tenant->delayedWrites++;
-        tenant->throttleDelayTicks += t_arr - t_link;
+        tenant->qosDelayedWrites++;
+        tenant->qosThrottleTicks += t_arr - t_link;
     }
     stats_.writes++;
     if (tenant != nullptr)
-        tenant->writes++;
+        tenant->ssdWrites++;
     touchForPromotion(lpn, t_arr);
 
     if (logEnabled()) {

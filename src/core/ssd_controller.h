@@ -51,6 +51,8 @@
 
 namespace skybyte {
 
+class TenantMap;
+
 /**
  * Page-read completion callback (page-granular host interface), fired
  * with the delivery time. A consumer keeping payload reads the page with
@@ -92,39 +94,25 @@ struct SsdStats
 };
 
 /**
- * Per-tenant device-side counters for co-located (mix:) workloads.
- * Tenants own disjoint, contiguous device-address regions, so every
- * line request classifies to exactly one tenant and the buckets
- * partition the aggregate SsdStats counts — the invariant
- * tests/test_system.cc pins. Pure accounting: enabling tenants never
- * changes simulated behaviour.
- */
-struct SsdTenantCounters
-{
-    std::uint64_t readHitsLog = 0;
-    std::uint64_t readHitsCache = 0;
-    std::uint64_t readMisses = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t logAppends = 0;
-    /** Flash page arrivals for this tenant's pages (incl. prefetch). */
-    std::uint64_t flashPageReads = 0;
-    /** Summed flash read latency of those arrivals (ticks). */
-    double flashReadTicks = 0;
-    /** @name QoS enforcement effects (zero unless configureQos ran). @{ */
-    std::uint64_t delayedReads = 0;  ///< reads held by admission credits
-    std::uint64_t delayedWrites = 0; ///< writes held by admission credits
-    std::uint64_t throttleDelayTicks = 0; ///< total admission hold time
-    std::uint64_t logOverQuota = 0; ///< writes arriving past the quota
-    /** @} */
-};
-
-/**
  * The memory-semantic SSD device.
  */
 class SsdController
 {
   public:
-    SsdController(const SimConfig &cfg, EventQueue &eq, CxlLink &link);
+    /**
+     * @p tenants, when non-null (co-located runs), receives the
+     * per-tenant request counters and arms the QoS controls of
+     * cfg.qos, each dividing its resource by tenant weight share: with
+     * QosConfig::weightedAdmission each tenant gets max(1,
+     * creditsPerEpoch x share) admission credits per epochTicks window,
+     * and requests beyond the budget are admitted at the start of the
+     * first epoch with spare credit; with QosConfig::writeLogQuota each
+     * tenant's live write-log entries are capped at max(1, capacity x
+     * share), and over-quota writes pay a one-credit admission
+     * surcharge.
+     */
+    SsdController(const SimConfig &cfg, EventQueue &eq, CxlLink &link,
+                  TenantMap *tenants = nullptr);
     ~SsdController();
 
     SsdController(const SsdController &) = delete;
@@ -208,36 +196,6 @@ class SsdController
         return fetches_.size()
                - std::count(fetches_.begin(), fetches_.end(), nullptr);
     }
-
-    /**
-     * Enable per-tenant counters. @p starts holds each tenant's first
-     * device-byte offset in ascending order (starts[0] == 0); tenant i
-     * owns [starts[i], starts[i+1]), the last up to @p end_bytes.
-     * Addresses at or past @p end_bytes belong to no tenant (e.g.
-     * sequential prefetches running off the end of the mix footprint).
-     * Empty @p starts (the default) disables the accounting entirely.
-     */
-    void setTenantBounds(std::vector<Addr> starts, Addr end_bytes);
-
-    /** Per-tenant buckets, aligned with the setTenantBounds order. */
-    const std::vector<SsdTenantCounters> &tenantCounters() const
-    {
-        return tenantStats_;
-    }
-
-    /**
-     * Arm the per-tenant QoS controls (§ QoS extension). @p weights are
-     * the relative tenant weights in setTenantBounds order; they are
-     * normalised internally. With QosConfig::weightedAdmission each
-     * tenant gets max(1, creditsPerEpoch x share) admission credits per
-     * epochTicks window, and requests beyond the budget are admitted at
-     * the start of the first epoch with spare credit. With
-     * QosConfig::writeLogQuota each tenant's live write-log entries are
-     * capped at capacity x share; over-quota writes pay a one-credit
-     * admission surcharge. Requires setTenantBounds to have run first.
-     */
-    void configureQos(const QosConfig &qos,
-                      const std::vector<double> &weights);
 
   private:
     /** One line read waiting on an in-flight fetch (intrusive FIFO). */
@@ -346,16 +304,6 @@ class SsdController
                         const PageData *cached);
 
     /**
-     * Tenant bucket for device byte offset @p dev, or nullptr when
-     * tenant accounting is disabled. Linear scan: mixes hold a handful
-     * of tenants.
-     */
-    SsdTenantCounters *tenantFor(Addr dev);
-
-    /** Tenant index for @p dev, or -1 when accounting is disabled. */
-    int tenantIndexFor(Addr dev) const;
-
-    /**
      * Deterministic epoch token bucket: spend @p cost credits of
      * @p tenant and return the admission time for a request arriving at
      * @p t_arr. Identity when weighted admission is off or the address
@@ -390,19 +338,17 @@ class SsdController
 
     SsdStats stats_;
 
-    /** Per-tenant accounting (empty = disabled; see setTenantBounds). */
-    std::vector<Addr> tenantStarts_;
-    Addr tenantEnd_ = 0;
-    std::vector<SsdTenantCounters> tenantStats_;
+    /** Tenant layout and counters (nullptr = no tenants). */
+    TenantMap *tenants_;
 
-    /** Per-tenant admission token-bucket state (see admit()). */
+    /** Per-tenant admission token-bucket state (empty = admission off;
+     *  see admit()). */
     struct AdmissionState
     {
         std::uint64_t epoch = 0;  ///< last epoch with credit spent
         std::uint32_t used = 0;   ///< credits spent in that epoch
         std::uint32_t budget = 0; ///< credits granted per epoch
     };
-    bool weightedAdmission_ = false;
     Tick qosEpochTicks_ = 1;
     std::vector<AdmissionState> admission_;
 

@@ -5,13 +5,14 @@
 #include <numeric>
 
 #include "cpu/core.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 
 Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend,
-               bool payload)
+               bool payload, TenantMap *tenants)
     : eq_(eq), backend_(backend), l3_(cfg.llc, payload),
-      slots_(cfg.llc.mshrs), slotOrder_(cfg.llc.mshrs)
+      slots_(cfg.llc.mshrs), slotOrder_(cfg.llc.mshrs), tenants_(tenants)
 {
     liveLines_.reserve(cfg.llc.mshrs);
     std::iota(slotOrder_.begin(), slotOrder_.end(), 0u);
@@ -120,14 +121,10 @@ Uncore::onResponse(std::uint32_t slot, const MemResponse &resp)
         }
         st->value = resp.value;
         offchip_.record(now - st->issuedAt);
-        if (!tenantOffchip_.empty()) {
-            const int t = tenantOf_(st->lineAddr);
-            if (t >= 0
-                && static_cast<std::size_t>(t)
-                       < tenantOffchip_.size()) {
-                tenantOffchip_[static_cast<std::size_t>(t)].record(
-                    now - st->issuedAt);
-            }
+        if (tenants_ != nullptr) {
+            if (TenantCounters *tenant =
+                    tenants_->counters(tenants_->ofVaddr(st->lineAddr)))
+                tenant->offchipLatency.record(now - st->issuedAt);
         }
         if (st->owner != nullptr) {
             st->owner->onMissData(st, now);

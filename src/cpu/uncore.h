@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -34,6 +33,7 @@
 namespace skybyte {
 
 class Core;
+class TenantMap;
 
 /**
  * Status of one in-flight load miss as seen by a core's ROB. Shared
@@ -144,9 +144,15 @@ enum class UncoreLoadResult
 class Uncore
 {
   public:
-    /** @param payload the L3 keeps line values (SimConfig::audit) */
+    /**
+     * @param payload the L3 keeps line values (SimConfig::audit)
+     * @param tenants non-null in co-located runs: each off-chip sample
+     *        is also recorded in the owning tenant's offchipLatency
+     *        (classified by host virtual line address; lines of no
+     *        tenant land only in the aggregate)
+     */
     Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend,
-           bool payload = true);
+           bool payload = true, TenantMap *tenants = nullptr);
 
     /**
      * Fresh slab-backed miss record for an LLC-bound load (the one
@@ -186,29 +192,6 @@ class Uncore
     /** Off-chip (post-LLC) demand-load latency distribution (Fig 3). */
     const LatencyHistogram &offchipLatency() const { return offchip_; }
 
-    /**
-     * Enable per-tenant off-chip latency recording (mix: workloads):
-     * @p n histograms, one per tenant, classified by the host virtual
-     * line address through @p classify (-1 = no tenant, e.g. private
-     * stack lines — those land only in the aggregate). Recording
-     * happens beside the aggregate offchip histogram at the same
-     * sample sites, so the tenant histograms partition the aggregate's
-     * tenant-owned samples exactly. Pure accounting: enabling this
-     * never changes simulated behaviour.
-     */
-    void
-    enableTenantLatency(std::size_t n, std::function<int(Addr)> classify)
-    {
-        tenantOffchip_.assign(n, LatencyHistogram{});
-        tenantOf_ = std::move(classify);
-    }
-
-    /** Per-tenant off-chip latency, aligned with enableTenantLatency. */
-    const std::vector<LatencyHistogram> &tenantOffchipLatency() const
-    {
-        return tenantOffchip_;
-    }
-
   private:
     /** One LLC MSHR: the loads waiting on its in-flight line. */
     struct MshrSlot
@@ -246,9 +229,7 @@ class Uncore
     std::vector<std::uint32_t> slotOrder_;
     std::vector<Core *> cores_;
     LatencyHistogram offchip_;
-    /** Per-tenant histograms (empty = disabled) + vaddr classifier. */
-    std::vector<LatencyHistogram> tenantOffchip_;
-    std::function<int(Addr)> tenantOf_;
+    TenantMap *tenants_;
     std::uint64_t llcMisses_ = 0;
     std::uint64_t llcCoalesced_ = 0;
     std::uint64_t llcMshrBlocks_ = 0;

@@ -40,6 +40,16 @@ parseU64(const std::string &value, const std::string &key)
     return parseUnsigned(value, key);
 }
 
+/** parseU64, rejecting values that do not fit 32 bits. */
+std::uint32_t
+parseU32(const std::string &value, const std::string &key)
+{
+    const std::uint64_t v = parseU64(value, key);
+    if (v > 0xffffffffULL)
+        throw std::invalid_argument(key + " must be below 2^32: " + value);
+    return static_cast<std::uint32_t>(v);
+}
+
 SchedPolicy
 parsePolicy(const std::string &value)
 {
@@ -98,8 +108,7 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
     } else if (key == "write_log_size_byte") {
         cfg.ssdCache.writeLogBytes = parseU64(value, key);
     } else if (key == "ssd_cache_way") {
-        cfg.ssdCache.dataCacheWays =
-            static_cast<std::uint32_t>(parseU64(value, key));
+        cfg.ssdCache.dataCacheWays = parseU32(value, key);
     } else if (key == "host_dram_size_byte") {
         cfg.hostMem.promotedBytesMax = parseU64(value, key);
     } else if (key == "t_policy") {
@@ -122,8 +131,7 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         }
         cfg.cpu.robEntries = static_cast<std::uint32_t>(entries);
     } else if (key == "hot_page_threshold") {
-        cfg.policy.hotPageThreshold =
-            static_cast<std::uint32_t>(parseU64(value, key));
+        cfg.policy.hotPageThreshold = parseU32(value, key);
     } else if (key == "migration_mechanism") {
         if (value == "skybyte")
             cfg.policy.migration = MigrationMechanism::SkyByte;
@@ -168,8 +176,7 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         }
         cfg.hostMem.hugePageBytes = bytes;
     } else if (key == "plb_entries") {
-        cfg.hostMem.plbEntries =
-            static_cast<std::uint32_t>(parseU64(value, key));
+        cfg.hostMem.plbEntries = parseU32(value, key);
     } else if (key == "reclaim_policy") {
         if (value == "lru")
             cfg.hostMem.reclaim = ReclaimPolicy::LruScan;
@@ -203,19 +210,18 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         }
         cfg.qos.epochTicks = usToTicks(static_cast<double>(us));
     } else if (key == "qos_credits_per_epoch") {
-        const std::uint64_t credits = parseU64(value, key);
-        if (credits == 0 || credits > 0xffffffffULL) {
+        const std::uint32_t credits = parseU32(value, key);
+        if (credits == 0) {
             throw std::invalid_argument(
                 "qos_credits_per_epoch must be in [1, 2^32): " + value);
         }
-        cfg.qos.creditsPerEpoch = static_cast<std::uint32_t>(credits);
+        cfg.qos.creditsPerEpoch = credits;
     } else if (key == "qos_write_log_quota") {
         cfg.qos.writeLogQuota = parseBool(value, key);
     } else if (key == "qos_migration_share") {
         cfg.qos.migrationShare = parseBool(value, key);
     } else if (key == "numa_sockets") {
-        cfg.numa.sockets =
-            static_cast<std::uint32_t>(parseU64(value, key));
+        cfg.numa.sockets = parseU32(value, key);
     } else if (key == "dram_only") {
         cfg.dramOnly = parseBool(value, key);
     } else if (key == "precondition") {

@@ -13,15 +13,15 @@ MemRouter::noteHost(Addr vaddr, bool is_write)
         hostWrites_++;
     else
         hostReads_++;
-    if (tenantHostReads_.empty())
+    if (tenants_ == nullptr)
         return;
-    const int t = sys_.tenantOfVaddr(vaddr);
-    if (t < 0)
+    TenantCounters *tenant = tenants_->counters(tenants_->ofVaddr(vaddr));
+    if (tenant == nullptr)
         return;
     if (is_write)
-        tenantHostWrites_[static_cast<std::size_t>(t)]++;
+        tenant->hostWrites++;
     else
-        tenantHostReads_[static_cast<std::size_t>(t)]++;
+        tenant->hostReads++;
 }
 
 void
@@ -139,24 +139,18 @@ void
 System::buildSystem(
     const std::function<std::unique_ptr<Workload>()> &warm_factory)
 {
+    // Co-located run: per-tenant stat buckets and the QoS controls
+    // (weights from the tenants' qos= spec keys; every knob defaults
+    // off). A single-tenant mix builds no map, so it reports (and
+    // fingerprints) exactly like the plain workload it degenerates to.
+    mix_ = dynamic_cast<MixWorkload *>(workload_.get());
+    if (mix_ != nullptr)
+        tenants_ = mix_->tenantMap();
+
     link_ = std::make_unique<CxlLink>(eq_, cfg_.cxl);
     hostDram_ = std::make_unique<DramModel>(eq_, cfg_.hostDram, cfg_.audit);
-    ssd_ = std::make_unique<SsdController>(cfg_, eq_, *link_);
-
-    // Co-located run: enable per-tenant stat buckets. A single-tenant
-    // mix stays unbucketed so it reports (and fingerprints) exactly
-    // like the plain workload it degenerates to.
-    mix_ = dynamic_cast<MixWorkload *>(workload_.get());
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
-        ssd_->setTenantBounds(mix_->tenantDeviceStarts(),
-                              mix_->footprintBytes());
-        // QoS enforcement at the device front end (qos_policy /
-        // qos_write_log_quota): weights come from the tenants' qos=
-        // spec keys. All knobs default off, so plain mixes keep their
-        // pinned fingerprints byte-identical.
-        if (cfg_.qos.weightedAdmission || cfg_.qos.writeLogQuota)
-            ssd_->configureQos(cfg_.qos, mix_->tenantQosWeights());
-    }
+    ssd_ = std::make_unique<SsdController>(cfg_, eq_, *link_,
+                                           tenants_.get());
 
     if (!cfg_.dramOnly && cfg_.preconditionSsd) {
         const std::uint64_t pages =
@@ -174,44 +168,13 @@ System::buildSystem(
                                                    *hostDram_);
     } else if (cfg_.policy.promotionEnable
                && cfg_.policy.migration != MigrationMechanism::None) {
-        migration_ = std::make_unique<MigrationEngine>(cfg_, eq_, *ssd_,
-                                                       *hostDram_, *link_);
-        if (cfg_.qos.migrationShare && mix_ != nullptr
-            && mix_->tenants().size() >= 2) {
-            // Each tenant's promoted-byte cap is its weight share of
-            // the host promotion budget, floored at one region so no
-            // tenant is locked out of host DRAM entirely.
-            const std::vector<double> weights = mix_->tenantQosWeights();
-            double total = 0.0;
-            for (const double w : weights)
-                total += w;
-            std::vector<std::uint64_t> shares(weights.size());
-            for (std::size_t t = 0; t < weights.size(); ++t) {
-                shares[t] = std::max<std::uint64_t>(
-                    static_cast<std::uint64_t>(migration_->regionPages())
-                        * kPageBytes,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(
-                            cfg_.hostMem.promotedBytesMax)
-                        * weights[t] / total));
-            }
-            migration_->setTenantShares(mix_->tenantDeviceStarts(),
-                                        std::move(shares));
-        }
+        migration_ = std::make_unique<MigrationEngine>(
+            cfg_, eq_, *ssd_, *hostDram_, *link_, tenants_.get());
     }
 
-    router_ = std::make_unique<MemRouter>(*this);
-    if (mix_ != nullptr && mix_->tenants().size() >= 2)
-        router_->enableTenantAccounting(mix_->tenants().size());
-    uncore_ = std::make_unique<Uncore>(cfg_.cpu, eq_, *router_, cfg_.audit);
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
-        // Per-tenant SLO latency histograms (pure accounting): recorded
-        // beside the aggregate off-chip histogram, classified by the
-        // host virtual line address.
-        uncore_->enableTenantLatency(
-            mix_->tenants().size(),
-            [this](Addr vaddr) { return tenantOfVaddr(vaddr); });
-    }
+    router_ = std::make_unique<MemRouter>(*this, tenants_.get());
+    uncore_ = std::make_unique<Uncore>(cfg_.cpu, eq_, *router_, cfg_.audit,
+                                       tenants_.get());
 
     for (int c = 0; c < cfg_.cpu.numCores; ++c) {
         cores_.push_back(std::make_unique<Core>(c, cfg_.cpu, cfg_.policy,
@@ -326,22 +289,6 @@ System::toDeviceAddr(Addr vaddr) const
     return vaddr - Workload::kDataBase;
 }
 
-int
-System::tenantOfVaddr(Addr vaddr) const
-{
-    if (mix_ == nullptr)
-        return -1;
-    if (isDeviceAddr(vaddr))
-        return mix_->tenantOfDeviceOffset(toDeviceAddr(vaddr));
-    if (vaddr >= Workload::kPrivateBase) {
-        const Addr tid =
-            (vaddr - Workload::kPrivateBase) / Workload::kPrivateStride;
-        if (tid < threads_.size())
-            return mix_->tenantOfThread(static_cast<int>(tid));
-    }
-    return -1;
-}
-
 SimResult
 System::run(Tick max_ticks)
 {
@@ -433,49 +380,23 @@ System::run(Tick max_ticks)
         res.promotions = astri_->stats().pageFills;
     }
 
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
+    if (tenants_ != nullptr) {
         const std::vector<MixTenant> &tenants = mix_->tenants();
-        const std::vector<SsdTenantCounters> &device =
-            ssd_->tenantCounters();
         res.tenants.reserve(tenants.size());
         for (std::size_t i = 0; i < tenants.size(); ++i) {
-            TenantResult tr;
+            TenantResult tr(*tenants_->counters(static_cast<int>(i)));
             tr.name = tenants[i].name;
             tr.spec = tenants[i].specText;
             tr.threads = tenants[i].threads;
-            for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
-                if (mix_->tenantOfThread(static_cast<int>(tid))
-                    != static_cast<int>(i)) {
-                    continue;
-                }
-                tr.instructions +=
-                    workload_->instructionsEmitted(static_cast<int>(tid));
-                tr.execTime =
-                    std::max(tr.execTime, threads_[tid]->finishTime());
-            }
-            tr.hostReads = router_->tenantHostReads()[i];
-            tr.hostWrites = router_->tenantHostWrites()[i];
-            tr.ssdReadHits =
-                device[i].readHitsLog + device[i].readHitsCache;
-            tr.ssdReadMisses = device[i].readMisses;
-            tr.ssdWrites = device[i].writes;
-            tr.logAppends = device[i].logAppends;
-            tr.flashPageReads = device[i].flashPageReads;
-            tr.flashReadLatencyUs =
-                device[i].flashPageReads == 0
-                    ? 0.0
-                    : ticksToUs(static_cast<Tick>(
-                          device[i].flashReadTicks
-                          / static_cast<double>(
-                              device[i].flashPageReads)));
             tr.qosWeight = tenants[i].qosWeight;
-            tr.offchipLatency = uncore_->tenantOffchipLatency()[i];
-            tr.qosDelayedReads = device[i].delayedReads;
-            tr.qosDelayedWrites = device[i].delayedWrites;
-            tr.qosThrottleDelayUs = ticksToUs(
-                static_cast<Tick>(device[i].throttleDelayTicks));
-            tr.qosLogOverQuota = device[i].logOverQuota;
             res.tenants.push_back(std::move(tr));
+        }
+        for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
+            TenantResult &tr = res.tenants[static_cast<std::size_t>(
+                tenants_->ofThread(static_cast<int>(tid)))];
+            tr.instructions +=
+                workload_->instructionsEmitted(static_cast<int>(tid));
+            tr.execTime = std::max(tr.execTime, threads_[tid]->finishTime());
         }
     }
 

@@ -28,19 +28,36 @@
 #include "cpu/uncore.h"
 #include "cxl/cxl.h"
 #include "mem/dram.h"
+#include "trace/tenant_map.h"
 #include "trace/workload.h"
 
 namespace skybyte {
 
 /**
  * Per-tenant slice of a co-located (`mix:`) run. Populated only for
- * mixes with two or more tenants; request counts partition the
- * aggregate SimResult totals exactly (every host/SSD line request is
+ * mixes with two or more tenants; the counters are the run's
+ * TenantMap record, counted at the same sample sites as the aggregate
+ * SimResult totals, so request counts and off-chip latency samples
+ * partition the aggregates exactly (every host/SSD line request is
  * owned by exactly one tenant via its namespaced address range), which
  * tests/test_system.cc pins as a property.
  */
-struct TenantResult
+struct TenantResult : TenantCounters
 {
+    TenantResult() = default;
+    /** @p counters plus their derived means. */
+    explicit TenantResult(const TenantCounters &counters)
+        : TenantCounters(counters),
+          flashReadLatencyUs(
+              flashPageReads == 0
+                  ? 0.0
+                  : ticksToUs(static_cast<Tick>(
+                        flashReadTicks
+                        / static_cast<double>(flashPageReads)))),
+          qosThrottleDelayUs(
+              ticksToUs(static_cast<Tick>(qosThrottleTicks)))
+    {}
+
     std::string name; ///< tenant label from the mix spec
     std::string spec; ///< child spec text
     int threads = 0;
@@ -49,34 +66,11 @@ struct TenantResult
     std::uint64_t instructions = 0;
     /** Last completion among the tenant's threads. */
     Tick execTime = 0;
-    std::uint64_t hostReads = 0;
-    std::uint64_t hostWrites = 0;
-    std::uint64_t ssdReadHits = 0; ///< log + cache hits
-    std::uint64_t ssdReadMisses = 0;
-    std::uint64_t ssdWrites = 0;
-    /** Write-log appends for this tenant's pages (log pressure). */
-    std::uint64_t logAppends = 0;
-    /** Flash page arrivals for this tenant (incl. prefetch). */
-    std::uint64_t flashPageReads = 0;
-    /** Mean flash read latency of those arrivals (us). */
+    /** Mean flash read latency of flashPageReads (us). */
     double flashReadLatencyUs = 0;
-
     /** Relative QoS weight from the mix spec's qos= key (default 1). */
     double qosWeight = 1.0;
-    /**
-     * SLO view: off-chip demand-load latency of this tenant's lines,
-     * recorded at the same sample sites as the aggregate
-     * SimResult::offchipLatency, so the tenant histograms partition the
-     * aggregate's tenant-owned samples exactly (pinned by
-     * tests/test_system.cc).
-     */
-    LatencyHistogram offchipLatency;
-    /** @name QoS enforcement effects (zero with QoS off). @{ */
-    std::uint64_t qosDelayedReads = 0;
-    std::uint64_t qosDelayedWrites = 0;
     double qosThrottleDelayUs = 0; ///< total admission hold time
-    std::uint64_t qosLogOverQuota = 0;
-    /** @} */
 
     double
     ipc() const
@@ -239,7 +233,10 @@ class MixWorkload;
 class MemRouter : public MemoryBackend
 {
   public:
-    explicit MemRouter(System &sys) : sys_(sys) {}
+    /** @p tenants, when non-null, counts host requests per tenant. */
+    MemRouter(System &sys, TenantMap *tenants)
+        : sys_(sys), tenants_(tenants)
+    {}
 
     void read(const MemRequest &req, Tick when, MemCallback cb) override;
     void write(const MemRequest &req, Tick when) override;
@@ -248,33 +245,15 @@ class MemRouter : public MemoryBackend
     std::uint64_t hostWrites() const { return hostWrites_; }
     double hostReadTicks() const { return hostReadTicks_; }
 
-    /** Enable per-tenant host-DRAM request buckets (mix runs). */
-    void
-    enableTenantAccounting(std::size_t tenants)
-    {
-        tenantHostReads_.assign(tenants, 0);
-        tenantHostWrites_.assign(tenants, 0);
-    }
-
-    const std::vector<std::uint64_t> &tenantHostReads() const
-    {
-        return tenantHostReads_;
-    }
-    const std::vector<std::uint64_t> &tenantHostWrites() const
-    {
-        return tenantHostWrites_;
-    }
-
   private:
     /** Count one host-DRAM access against @p vaddr's tenant. */
     void noteHost(Addr vaddr, bool is_write);
 
     System &sys_;
+    TenantMap *tenants_;
     std::uint64_t hostReads_ = 0;
     std::uint64_t hostWrites_ = 0;
     double hostReadTicks_ = 0;
-    std::vector<std::uint64_t> tenantHostReads_;
-    std::vector<std::uint64_t> tenantHostWrites_;
 };
 
 /**
@@ -340,14 +319,6 @@ class System
     Tick numaPenalty(int core_id) const;
     /** @} */
 
-    /**
-     * Tenant owning @p vaddr in a co-located run (-1 when the address
-     * belongs to no tenant or the workload is not a mix). Device
-     * addresses classify by the mix's namespaced regions, private
-     * addresses by the owning thread's tenant.
-     */
-    int tenantOfVaddr(Addr vaddr) const;
-
   private:
     friend class MemRouter;
 
@@ -362,8 +333,10 @@ class System
     WorkloadParams params_;
     EventQueue eq_;
     std::unique_ptr<Workload> workload_;
-    /** Non-null when workload_ is a mix (tenant classification). */
+    /** Non-null when workload_ is a mix (tenant labels). */
     MixWorkload *mix_ = nullptr;
+    /** Tenant layout and counters; null unless a >= 2-tenant mix. */
+    std::unique_ptr<TenantMap> tenants_;
     /** SimResult.workload string; defaults to workload_->name(). */
     std::string workloadLabel_;
     std::unique_ptr<CxlLink> link_;

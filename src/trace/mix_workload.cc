@@ -240,33 +240,19 @@ MixWorkload::instructionsEmitted(int tid) const
         threadLocal_[static_cast<std::size_t>(tid)]);
 }
 
-int
-MixWorkload::tenantOfDeviceOffset(Addr dev) const
+std::unique_ptr<TenantMap>
+MixWorkload::tenantMap() const
 {
-    int t = static_cast<int>(tenants_.size()) - 1;
-    while (t > 0 && dev < tenants_[static_cast<std::size_t>(t)].deviceBase)
-        t--;
-    return t;
-}
-
-std::vector<Addr>
-MixWorkload::tenantDeviceStarts() const
-{
+    if (tenants_.size() < 2)
+        return nullptr;
     std::vector<Addr> starts;
-    starts.reserve(tenants_.size());
-    for (const MixTenant &tenant : tenants_)
-        starts.push_back(tenant.deviceBase);
-    return starts;
-}
-
-std::vector<double>
-MixWorkload::tenantQosWeights() const
-{
     std::vector<double> weights;
-    weights.reserve(tenants_.size());
-    for (const MixTenant &tenant : tenants_)
+    for (const MixTenant &tenant : tenants_) {
+        starts.push_back(tenant.deviceBase);
         weights.push_back(tenant.qosWeight);
-    return weights;
+    }
+    return std::make_unique<TenantMap>(std::move(starts), footprint_,
+                                       threadTenant_, std::move(weights));
 }
 
 } // namespace skybyte

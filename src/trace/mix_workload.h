@@ -32,7 +32,8 @@
  * map): `mix:a=zipf` produces bit-identical simulation results to
  * plain `zipf`, which tests/test_mix_workload.cc pins. Per-tenant stat
  * buckets (SimResult::tenants) are populated only for mixes with two
- * or more tenants — a degenerate mix reports like the plain workload.
+ * or more tenants (tenantMap() is null otherwise) — a degenerate mix
+ * reports like the plain workload.
  */
 
 #ifndef SKYBYTE_TRACE_MIX_WORKLOAD_H
@@ -42,11 +43,12 @@
 #include <string>
 #include <vector>
 
+#include "trace/tenant_map.h"
 #include "trace/workload.h"
 
 namespace skybyte {
 
-/** One tenant of a constructed mix (reporting/classification view). */
+/** One tenant of a constructed mix (reporting view). */
 struct MixTenant
 {
     /** Tenant label from the spec (the report bucket name). */
@@ -138,24 +140,12 @@ class MixWorkload : public Workload
     /** Tenants in declaration order. */
     const std::vector<MixTenant> &tenants() const { return tenants_; }
 
-    /** Tenant owning global thread @p tid. */
-    int tenantOfThread(int tid) const
-    {
-        return threadTenant_[static_cast<std::size_t>(tid)];
-    }
-
-    /** Tenant owning device-space offset @p dev (< footprintBytes()). */
-    int tenantOfDeviceOffset(Addr dev) const;
-
     /**
-     * Ascending first-byte offsets of each tenant's device region
-     * (starts[0] == 0) — the bounds the SSD controller's per-tenant
-     * counters classify by.
+     * The tenant layout (device regions, thread owners, qos= weights)
+     * with zeroed counters, or nullptr for a single-tenant mix, which
+     * reports and fingerprints like the plain workload.
      */
-    std::vector<Addr> tenantDeviceStarts() const;
-
-    /** Per-tenant QoS weights in declaration order (default 1.0). */
-    std::vector<double> tenantQosWeights() const;
+    std::unique_ptr<TenantMap> tenantMap() const;
 
   private:
     std::vector<std::unique_ptr<Workload>> children_;

@@ -239,6 +239,28 @@ TEST(ConfigFile, RejectsOutOfRangeNumCores)
     EXPECT_EQ(spec.config.cpu.numCores, 1024);
 }
 
+TEST(ConfigFile, RejectsThirtyTwoBitKeysPastTheirRange)
+{
+    ExperimentSpec spec;
+    applyAssignment("plb_entries=4294967295", spec);
+    EXPECT_EQ(spec.config.hostMem.plbEntries, 4294967295u);
+    for (const std::string key :
+         {"ssd_cache_way", "hot_page_threshold", "plb_entries",
+          "numa_sockets", "qos_credits_per_epoch"}) {
+        for (const char *value : {"4294967296", "4294967297"}) {
+            try {
+                applyAssignment(key + "=" + value, spec);
+                ADD_FAILURE() << key << "=" << value << " was accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(spec.config.hostMem.plbEntries, 4294967295u);
+}
+
 TEST(ConfigFile, RejectsMalformedValues)
 {
     ExperimentSpec spec;

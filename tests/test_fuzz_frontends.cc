@@ -162,12 +162,15 @@ TEST(FuzzFrontends, QosKnobGarbageThrowsNotCrash)
                            "b=uniform:footprint=4M,qos=1",
                            params),
               nullptr);
-    // Garbage qos_* config knobs throw, never crash or clamp.
+    // Garbage qos_* and 32-bit config knobs throw, never crash, clamp
+    // or truncate.
     for (const std::string bad :
          {"qos_policy=strict", "qos_epoch_us=0", "qos_epoch_us=1000001",
           "qos_epoch_us=abc", "qos_credits_per_epoch=0",
           "qos_credits_per_epoch=4294967296",
-          "qos_write_log_quota=maybe", "qos_migration_share=2"}) {
+          "qos_write_log_quota=maybe", "qos_migration_share=2",
+          "ssd_cache_way=4294967296", "hot_page_threshold=4294967296",
+          "plb_entries=4294967296", "numa_sockets=4294967297"}) {
         SCOPED_TRACE(bad);
         std::istringstream in(bad + "\n");
         ExperimentSpec spec;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/migration.h"
+#include "trace/tenant_map.h"
 #include "sweep_reference.h"
 
 namespace skybyte {
@@ -35,9 +36,10 @@ migConfig(MigrationMechanism mech, std::uint64_t host_pages = 8)
 
 struct MigFixture
 {
-    explicit MigFixture(const SimConfig &config)
+    explicit MigFixture(const SimConfig &config,
+                        const TenantMap *tenants = nullptr)
         : cfg(config), link(eq, cfg.cxl), ssd(cfg, eq, link),
-          host(eq, cfg.hostDram), engine(cfg, eq, ssd, host, link)
+          host(eq, cfg.hostDram), engine(cfg, eq, ssd, host, link, tenants)
     {}
 
     void
@@ -470,20 +472,29 @@ TEST(Migration, ReclaimPoliciesAgreeOnObviousVictim)
     }
 }
 
+/** Two tenants owning device pages [0,4) and [4,16), no threads. */
+TenantMap
+twoTenants(double weight0, double weight1)
+{
+    return TenantMap({0, 4 * kPageBytes}, 16 * kPageBytes, {},
+                     {weight0, weight1});
+}
+
 TEST(Migration, TenantShareCapsPromotions)
 {
-    MigFixture fx(migConfig(MigrationMechanism::SkyByte, 128));
-    // Two tenants: device pages [0,4) and [4,..). Tenant 0 may hold
-    // one 4 KB region in host DRAM, tenant 1 two.
-    fx.engine.setTenantShares({0, 4 * kPageBytes},
-                              {kPageBytes, 2 * kPageBytes});
+    // A three-page host budget split 1:2: tenant 0 may hold one 4 KB
+    // region in host DRAM, tenant 1 two.
+    SimConfig cfg = migConfig(MigrationMechanism::SkyByte, 3);
+    cfg.qos.migrationShare = true;
+    const TenantMap tenants = twoTenants(1.0, 2.0);
+    MigFixture fx(cfg, &tenants);
     for (std::uint64_t lpn : {0, 1, 4, 5, 6})
         fx.cachePage(static_cast<std::uint64_t>(lpn));
     ASSERT_TRUE(fx.engine.onHotPage(0, 0));
     fx.eq.run();
     EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
     // Tenant 0 is at its share: the next promotion is refused even
-    // though the global host budget has plenty of room.
+    // though the global host budget has room.
     EXPECT_FALSE(fx.engine.onHotPage(1, fx.eq.now()));
     EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 1u);
     EXPECT_FALSE(fx.engine.isPromoted(1));
@@ -498,22 +509,27 @@ TEST(Migration, TenantShareCapsPromotions)
 
 TEST(Migration, DemotionReleasesTenantShare)
 {
-    // A one-page host budget forces a demotion on the second
-    // promotion; the demoted region's bytes must return to the
-    // tenant's share so the cap tracks what is actually resident.
-    MigFixture fx(migConfig(MigrationMechanism::SkyByte, 1));
-    fx.engine.setTenantShares({0}, {4 * kPageBytes});
+    // A one-page host budget split 1:1 floors each share at one
+    // region, so tenant 1's promotion demotes tenant 0's page; the
+    // demoted region's bytes must return to tenant 0's share so the
+    // cap tracks what is actually resident.
+    SimConfig cfg = migConfig(MigrationMechanism::SkyByte, 1);
+    cfg.qos.migrationShare = true;
+    const TenantMap tenants = twoTenants(1.0, 1.0);
+    MigFixture fx(cfg, &tenants);
     fx.cachePage(0);
     ASSERT_TRUE(fx.engine.onHotPage(0, 0));
     fx.eq.run();
     EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
-    fx.cachePage(1);
+    fx.cachePage(4);
     const Tick later = fx.eq.now() + usToTicks(5'000.0);
-    ASSERT_TRUE(fx.engine.onHotPage(1, later));
+    ASSERT_TRUE(fx.engine.onHotPage(4, later));
     fx.eq.run();
     EXPECT_EQ(fx.engine.stats().demotions, 1u);
-    EXPECT_TRUE(fx.engine.isPromoted(1));
-    EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
+    EXPECT_FALSE(fx.engine.isPromoted(0));
+    EXPECT_TRUE(fx.engine.isPromoted(4));
+    EXPECT_EQ(fx.engine.tenantPromotedBytes(0), 0u);
+    EXPECT_EQ(fx.engine.tenantPromotedBytes(1), kPageBytes);
     EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 0u);
 }
 

@@ -6,15 +6,18 @@
  * determinism (the per-thread stream is invariant under refill
  * granularity, mirroring the PR 3 batched-vs-single-record pins), the
  * single-tenant degeneration guarantee (`mix:a=zipf` is bit-identical
- * to plain `zipf`), and the checked-in `colocation` sweep reference.
+ * to plain `zipf`), the TenantMap classifiers and weight split, and the
+ * checked-in `colocation` and `qos` sweep references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/config_file.h"
 #include "sim/experiment.h"
@@ -187,6 +190,8 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
     ASSERT_NE(mix, nullptr);
     ASSERT_EQ(mix->tenants().size(), 3u);
     EXPECT_EQ(mix->numThreads(), 5);
+    const std::unique_ptr<TenantMap> map = mix->tenantMap();
+    ASSERT_NE(map, nullptr);
     EXPECT_EQ(mix->footprintBytes(),
               16ULL * 1024 * 1024); // 4M + 8M + 4M, page aligned
 
@@ -195,8 +200,7 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
     // global thread's private window.
     for (int tid = 0; tid < mix->numThreads(); ++tid) {
         const MixTenant &tenant =
-            mix->tenants()[static_cast<std::size_t>(
-                mix->tenantOfThread(tid))];
+            mix->tenants()[static_cast<std::size_t>(map->ofThread(tid))];
         const Addr data_lo = Workload::kDataBase + tenant.deviceBase;
         const Addr data_hi = data_lo + tenant.footprintBytes;
         const Addr priv_lo = Workload::kPrivateBase
@@ -211,9 +215,8 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
                 EXPECT_GE(rec.vaddr, data_lo);
                 EXPECT_LT(rec.vaddr, data_hi);
                 device_records++;
-                EXPECT_EQ(mix->tenantOfDeviceOffset(
-                              rec.vaddr - Workload::kDataBase),
-                          mix->tenantOfThread(tid));
+                EXPECT_EQ(map->ofDevice(rec.vaddr - Workload::kDataBase),
+                          map->ofThread(tid));
             } else {
                 EXPECT_GE(rec.vaddr, priv_lo);
                 EXPECT_LT(rec.vaddr,
@@ -222,6 +225,87 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
         }
         EXPECT_GT(device_records, 0u) << "thread " << tid;
     }
+}
+
+TEST(TenantMap, ClassifiesEveryAddressKind)
+{
+    // Three tenants: a (4M, 2 threads), b (8M, 2 threads), c (4M, 1
+    // thread); global threads are dealt a, b, c, a, b.
+    WorkloadParams params = smallParams();
+    params.numThreads = 5;
+    auto wl = makeWorkload(
+        "mix:a=zipf:footprint=4M;b=scan:footprint=8M,threads=2;"
+        "c=uniform:footprint=4M", params);
+    const auto *mix = dynamic_cast<const MixWorkload *>(wl.get());
+    ASSERT_NE(mix, nullptr);
+    const std::unique_ptr<TenantMap> map = mix->tenantMap();
+    ASSERT_NE(map, nullptr);
+    ASSERT_EQ(map->size(), 3u);
+
+    constexpr Addr kMiB = 1024 * 1024;
+    const Addr data = Workload::kDataBase;
+    auto priv = [](Addr tid, Addr off) {
+        return Workload::kPrivateBase + tid * Workload::kPrivateStride
+               + off;
+    };
+    const Addr last = Workload::kPrivateStride - 1;
+    const struct
+    {
+        const char *what;
+        Addr vaddr;
+        int tenant;
+    } rows[] = {
+        {"a first byte", data, 0},
+        {"a last byte", data + 4 * kMiB - 1, 0},
+        {"b first byte", data + 4 * kMiB, 1},
+        {"b last byte", data + 12 * kMiB - 1, 1},
+        {"c first byte", data + 12 * kMiB, 2},
+        {"c last byte", data + 16 * kMiB - 1, 2},
+        {"footprint end", data + 16 * kMiB, -1},
+        {"past the end", data + 16 * kMiB + kPageBytes, -1},
+        {"below the data base", data - 1, -1},
+        {"thread 0 private", priv(0, 0), 0},
+        {"thread 1 private", priv(1, last), 1},
+        {"thread 2 private", priv(2, 0), 2},
+        {"thread 3 private", priv(3, last), 0},
+        {"thread 4 private", priv(4, 0), 1},
+        {"no such thread", priv(5, 0), -1},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.what);
+        EXPECT_EQ(map->ofVaddr(row.vaddr), row.tenant);
+        if (row.vaddr >= data && row.vaddr < Workload::kPrivateBase) {
+            EXPECT_EQ(map->ofDevice(row.vaddr - data), row.tenant);
+        }
+    }
+    const int owners[] = {0, 1, 2, 0, 1};
+    for (int tid = 0; tid < mix->numThreads(); ++tid)
+        EXPECT_EQ(map->ofThread(tid), owners[tid]) << "thread " << tid;
+
+    // A single-tenant mix builds no map: it reports like plain zipf.
+    auto single = makeWorkload("mix:a=zipf:footprint=4M", params);
+    EXPECT_EQ(dynamic_cast<const MixWorkload &>(*single).tenantMap(),
+              nullptr);
+}
+
+TEST(TenantMap, SplitsByWeightShareWithAFloor)
+{
+    const TenantMap map({0, kPageBytes, 2 * kPageBytes}, 3 * kPageBytes,
+                        {0, 1, 2}, {1.0, 2.0, 1.0});
+    EXPECT_EQ(map.splitByWeight(100.0, 1),
+              (std::vector<std::uint64_t>{25, 50, 25}));
+    // Truncated shares below the floor are raised to it.
+    EXPECT_EQ(map.splitByWeight(3.0, 1),
+              (std::vector<std::uint64_t>{1, 1, 1}));
+    EXPECT_EQ(map.splitByWeight(10.0, 0),
+              (std::vector<std::uint64_t>{2, 5, 2}));
+    // Malformed layouts are rejected.
+    EXPECT_THROW(TenantMap({kPageBytes}, 2 * kPageBytes, {0}, {1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(TenantMap({0, kPageBytes}, kPageBytes, {0}, {1.0, 1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(TenantMap({0}, kPageBytes, {0}, {1.0, 1.0}),
+                 std::invalid_argument);
 }
 
 TEST(MixWorkloadRouting, StreamInvariantUnderRefillGranularity)
@@ -431,6 +515,12 @@ TEST(ColocationSweep, RegisteredAndConstructible)
 TEST(ColocationSweep, ReportMatchesCheckedInReference)
 {
     expectSweepMatchesReference("colocation");
+}
+
+TEST(QosSweep, ReportMatchesCheckedInReference)
+{
+    // Weighted admission, write-log quotas and migration shares.
+    expectSweepMatchesReference("qos");
 }
 
 TEST(ColocationSweep, ShardedEqualsUnsharded)
