@@ -8,49 +8,12 @@ AstriFlashCache::AstriFlashCache(const SimConfig &cfg, EventQueue &eq,
       tags_(cfg.hostMem.promotedBytesMax, 8, cfg.audit)
 {}
 
-AstriFlashCache::~AstriFlashCache()
-{
-    for (PendingFill *fill : pending_) {
-        if (fill != nullptr)
-            releaseFill(fill);
-    }
-}
-
 void
-AstriFlashCache::releaseFill(PendingFill *fill)
-{
-    fill->readers.drainTo(readerSlab_);
-    fill->writes.drainTo(writeSlab_);
-    fillSlab_.release(fill);
-}
-
-void
-AstriFlashCache::addReader(PendingFill &fill, std::uint32_t off,
-                           Tick issued_at, MemCallback cb)
-{
-    LineWaiter *w = readerSlab_.alloc();
-    w->off = off;
-    w->issuedAt = issued_at;
-    w->cb = std::move(cb);
-    fill.readers.append(w);
-}
-
-void
-AstriFlashCache::addWrite(PendingFill &fill, std::uint32_t off,
-                          LineValue value)
-{
-    BufferedWrite *bw = writeSlab_.alloc();
-    bw->off = off;
-    bw->value = value;
-    fill.writes.append(bw);
-}
-
-void
-AstriFlashCache::respond(LineWaiter &w, std::uint64_t lpn,
+AstriFlashCache::respond(PageFetch::LineReader &r, std::uint64_t lpn,
                          LineValue value, Tick t_page)
 {
     const Addr line_addr = lpn * kPageBytes
-                           + static_cast<Addr>(w.off) * kCachelineBytes;
+                           + static_cast<Addr>(r.off) * kCachelineBytes;
     const Tick t_data =
         hostDram_.serviceAt(t_page, kCachelineBytes, line_addr);
     MemResponse resp;
@@ -58,7 +21,7 @@ AstriFlashCache::respond(LineWaiter &w, std::uint64_t lpn,
     resp.lineAddr = line_addr;
     resp.value = value;
     eq_.schedule(t_data,
-                 [cb = std::move(w.cb), resp]() mutable { cb(resp); });
+                 [cb = std::move(r.cb), resp]() mutable { cb(resp); });
 }
 
 void
@@ -83,7 +46,7 @@ AstriFlashCache::read(Addr dev_line_addr, Tick when, MemCallback cb)
     }
 
     astriStats_.hostMisses++;
-    PendingFill *fill = fillOf(lpn);
+    PageFetch *fill = fills_.find(lpn);
     if (fill == nullptr)
         fill = startFill(lpn, when);
 
@@ -98,7 +61,7 @@ AstriFlashCache::read(Addr dev_line_addr, Tick when, MemCallback cb)
                      [cb = std::move(cb), resp]() mutable { cb(resp); });
         return;
     }
-    addReader(*fill, off, when, std::move(cb));
+    fills_.addReader(*fill, off, when, std::move(cb));
 }
 
 void
@@ -117,23 +80,20 @@ AstriFlashCache::write(Addr dev_line_addr, LineValue value, Tick when)
         return;
     }
     // Write-allocate at page granularity.
-    PendingFill *fill = fillOf(lpn);
+    PageFetch *fill = fills_.find(lpn);
     if (fill == nullptr) {
         astriStats_.hostMisses++;
         fill = startFill(lpn, when);
     }
-    addWrite(*fill, off, value);
+    fills_.addWrite(*fill, off, value);
 }
 
-AstriFlashCache::PendingFill *
+PageFetch *
 AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
 {
-    if (lpn >= pending_.size())
-        pending_.resize(lpn + 1);
-    PendingFill *fill = fillSlab_.alloc();
-    pending_[lpn] = fill;
-    ssd_.readPageToHost(lpn, when, [this, lpn, fill](Tick t) {
-        pending_[lpn] = nullptr;
+    PageFetch *fill = fills_.start(lpn);
+    ssd_.readPageToHost(lpn, when, [this, lpn](Tick t) {
+        PageFetch *fill = fills_.take(lpn);
         astriStats_.pageFills++;
 
         const Tick t_ins = hostDram_.serviceAt(t, kPageBytes,
@@ -146,7 +106,7 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
         PageData *cached = tags_.data(*page);
         if (cached != nullptr)
             ssd_.snapshotPage(lpn, *cached);
-        for (BufferedWrite *bw = fill->writes.head; bw != nullptr;
+        for (PageFetch::LineWrite *bw = fill->writes.head; bw != nullptr;
              bw = bw->next) {
             if (cached != nullptr)
                 (*cached)[bw->off] = bw->value;
@@ -159,12 +119,12 @@ AstriFlashCache::startFill(std::uint64_t lpn, Tick when)
             ssd_.writePageFromHost(
                 ev.lpn, cached != nullptr ? &victim_data : nullptr, t_ins);
         }
-        for (LineWaiter *w = fill->readers.head; w != nullptr;
-             w = w->next) {
-            respond(*w, lpn, cached != nullptr ? (*cached)[w->off] : 0,
+        for (PageFetch::LineReader *r = fill->readers.head; r != nullptr;
+             r = r->next) {
+            respond(*r, lpn, cached != nullptr ? (*cached)[r->off] : 0,
                     t_ins);
         }
-        releaseFill(fill);
+        fills_.release(fill);
     });
     return fill;
 }

@@ -9,23 +9,21 @@
  * treated as a black box accessed only at page granularity — no write
  * log integration, exactly as the paper argues.
  *
- * The fill path mirrors the SSD controller's request-path layout:
- * in-flight fills are slab records with intrusive FIFO chains of
- * readers/buffered writes, found through a dense per-page table.
+ * In-flight fills live in a PageFetchTable (core/page_fetch.h), the
+ * same table the SSD controller keeps its flash fetches in: reads and
+ * write-allocate lines wait on the fill in FIFO chains.
  */
 
 #ifndef SKYBYTE_CORE_ASTRIFLASH_H
 #define SKYBYTE_CORE_ASTRIFLASH_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/slab.h"
 #include "core/page_cache.h"
+#include "core/page_fetch.h"
 #include "core/ssd_controller.h"
 #include "cpu/mem_backend.h"
 #include "mem/dram.h"
@@ -50,7 +48,6 @@ class AstriFlashCache
   public:
     AstriFlashCache(const SimConfig &cfg, EventQueue &eq,
                     SsdController &ssd, DramModel &host_dram);
-    ~AstriFlashCache();
 
     AstriFlashCache(const AstriFlashCache &) = delete;
     AstriFlashCache &operator=(const AstriFlashCache &) = delete;
@@ -70,63 +67,19 @@ class AstriFlashCache
     const AstriFlashStats &stats() const { return astriStats_; }
 
     /** Page fills in flight (0 once a run has drained). */
-    std::size_t
-    pendingFills() const
-    {
-        return pending_.size()
-               - std::count(pending_.begin(), pending_.end(), nullptr);
-    }
+    std::size_t pendingFills() const { return fills_.inFlight(); }
 
   private:
-    /** One read waiting on an in-flight fill (intrusive FIFO). */
-    struct LineWaiter
-    {
-        LineWaiter *next = nullptr;
-        std::uint32_t off = 0;
-        Tick issuedAt = 0;
-        MemCallback cb;
-    };
-
-    /** One write-allocate line buffered until the fill lands. */
-    struct BufferedWrite
-    {
-        BufferedWrite *next = nullptr;
-        std::uint32_t off = 0;
-        LineValue value = 0;
-    };
-
-    /** One in-flight page fill (slab-allocated, address-stable). */
-    struct PendingFill
-    {
-        IntrusiveFifo<LineWaiter> readers;
-        IntrusiveFifo<BufferedWrite> writes;
-    };
-
-    /** In-flight fill of @p lpn, or nullptr. */
-    PendingFill *
-    fillOf(std::uint64_t lpn) const
-    {
-        return lpn < pending_.size() ? pending_[lpn] : nullptr;
-    }
-
-    PendingFill *startFill(std::uint64_t lpn, Tick when);
-    void addReader(PendingFill &fill, std::uint32_t off, Tick issued_at,
-                   MemCallback cb);
-    void addWrite(PendingFill &fill, std::uint32_t off, LineValue value);
-    void releaseFill(PendingFill *fill);
-    void respond(LineWaiter &w, std::uint64_t lpn, LineValue value,
-                 Tick t_page);
+    PageFetch *startFill(std::uint64_t lpn, Tick when);
+    void respond(PageFetch::LineReader &r, std::uint64_t lpn,
+                 LineValue value, Tick t_page);
 
     const SimConfig &cfg_;
     EventQueue &eq_;
     SsdController &ssd_;
     DramModel &hostDram_;
     PageCache tags_;
-    /** In-flight fills by lpn; nullptr when none. */
-    std::vector<PendingFill *> pending_;
-    Slab<PendingFill> fillSlab_;
-    Slab<LineWaiter> readerSlab_;
-    Slab<BufferedWrite> writeSlab_;
+    PageFetchTable fills_;
     AstriFlashStats astriStats_;
 };
 

@@ -268,7 +268,6 @@ MigrationEngine::finishMigration(std::uint64_t base)
         if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
             lists_.insert(regionIndex(base), now);
         migStats_.promotions++;
-        migStats_.tlbShootdowns++;
         if (shootdownHook_)
             shootdownHook_(cfg_.hostMem.tlbShootdownCost);
     });
@@ -380,7 +379,6 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
     }
 
     migStats_.demotions++;
-    migStats_.tlbShootdowns++;
     if (shootdownHook_)
         shootdownHook_(cfg_.hostMem.tlbShootdownCost);
 }

@@ -59,7 +59,6 @@ struct MigrationStats
     std::uint64_t demotions = 0;
     std::uint64_t rejectedPlbFull = 0;
     std::uint64_t rejectedNotCached = 0;
-    std::uint64_t tlbShootdowns = 0;
     std::uint64_t inflightWriteRedirects = 0; ///< writes sent to host copy
     std::uint64_t nvmeNotifies = 0;           ///< huge-page drops (§IV)
     /** Promotions rejected by a per-tenant share cap (QoS). */

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
-#include "cxl/ndr.h"
 #include "trace/tenant_map.h"
 
 namespace skybyte {
@@ -38,56 +36,6 @@ SsdController::SsdController(const SimConfig &cfg, EventQueue &eq,
             static_cast<double>(log_->activeBuffer().capacityEntries()),
             1));
     }
-}
-
-SsdController::~SsdController()
-{
-    // Fetches still in flight at teardown (timed-out runs) own waiter
-    // records whose callbacks' captures must be destroyed: drain them.
-    for (PendingFetch *pf : fetches_) {
-        if (pf != nullptr)
-            releaseFetch(pf);
-    }
-}
-
-void
-SsdController::releaseFetch(PendingFetch *pf)
-{
-    pf->waiters.drainTo(waiterSlab_);
-    pf->pageWaiters.drainTo(pageWaiterSlab_);
-    pf->pendingWrites.drainTo(pendingWriteSlab_);
-    fetchSlab_.release(pf);
-}
-
-void
-SsdController::addWaiter(PendingFetch &pf, std::uint32_t off,
-                         Tick ready_at, MemCallback cb)
-{
-    Waiter *w = waiterSlab_.alloc();
-    w->lineOff = off;
-    w->readyAt = ready_at;
-    w->cb = std::move(cb);
-    pf.waiters.append(w);
-}
-
-void
-SsdController::addPageWaiter(PendingFetch &pf, Tick ready_at,
-                             PageReadFn cb)
-{
-    PageWaiter *pw = pageWaiterSlab_.alloc();
-    pw->readyAt = ready_at;
-    pw->cb = std::move(cb);
-    pf.pageWaiters.append(pw);
-}
-
-void
-SsdController::addPendingWrite(PendingFetch &pf, std::uint32_t off,
-                               LineValue value)
-{
-    PendingWrite *wr = pendingWriteSlab_.alloc();
-    wr->off = off;
-    wr->value = value;
-    pf.pendingWrites.append(wr);
 }
 
 Tick
@@ -152,22 +100,12 @@ void
 SsdController::sendDelayHint(Tick t, MemCallback cb)
 {
     stats_.delayHintsSent++;
-    // The hint travels as a Figure 8 NDR flit with the SkyByte-Delay
-    // opcode: encoded device-side, decoded host-side. The tag is the
-    // link transaction tag of the blocked MemRd (C1/C2).
-    NdrMessage ndr;
-    ndr.valid = true;
-    ndr.opcode = CxlNdrOpcode::SkyByteDelay;
-    ndr.tag = link_.nextTag();
-    const NdrFlit flit = encodeNdr(ndr);
+    // The hint is a header-only NDR (Figure 8, SkyByte-Delay opcode);
+    // the host matches it to its miss by the callback it carries.
     const Tick t_host = link_.deliverToHost(t, kHeaderBytes);
-    eq_.schedule(t_host, [cb = std::move(cb), flit]() mutable {
-        const auto decoded = decodeNdr(flit);
-        assert(decoded
-               && decoded->opcode == CxlNdrOpcode::SkyByteDelay);
+    eq_.schedule(t_host, [cb = std::move(cb)]() mutable {
         MemResponse resp;
         resp.kind = MemResponseKind::DelayHint;
-        resp.tag = decoded ? decoded->tag : 0;
         cb(resp);
     });
 }
@@ -190,7 +128,6 @@ SsdController::touchForPromotion(std::uint64_t lpn, Tick now)
     if (count + 1 >= cfg_.policy.hotPageThreshold && isPageCached(lpn)
         && hotPageHook_(lpn, now)) {
         accessCounts_[lpn] = ~0u;
-        stats_.pagePromotionsSignalled++;
     }
 }
 
@@ -260,7 +197,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     stats_.readMisses++;
     if (tenant != nullptr)
         tenant->ssdReadMisses++;
-    if (PendingFetch *pf = fetchOf(lpn)) {
+    if (PageFetch *pf = fetches_.find(lpn)) {
         const Tick remaining =
             pf->expectedDone > t_idx ? pf->expectedDone - t_idx : 0;
         if (cfg_.policy.deviceTriggeredCtxSwitch
@@ -268,25 +205,24 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
             sendDelayHint(t_idx, std::move(cb));
             return;
         }
-        pf->prefetch = false;
-        addWaiter(*pf, off, t_idx, std::move(cb));
+        fetches_.addReader(*pf, off, t_idx, std::move(cb));
         return;
     }
 
     const Tick est = ftl_.estimateReadDelay(lpn, t_idx);
     const bool hint = shouldHint(lpn, est);
-    PendingFetch *pf = startFetch(lpn, t_idx, false);
+    PageFetch *pf = startFetch(lpn, t_idx);
 
     // Sequential next-page prefetch (Base-CSSD optimization [32],[62]),
     // throttled so useless prefetches cannot saturate a busy channel.
     if (cfg_.ssdCache.baseCssdPrefetch) {
         const std::uint64_t next = lpn + 1;
-        if (cache_.probe(next) == nullptr && fetchOf(next) == nullptr
+        if (cache_.probe(next) == nullptr && fetches_.find(next) == nullptr
             && next * kPageBytes < cfg_.flash.totalBytes()
             && ftl_.channelOf(next).pendingReads() < 2
             && !ftl_.gcActiveFor(next)) {
             stats_.prefetches++;
-            startFetch(next, t_idx, true);
+            startFetch(next, t_idx);
         }
     }
 
@@ -294,19 +230,14 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
         sendDelayHint(t_idx, std::move(cb));
         return;
     }
-    addWaiter(*pf, off, t_idx, std::move(cb));
+    fetches_.addReader(*pf, off, t_idx, std::move(cb));
 }
 
-SsdController::PendingFetch *
-SsdController::startFetch(std::uint64_t lpn, Tick t, bool prefetch)
+PageFetch *
+SsdController::startFetch(std::uint64_t lpn, Tick t)
 {
-    assert(fetchOf(lpn) == nullptr);
-    if (lpn >= fetches_.size())
-        fetches_.resize(lpn + 1);
-    PendingFetch *pf = fetchSlab_.alloc();
-    fetches_[lpn] = pf;
+    PageFetch *pf = fetches_.start(lpn);
     pf->startedAt = t;
-    pf->prefetch = prefetch;
     pf->expectedDone = t + ftl_.estimateReadDelay(lpn, t);
     ftl_.readPage(lpn, t, [this, lpn](Tick done) {
         onPageArrived(lpn, done);
@@ -342,11 +273,11 @@ SsdController::handleEviction(const PageEvict &ev,
 }
 
 void
-SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
-                           LineValue value)
+SsdController::respondLine(PageFetch::LineReader &r, std::uint64_t lpn,
+                           Tick t_page, LineValue value)
 {
     const Addr line_addr = lpn * kPageBytes
-                           + static_cast<Addr>(w.lineOff) * kCachelineBytes;
+                           + static_cast<Addr>(r.off) * kCachelineBytes;
     const Tick t_data = dram_.serviceAt(t_page, kCachelineBytes, line_addr);
     const Tick t_resp = link_.deliverToHost(t_data, kCachelineBytes);
     stats_.amatReads++;
@@ -355,21 +286,19 @@ SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
     stats_.indexingTicks += static_cast<double>(indexLatency());
     stats_.ssdDramTicks += static_cast<double>(t_data - t_page);
     stats_.flashTicks += static_cast<double>(
-        t_page > w.readyAt ? t_page - w.readyAt : 0);
+        t_page > r.at ? t_page - r.at : 0);
     MemResponse resp;
     resp.kind = MemResponseKind::Data;
     resp.lineAddr = line_addr;
     resp.value = value;
     eq_.schedule(t_resp,
-                 [cb = std::move(w.cb), resp]() mutable { cb(resp); });
+                 [cb = std::move(r.cb), resp]() mutable { cb(resp); });
 }
 
 void
 SsdController::onPageArrived(std::uint64_t lpn, Tick done)
 {
-    PendingFetch *pf = fetchOf(lpn);
-    assert(pf != nullptr); // each fetch's flash read completes once
-    fetches_[lpn] = nullptr;
+    PageFetch *pf = fetches_.take(lpn);
 
     stats_.flashReadLatency.record(done - pf->startedAt);
     if (tenants_ != nullptr) {
@@ -397,31 +326,31 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
     handleEviction(ev, ev.dirty && data != nullptr ? &victim_data : nullptr,
                    t_ins);
 
-    // Waiters respond from the fetched snapshot, BEFORE the buffered
+    // Readers respond from the fetched snapshot, BEFORE the buffered
     // write-allocate lines apply: those writes arrived after the reads
     // they would otherwise leak into.
-    for (Waiter *w = pf->waiters.head; w != nullptr; w = w->next) {
-        page->touchedMask |= 1ULL << w->lineOff;
-        respondLine(*w, lpn, t_ins,
-                    data != nullptr ? (*data)[w->lineOff] : 0);
+    for (PageFetch::LineReader *r = pf->readers.head; r != nullptr;
+         r = r->next) {
+        page->touchedMask |= 1ULL << r->off;
+        respondLine(*r, lpn, t_ins, data != nullptr ? (*data)[r->off] : 0);
         // The page is resident now, so hot-page promotion can trigger
         // even for pages whose popularity was only visible via misses.
         touchForPromotion(lpn, t_ins);
     }
-    for (PageWaiter *pw = pf->pageWaiters.head; pw != nullptr;
-         pw = pw->next) {
+    for (PageFetch::PageReader *pr = pf->pageReaders.head; pr != nullptr;
+         pr = pr->next) {
         const Tick t_data = dram_.serviceAt(t_ins, kPageBytes,
                                             lpn * kPageBytes);
         const Tick t_resp = link_.deliverToHost(t_data, kPageBytes);
-        eq_.schedule(t_resp, [cb = std::move(pw->cb), t_resp]() mutable {
+        eq_.schedule(t_resp, [cb = std::move(pr->cb), t_resp]() mutable {
             cb(t_resp);
         });
     }
 
     // Base-CSSD write-allocate: apply buffered line writes.
-    if (!pf->pendingWrites.empty()) {
+    if (!pf->writes.empty()) {
         PageData *flash = data != nullptr ? &ftl_.pageData(lpn) : nullptr;
-        for (PendingWrite *wr = pf->pendingWrites.head; wr != nullptr;
+        for (PageFetch::LineWrite *wr = pf->writes.head; wr != nullptr;
              wr = wr->next) {
             if (data != nullptr) {
                 (*data)[wr->off] = wr->value;
@@ -432,7 +361,7 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
             page->touchedMask |= 1ULL << wr->off;
         }
     }
-    releaseFetch(pf);
+    fetches_.release(pf);
 }
 
 void
@@ -494,12 +423,12 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
         dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
         return;
     }
-    if (PendingFetch *pf = fetchOf(lpn)) {
-        addPendingWrite(*pf, off, value);
+    if (PageFetch *pf = fetches_.find(lpn)) {
+        fetches_.addWrite(*pf, off, value);
         return;
     }
     stats_.rmwFetches++;
-    addPendingWrite(*startFetch(lpn, t_idx, false), off, value);
+    fetches_.addWrite(*startFetch(lpn, t_idx), off, value);
 }
 
 void
@@ -510,7 +439,6 @@ SsdController::maybeStartCompaction(Tick now)
 
     WriteLogBuffer &buf = log_->beginCompaction();
     compacting_ = true;
-    compactStart_ = now;
     stats_.compactionRuns++;
 
     // Enumerate the draining buffer's pages in ascending-LPA order:
@@ -582,7 +510,6 @@ SsdController::issueCompactionJob(std::uint32_t ch, Tick when)
     if (compactOutstanding_ == 0) {
         log_->finishCompaction();
         compacting_ = false;
-        stats_.compactionTicksTotal += eq_.now() - compactStart_;
         maybeStartCompaction(eq_.now()); // active may already be full
     }
 }
@@ -619,11 +546,10 @@ SsdController::readPageToHost(std::uint64_t lpn, Tick when, PageReadFn cb)
                      [cb = std::move(cb), t_resp]() mutable { cb(t_resp); });
         return;
     }
-    if (PendingFetch *pf = fetchOf(lpn)) {
-        addPageWaiter(*pf, t_idx, std::move(cb));
-        return;
-    }
-    addPageWaiter(*startFetch(lpn, t_idx, false), t_idx, std::move(cb));
+    PageFetch *pf = fetches_.find(lpn);
+    if (pf == nullptr)
+        pf = startFetch(lpn, t_idx);
+    fetches_.addPageReader(*pf, std::move(cb));
 }
 
 void

@@ -13,8 +13,9 @@
  * and dirty-page writebacks on eviction.
  *
  * Request-path design: the steady state is allocation-free. In-flight
- * fetches are slab records (common/slab.h) carrying intrusive FIFO
- * chains of waiter records instead of per-fetch vectors; the fetch
+ * flash fetches live in a PageFetchTable (core/page_fetch.h, shared
+ * with AstriFlash): slab records carrying intrusive FIFO chains of
+ * waiting line reads, page reads and write-allocate lines. The fetch
  * table and the hot-page access counters are dense vectors indexed by
  * device page, grown to the highest page inserted (a probe past the
  * end reads as absent and grows nothing); and completion callbacks are
@@ -29,7 +30,6 @@
 #ifndef SKYBYTE_CORE_SSD_CONTROLLER_H
 #define SKYBYTE_CORE_SSD_CONTROLLER_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -39,11 +39,10 @@
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/inline_function.h"
-#include "common/slab.h"
 #include "common/stats.h"
 #include "cpu/mem_backend.h"
 #include "core/page_cache.h"
+#include "core/page_fetch.h"
 #include "core/write_log.h"
 #include "cxl/cxl.h"
 #include "mem/dram.h"
@@ -52,14 +51,6 @@
 namespace skybyte {
 
 class TenantMap;
-
-/**
- * Page-read completion callback (page-granular host interface), fired
- * with the delivery time. A consumer keeping payload reads the page with
- * snapshotPage() then; it must not write the page while the read is in
- * flight (AstriFlash buffers such writes).
- */
-using PageReadFn = InlineFunction<void(Tick), 32>;
 
 /** Controller statistics (feeds Figs 5/6, 16, 17, 18 and Table III). */
 struct SsdStats
@@ -74,9 +65,7 @@ struct SsdStats
     std::uint64_t dirtyEvictions = 0; ///< Base-CSSD dirty page writebacks
     std::uint64_t compactionPagesFlushed = 0;
     std::uint64_t compactionFlashReads = 0;
-    Tick compactionTicksTotal = 0;
     std::uint64_t compactionRuns = 0;
-    std::uint64_t pagePromotionsSignalled = 0;
 
     /** AMAT component sums over completed demand reads (ticks). */
     std::uint64_t amatReads = 0;
@@ -113,7 +102,6 @@ class SsdController
      */
     SsdController(const SimConfig &cfg, EventQueue &eq, CxlLink &link,
                   TenantMap *tenants = nullptr);
-    ~SsdController();
 
     SsdController(const SsdController &) = delete;
     SsdController &operator=(const SsdController &) = delete;
@@ -187,86 +175,19 @@ class SsdController
     PageCache &cache() { return cache_; }
     WriteLog *writeLog() { return log_.get(); }
     const SsdStats &stats() const { return stats_; }
-    DramModel &dram() { return dram_; }
 
     /** Flash page fetches in flight (0 once a run has drained). */
-    std::size_t
-    fetchesInFlight() const
-    {
-        return fetches_.size()
-               - std::count(fetches_.begin(), fetches_.end(), nullptr);
-    }
+    std::size_t fetchesInFlight() const { return fetches_.inFlight(); }
 
   private:
-    /** One line read waiting on an in-flight fetch (intrusive FIFO). */
-    struct Waiter
-    {
-        Waiter *next = nullptr;
-        std::uint32_t lineOff = 0;
-        Tick readyAt = 0; ///< time the request finished indexing
-        MemCallback cb;
-    };
-
-    /** One page read waiting on an in-flight fetch (intrusive FIFO). */
-    struct PageWaiter
-    {
-        PageWaiter *next = nullptr;
-        Tick readyAt = 0;
-        PageReadFn cb;
-    };
-
-    /** Base-CSSD write-allocate line buffered until the page arrives. */
-    struct PendingWrite
-    {
-        PendingWrite *next = nullptr;
-        std::uint32_t off = 0;
-        LineValue value = 0;
-    };
-
-    /**
-     * One in-flight flash fetch. Slab-allocated; the three waiter
-     * FIFOs replay in arrival order on completion (the event-queue
-     * seq tie-break depends on it).
-     */
-    struct PendingFetch
-    {
-        Tick expectedDone = 0;
-        Tick startedAt = 0;
-        bool prefetch = false;
-        IntrusiveFifo<Waiter> waiters;
-        IntrusiveFifo<PageWaiter> pageWaiters;
-        IntrusiveFifo<PendingWrite> pendingWrites;
-    };
-
     bool logEnabled() const { return log_ != nullptr; }
     Tick indexLatency() const;
-
-    /** In-flight fetch of @p lpn, or nullptr. */
-    PendingFetch *
-    fetchOf(std::uint64_t lpn) const
-    {
-        return lpn < fetches_.size() ? fetches_[lpn] : nullptr;
-    }
 
     /**
      * Start the flash fetch of @p lpn, which has none in flight, at
      * device time @p t.
      */
-    PendingFetch *startFetch(std::uint64_t lpn, Tick t, bool prefetch);
-
-    /** Append a line waiter to @p pf (FIFO). */
-    void addWaiter(PendingFetch &pf, std::uint32_t off, Tick ready_at,
-                   MemCallback cb);
-
-    /** Append a page waiter to @p pf (FIFO). */
-    void addPageWaiter(PendingFetch &pf, Tick ready_at, PageReadFn cb);
-
-    /** Append a buffered write-allocate line to @p pf (FIFO). */
-    void addPendingWrite(PendingFetch &pf, std::uint32_t off,
-                         LineValue value);
-
-    /** Destroy a fetch record and its chains (drops callbacks). */
-    void releaseFetch(PendingFetch *pf);
+    PageFetch *startFetch(std::uint64_t lpn, Tick t);
 
     void onPageArrived(std::uint64_t lpn, Tick done);
 
@@ -281,11 +202,11 @@ class SsdController
     void handleEviction(const PageEvict &ev, const PageData *victim_data,
                         Tick when);
 
-    /** Answer one line waiter with @p value (consumes its callback). */
-    void respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
-                     LineValue value);
+    /** Answer one line reader with @p value (consumes its callback). */
+    void respondLine(PageFetch::LineReader &r, std::uint64_t lpn,
+                     Tick t_page, LineValue value);
 
-    /** Send the SkyByte-Delay NDR back to the host. */
+    /** Send the SkyByte-Delay hint (a header-only NDR) to the host. */
     void sendDelayHint(Tick t, MemCallback cb);
 
     /** Count an access for hot-page tracking. */
@@ -319,12 +240,7 @@ class SsdController
     PageCache cache_;
     std::unique_ptr<WriteLog> log_;
 
-    /** In-flight fetch table: lpn -> slab record, nullptr when idle. */
-    std::vector<PendingFetch *> fetches_;
-    Slab<PendingFetch> fetchSlab_;
-    Slab<Waiter> waiterSlab_;
-    Slab<PageWaiter> pageWaiterSlab_;
-    Slab<PendingWrite> pendingWriteSlab_;
+    PageFetchTable fetches_;
 
     std::function<bool(std::uint64_t, Tick)> hotPageHook_;
     /** Per-page access counters for §III-C hot-page detection. */
@@ -333,7 +249,6 @@ class SsdController
     /** Compaction state: per-channel pending page jobs. */
     std::vector<std::deque<std::uint64_t>> compactJobs_;
     std::uint32_t compactOutstanding_ = 0;
-    Tick compactStart_ = 0;
     bool compacting_ = false;
 
     SsdStats stats_;

@@ -200,7 +200,6 @@ Core::runLoop()
         }
         thread_->issue();
         robSlotsUsed_ += slots;
-        stats_.issuedInstructions += slots;
         stats_.computeTicks += slots;
         thread_->addVruntime(slots);
         cursor_ = issue_end;

@@ -57,7 +57,6 @@ struct CoreStats
     Tick ctxSwitchTicks = 0;
     Tick idleTicks = 0;
     std::uint64_t committedInstructions = 0;
-    std::uint64_t issuedInstructions = 0;
     std::uint64_t contextSwitches = 0;
     std::uint64_t squashedRecords = 0;
     /**

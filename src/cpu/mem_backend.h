@@ -31,7 +31,6 @@ struct MemRequest
     Addr lineAddr = 0;   ///< cacheline-aligned virtual address
     bool isWrite = false;
     int coreId = -1;
-    int threadId = -1;
     LineValue value = 0; ///< functional payload for writes
 };
 
@@ -41,8 +40,6 @@ struct MemResponse
     MemResponseKind kind = MemResponseKind::Data;
     Addr lineAddr = 0;
     LineValue value = 0; ///< functional payload for data responses
-    /** CXL transaction tag carried by NDR delay hints (Figure 8). */
-    std::uint16_t tag = 0;
 };
 
 /**

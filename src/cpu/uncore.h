@@ -179,7 +179,6 @@ class Uncore
     /** Register a core for MSHR-free wakeups. */
     void addCore(Core *core) { cores_.push_back(core); }
 
-    SetAssocCache &l3() { return l3_; }
     const SetAssocCache &l3c() const { return l3_; }
 
     std::uint64_t llcMisses() const { return llcMisses_; }

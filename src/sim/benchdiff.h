@@ -1,10 +1,10 @@
 /**
  * @file
  * Tolerance-aware comparison of two JSON documents: the one diff
- * engine behind tools/skybyte_benchdiff and the CI bench-baselines gate
- * (the BENCH_*.json files the bench/ programs emit) and behind
- * `skybyte_sweep --diff`, which compares each pair of sweep report
- * entries through it (sim/report.h diffSweepReports).
+ * engine behind `skybyte_sweep --diff`, which compares plain JSON
+ * documents (the BENCH_*.json files the bench/ programs emit, gated by
+ * the CI bench-baselines job) through it directly and each pair of
+ * sweep report entries through sim/report.h diffSweepReports.
  *
  * Both documents are lexed into a structural skeleton plus a sequence
  * of numbers, the skeletons must match exactly (a renamed or added

@@ -455,7 +455,7 @@ parseSweepReport(const std::string &text)
 
 std::vector<std::string>
 diffSweepReports(const SweepReport &a, const SweepReport &b,
-                 double tol_pct)
+                 const BenchDiffOptions &opt)
 {
     if (a.sweep != b.sweep) {
         throw std::runtime_error("diff: different sweeps: " + a.sweep
@@ -473,8 +473,6 @@ diffSweepReports(const SweepReport &a, const SweepReport &b,
             + std::to_string(b.entries.size()) + "/"
             + std::to_string(b.totalPoints));
     }
-    BenchDiffOptions opt;
-    opt.tolPct = tol_pct;
     std::vector<std::string> drifts;
 
     auto compareEntries = [&](const SweepReportEntry &ea,
@@ -493,7 +491,7 @@ diffSweepReports(const SweepReport &a, const SweepReport &b,
             os << std::setprecision(12);
             os << a.sweep << "[" << ea.index << "] " << d.path << ": "
                << d.baseline << " vs " << d.current << " ("
-               << std::setprecision(3) << d.relPct << "% > " << tol_pct
+               << std::setprecision(3) << d.relPct << "% > " << opt.tolPct
                << "%)";
             drifts.push_back(os.str());
         }

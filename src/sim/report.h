@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/benchdiff.h"
 #include "sim/system.h"
 
 namespace skybyte {
@@ -139,10 +140,11 @@ SweepReport mergeSweepReports(const std::vector<SweepReport> &shards);
  * Matched point entries are compared by diffBenchJson()
  * (sim/benchdiff.h): non-numeric text (keys, ids, structure) must match
  * exactly, whitespace aside; every numeric value — scalars and CDF
- * points alike — may differ by at most @p tol_pct percent relative
+ * points alike — may differ by at most @p opt.tolPct percent relative
  * difference (0 = numerically equal, which still tolerates formatting
- * differences like 1e3 vs 1000). A drift names the number by its
- * dotted key path within the entry ("result.committed_instructions").
+ * differences like 1e3 vs 1000), restricted by its key filter and
+ * regress-only mode. A drift names the number by its dotted key path
+ * within the entry ("result.committed_instructions").
  *
  * Partial reports compare gracefully: points with entries in both
  * reports are compared as usual, and a point that succeeded in
@@ -157,7 +159,7 @@ SweepReport mergeSweepReports(const std::vector<SweepReport> &shards);
  */
 std::vector<std::string> diffSweepReports(const SweepReport &a,
                                           const SweepReport &b,
-                                          double tol_pct);
+                                          const BenchDiffOptions &opt);
 
 } // namespace skybyte
 

@@ -305,11 +305,8 @@ class System
     MigrationEngine *migration() { return migration_.get(); }
     AstriFlashCache *astriflash() { return astri_.get(); }
     Uncore &uncore() { return *uncore_; }
-    DramModel &hostDram() { return *hostDram_; }
-    CxlLink &cxlLink() { return *link_; }
     Workload &workload() { return *workload_; }
     const SimConfig &config() const { return cfg_; }
-    CxlAwareScheduler &scheduler() { return *sched_; }
     /** @} */
 
     /** Address routing helpers used by MemRouter. @{ */

@@ -69,7 +69,6 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done,
         busFree_ = done;
         setDieFree(die, done); // die holds the data until transfer ends
         pendingReads_++;
-        busyTicks_ += done - cell_start;
         break;
       }
       case FlashOpKind::Program: {
@@ -81,7 +80,6 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done,
         done = cell_start + cfg_.timing.programLatency;
         setDieFree(die, done);
         pendingPrograms_++;
-        busyTicks_ += done - bus_start;
         break;
       }
       case FlashOpKind::Erase: {
@@ -89,7 +87,6 @@ FlashChannel::enqueue(FlashOpKind kind, Tick when, FlashDoneFn on_done,
         done = start + cfg_.timing.eraseLatency;
         setDieFree(die, done);
         pendingErases_++;
-        busyTicks_ += done - start;
         break;
       }
     }

@@ -76,7 +76,6 @@ class FlashChannel
     std::uint64_t completedReads() const { return reads_; }
     std::uint64_t completedPrograms() const { return programs_; }
     std::uint64_t completedErases() const { return erases_; }
-    Tick busyTicks() const { return busyTicks_; }
 
     /** Per-kind service latency on this channel. */
     Tick latencyOf(FlashOpKind kind) const;
@@ -117,7 +116,6 @@ class FlashChannel
     std::uint64_t reads_ = 0;
     std::uint64_t programs_ = 0;
     std::uint64_t erases_ = 0;
-    Tick busyTicks_ = 0;
 };
 
 } // namespace skybyte

@@ -12,6 +12,8 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
 {
     channels_.resize(cfg_.channels);
     const auto blocks = static_cast<std::uint32_t>(cfg_.blocksPerChannel());
+    slots_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+        slotIndex(cfg_.channels * blocks));
     for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
         Channel &ch = channels_[c];
         ch.flash = std::make_unique<FlashChannel>(static_cast<int>(c),
@@ -19,8 +21,7 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed,
         ch.flash->setCompletionHook(
             [this, c](Tick done) { maybeStartGc(c, done); });
         ch.blocks.resize(blocks);
-        ch.slotLpn = std::make_unique_for_overwrite<std::uint64_t[]>(
-            static_cast<std::size_t>(blocks) * cfg_.pagesPerBlock);
+        ch.slotLpn = slots_.get() + slotIndex(c * blocks);
         // All blocks initially free except the first, which opens.
         for (std::uint32_t b = blocks; b > 1; --b)
             ch.freeList.push_back(b - 1);
@@ -141,7 +142,7 @@ Ftl::mapToOpenBlock(Channel &ch, std::uint64_t lpn)
     ensureOpenBlock(ch);
     Block &blk = ch.blocks[ch.openBlock];
     if (blk.writeCursor == 0) {
-        std::fill_n(ch.slotLpn.get() + slotIndex(ch.openBlock),
+        std::fill_n(ch.slotLpn + slotIndex(ch.openBlock),
                     cfg_.pagesPerBlock, kInvalidLpn);
     }
     const Ppa ppa{ch.openBlock, blk.writeCursor++};
@@ -240,7 +241,7 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 
     // Relocate valid pages: read + program per page, sharing the FIFO.
     Block &blk = ch.blocks[victim];
-    std::uint64_t *slots = ch.slotLpn.get() + slotIndex(victim);
+    std::uint64_t *slots = ch.slotLpn + slotIndex(victim);
     Tick cursor = when;
     for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
         const std::uint64_t lpn = slots[s];
@@ -264,7 +265,7 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
         vb.validCount = 0;
         vb.writeCursor = 0;
         vb.eraseCount++;
-        std::fill_n(chn.slotLpn.get() + slotIndex(victim),
+        std::fill_n(chn.slotLpn + slotIndex(victim),
                     cfg_.pagesPerBlock, kInvalidLpn);
         chn.freeList.push_back(victim);
         stats_.gcErases++;

@@ -176,12 +176,13 @@ class Ftl
         std::unique_ptr<FlashChannel> flash;
         std::vector<Block> blocks;
         /**
-         * LPN stored in each page slot, block-major
-         * (block * pagesPerBlock + slot); kInvalidLpn when dead/empty.
-         * A block's slots are written from its first mapped page on, so
-         * an unwritten channel (DRAM-Only) touches none of this array.
+         * This channel's slice of slots_: the LPN stored in each page
+         * slot, block-major (block * pagesPerBlock + slot);
+         * kInvalidLpn when dead/empty. A block's slots are written from
+         * its first mapped page on, so an unwritten channel (DRAM-Only)
+         * touches none of it.
          */
-        std::unique_ptr<std::uint64_t[]> slotLpn;
+        std::uint64_t *slotLpn = nullptr;
         std::vector<std::uint32_t> freeList;
         std::uint32_t openBlock = 0;
         bool gcRunning = false;
@@ -229,6 +230,16 @@ class Ftl
     EventQueue &eq_;
     bool payload_;
     Rng rng_;
+    /**
+     * Every channel's page slots, in one allocation rather than one per
+     * channel: glibc trims the heap top once it exceeds twice the
+     * largest mmapped chunk freed so far, and a device-sized chunk
+     * keeps that bound above a System's heap footprint. A sweep that
+     * builds System after System then reuses the same heap instead of
+     * trimming and re-faulting it, which otherwise hinged on unrelated
+     * allocation sizes.
+     */
+    std::unique_ptr<std::uint64_t[]> slots_;
     std::vector<Channel> channels_;
     /** Host lpn -> its page on channel channelIdx(lpn). */
     std::vector<Ppa> mapping_;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/astriflash.h"
 #include "sweep_reference.h"
 
@@ -93,6 +95,37 @@ TEST(AstriFlash, WriteAllocatesAndMergesIntoFill)
     const MemResponse r =
         fx.readSync(3 * kPageBytes + 2 * kCachelineBytes);
     EXPECT_EQ(r.value, 321u);
+}
+
+TEST(AstriFlash, WritesDuringFillLeaveTheLaterValue)
+{
+    // Both writes wait on the one fill and apply in issue order.
+    AstriFixture fx(astriConfig(false));
+    const Addr line = 3 * kPageBytes + 2 * kCachelineBytes;
+    fx.astri.write(line, 1, 0);
+    fx.astri.write(line, 2, 0);
+    EXPECT_EQ(fx.astri.pendingFills(), 1u);
+    fx.eq.run();
+    EXPECT_EQ(fx.astri.stats().pageFills, 1u);
+    EXPECT_EQ(fx.astri.peekLine(line), 2u);
+    EXPECT_EQ(fx.readSync(line).value, 2u);
+}
+
+TEST(AstriFlash, ReadsOfAFillingPageCompleteInIssueOrder)
+{
+    AstriFixture fx(astriConfig(false));
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i) {
+        const Addr line =
+            3 * kPageBytes + static_cast<Addr>(i) * kCachelineBytes;
+        fx.astri.read(line, 0, [&order, i](const MemResponse &r) {
+            EXPECT_EQ(r.kind, MemResponseKind::Data);
+            order.push_back(i);
+        });
+    }
+    EXPECT_EQ(fx.astri.pendingFills(), 1u);
+    fx.eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(AstriFlash, DirtyEvictionWritesWholePageToSsd)

@@ -3,7 +3,7 @@
  * Tests for the bench-report comparator (sim/benchdiff.h): key-path
  * tracking in the lexer, structural-mismatch rejection, relative
  * tolerance, the --keys path filter, and the regress-only mode — the
- * contract the CI bench-baselines gate (tools/skybyte_benchdiff)
+ * contract the CI bench-baselines gate (`skybyte_sweep --diff`)
  * relies on.
  */
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the DRAM timing/functional model and the CXL link: fixed
- * latency, bandwidth queueing, channel spreading, functional payloads,
- * protocol latency and NDR opcodes.
+ * latency, bandwidth queueing, channel spreading, functional payloads
+ * and protocol latency.
  */
 
 #include <gtest/gtest.h>
@@ -108,23 +108,13 @@ TEST(CxlLink, DirectionsAreIndependent)
     EXPECT_GT(c, a); // same direction queues
 }
 
-TEST(CxlLink, TracksBytesAndTags)
+TEST(CxlLink, TracksBytes)
 {
     EventQueue eq;
     CxlLink link(eq, CxlConfig{});
     link.deliverToDevice(0, 64);
     link.deliverToHost(0, 64);
     EXPECT_EQ(link.bytesTransferred(), 128u);
-    const std::uint16_t t0 = link.nextTag();
-    EXPECT_EQ(link.nextTag(), static_cast<std::uint16_t>(t0 + 1));
-}
-
-TEST(CxlOpcodes, SkyByteDelayUsesReservedEncoding)
-{
-    // Figure 8: SkyByte claims the 0b111 reserved NDR opcode.
-    EXPECT_EQ(static_cast<int>(CxlNdrOpcode::SkyByteDelay), 0b111);
-    EXPECT_EQ(static_cast<int>(CxlNdrOpcode::Cmp), 0b000);
-    EXPECT_EQ(static_cast<int>(CxlNdrOpcode::BiConflictAck), 0b100);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
  *  - InlineFunction semantics: inline vs heap-fallback targets, move
  *    transfer, null states, and destruction counts
  *  - Slab recycling: construct/destroy pairing and address stability
+ *  - PageFetchTable: in-flight count, lookup after take, and release
+ *    of records still live at teardown
  *  - Request-path fingerprint pinning: full-system SimResult JSON must
  *    stay bit-identical to the checked-in references for SkyByte-Full,
  *    Base-CSSD, and DRAM-Only across three workload specs, with
@@ -36,6 +38,7 @@
 
 #include "common/inline_function.h"
 #include "common/slab.h"
+#include "core/page_fetch.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/system.h"
@@ -126,6 +129,40 @@ TEST(Slab, RecyclesStorageAndPairsDestructors)
     for (Rec *r : recs)
         slab.release(r);
     EXPECT_EQ(live, 0);
+}
+
+// -------------------------------------------------------- PageFetchTable
+
+TEST(PageFetchTable, TracksInFlightAndReleasesLiveRecordsAtTeardown)
+{
+    // A captured shared_ptr counts live callbacks: each waiting record
+    // holds one copy until the table destroys it.
+    auto token = std::make_shared<int>(0);
+    {
+        PageFetchTable table;
+        EXPECT_EQ(table.inFlight(), 0u);
+        EXPECT_EQ(table.find(7), nullptr); // past the end: absent
+        PageFetch *a = table.start(3);
+        PageFetch *b = table.start(10);
+        EXPECT_EQ(table.inFlight(), 2u);
+        EXPECT_EQ(table.find(3), a);
+        EXPECT_EQ(table.find(10), b);
+        EXPECT_EQ(table.find(4), nullptr);
+        table.addReader(*a, 1, 0, [token](const MemResponse &) {});
+        table.addWrite(*a, 2, 5);
+        EXPECT_EQ(table.take(3), a);
+        EXPECT_EQ(table.inFlight(), 1u);
+        EXPECT_EQ(table.find(3), nullptr);
+        table.release(a);
+        EXPECT_EQ(token.use_count(), 1);
+
+        // b stays in flight with one waiter on each chain.
+        table.addReader(*b, 0, 0, [token](const MemResponse &) {});
+        table.addWrite(*b, 1, 9);
+        table.addPageReader(*b, [token](Tick) {});
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 // ------------------------------------------- request-path fingerprints

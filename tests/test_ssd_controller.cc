@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/ssd_controller.h"
@@ -151,6 +152,37 @@ TEST(SsdController, BaseCssdWriteMissDoesRmw)
     // After the RMW fetch, the write is in the cached page.
     const MemResponse r = dev.readSync(9 * kPageBytes);
     EXPECT_EQ(r.value, 55u);
+}
+
+TEST(SsdController, BaseCssdWritesDuringFetchLeaveTheLaterValue)
+{
+    // Both writes wait on the one RMW fetch and apply in issue order.
+    Device dev(deviceConfig(false, false));
+    const Addr line = 9 * kPageBytes + 3 * kCachelineBytes;
+    dev.ssd.write(line, 1, 0);
+    dev.ssd.write(line, 2, 0);
+    EXPECT_EQ(dev.ssd.fetchesInFlight(), 1u);
+    dev.eq.run();
+    EXPECT_EQ(dev.ssd.stats().rmwFetches, 1u);
+    EXPECT_EQ(dev.ssd.peekLine(line), 2u);
+    EXPECT_EQ(dev.readSync(line).value, 2u);
+}
+
+TEST(SsdController, ReadsOfAFetchingPageCompleteInIssueOrder)
+{
+    Device dev(deviceConfig(false, false));
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i) {
+        const Addr line =
+            9 * kPageBytes + static_cast<Addr>(i) * kCachelineBytes;
+        dev.ssd.read(line, 0, [&order, i](const MemResponse &r) {
+            EXPECT_EQ(r.kind, MemResponseKind::Data);
+            order.push_back(i);
+        });
+    }
+    EXPECT_EQ(dev.ssd.fetchesInFlight(), 1u);
+    dev.eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(SsdController, BaseCssdDirtyEvictionPrograms)

@@ -18,6 +18,15 @@
 namespace skybyte {
 namespace {
 
+/** Diff options with tolerance @p pct percent, every key gated. */
+BenchDiffOptions
+withTol(double pct)
+{
+    BenchDiffOptions opt;
+    opt.tolPct = pct;
+    return opt;
+}
+
 /** Serialize one shard run of @p spec exactly like skybyte_sweep. */
 SweepReport
 reportFor(const SweepSpec &spec, const ExperimentOptions &opt,
@@ -104,7 +113,8 @@ TEST(SweepReport, QuotesAndBackslashesInLabelsAreEscaped)
     ASSERT_EQ(parsed.failures.size(), 1u);
     EXPECT_EQ(parsed.failures[0].id, id);
     EXPECT_EQ(toJson(parsed), text);
-    EXPECT_TRUE(diffSweepReports(parsed, report, 0).empty());
+    EXPECT_TRUE(
+        diffSweepReports(parsed, report, withTol(0)).empty());
 }
 
 TEST(SweepReport, ThreeShardFig09MergeIsByteIdenticalToUnsharded)
@@ -163,7 +173,7 @@ TEST(SweepReport, DiffAcceptsIdenticalAndToleratedDrift)
     const SweepReport a = reportFor(*spec, opt, {0, 1});
 
     // Identical reports agree at zero tolerance.
-    EXPECT_TRUE(diffSweepReports(a, a, 0.0).empty());
+    EXPECT_TRUE(diffSweepReports(a, a, withTol(0.0)).empty());
 
     // Perturb one metric by ~0.05%: caught at 0.01%, passed at 1%.
     SweepReport drifted = a;
@@ -177,11 +187,21 @@ TEST(SweepReport, DiffAcceptsIdenticalAndToleratedDrift)
     const std::uint64_t bumped = value + value / 2000 + 1;
     drifted.entries[0].text.replace(pos, end - pos,
                                     std::to_string(bumped));
-    const auto drifts = diffSweepReports(a, drifted, 0.01);
+    const auto drifts = diffSweepReports(a, drifted, withTol(0.01));
     ASSERT_EQ(drifts.size(), 1u);
     EXPECT_NE(drifts[0].find("committed_instructions"),
               std::string::npos);
-    EXPECT_TRUE(diffSweepReports(a, drifted, 1.0).empty());
+    EXPECT_TRUE(diffSweepReports(a, drifted, withTol(1.0)).empty());
+
+    // The key filter and regress-only mode gate sweep entries too: the
+    // bump is outside the "ipc" keys and an increase, not a regression.
+    BenchDiffOptions ipc_only = withTol(0.01);
+    ipc_only.keys = {"ipc"};
+    EXPECT_TRUE(diffSweepReports(a, drifted, ipc_only).empty());
+    BenchDiffOptions regress = withTol(0.01);
+    regress.regressOnly = true;
+    EXPECT_TRUE(diffSweepReports(a, drifted, regress).empty());
+    EXPECT_EQ(diffSweepReports(drifted, a, regress).size(), 1u);
 }
 
 TEST(SweepReport, DiffRejectsStructuralMismatch)
@@ -195,20 +215,22 @@ TEST(SweepReport, DiffRejectsStructuralMismatch)
     // Different sweep name.
     SweepReport renamed = a;
     renamed.sweep = "fig09";
-    EXPECT_THROW(diffSweepReports(a, renamed, 1.0), std::runtime_error);
+    EXPECT_THROW(diffSweepReports(a, renamed, withTol(1.0)),
+                 std::runtime_error);
 
     // A renamed metric key is structural, not numeric drift.
     SweepReport rekeyed = a;
     auto pos = rekeyed.entries[0].text.find("\"ssd_writes\"");
     ASSERT_NE(pos, std::string::npos);
     rekeyed.entries[0].text.replace(pos, 12, "\"ssd_writez\"");
-    EXPECT_THROW(diffSweepReports(a, rekeyed, 100.0),
+    EXPECT_THROW(diffSweepReports(a, rekeyed, withTol(100.0)),
                  std::runtime_error);
 
     // Fewer points is incomparable.
     SweepReport shorter = a;
     shorter.entries.pop_back();
-    EXPECT_THROW(diffSweepReports(a, shorter, 1.0), std::runtime_error);
+    EXPECT_THROW(diffSweepReports(a, shorter, withTol(1.0)),
+                 std::runtime_error);
 }
 
 /** @p report with entry @p index demoted to a failure record. */
@@ -307,19 +329,21 @@ TEST(SweepReport, DiffComparesPartialReportsGracefully)
 
     // Succeeded-vs-failed is drift, not a structural error, and the
     // drift names the point and both dispositions.
-    const auto drifts = diffSweepReports(a, partial, 1.0);
+    const auto drifts = diffSweepReports(a, partial, withTol(1.0));
     ASSERT_EQ(drifts.size(), 1u);
     EXPECT_NE(drifts[0].find("srad/SkyByte-Full"), std::string::npos);
     EXPECT_NE(drifts[0].find("ok"), std::string::npos);
     EXPECT_NE(drifts[0].find("failed"), std::string::npos);
 
     // Two partials that agree on the failure have no drift.
-    EXPECT_TRUE(diffSweepReports(partial, partial, 0.0).empty());
+    EXPECT_TRUE(
+        diffSweepReports(partial, partial, withTol(0.0)).empty());
 
     // Disagreeing failure statuses drift too.
     const SweepReport timed =
         withFailure(a, 3, "timeout", "killed after 5000 ms");
-    const auto status_drift = diffSweepReports(partial, timed, 1.0);
+    const auto status_drift =
+        diffSweepReports(partial, timed, withTol(1.0));
     ASSERT_EQ(status_drift.size(), 1u);
     EXPECT_NE(status_drift[0].find("failed"), std::string::npos);
     EXPECT_NE(status_drift[0].find("timeout"), std::string::npos);

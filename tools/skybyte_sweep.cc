@@ -32,11 +32,18 @@
  *       unsharded run of the same sweep. Partial shard reports merge
  *       too (their failure manifests combine); --require-complete
  *       rejects a merge whose result is not fully successful.
- *   skybyte_sweep --diff a.json b.json [--tol pct]
+ *   skybyte_sweep --diff a.json b.json [--tol pct] [--keys a,b,...]
+ *                 [--regress-only]
  *       Compare two reports of the same sweep: structure and ids must
  *       match exactly, numeric metrics may drift up to --tol percent
  *       (default 0 = numerically equal). Points that failed in one
- *       report but not the other count as drifts.
+ *       report but not the other count as drifts. When a.json is not a
+ *       sweep report, the two files compare as plain JSON documents
+ *       (the BENCH_*.json reports the benches emit; sim/benchdiff.h).
+ *       --keys gates only numbers whose dotted JSON path contains one
+ *       of the given substrings, which is how CI pins the
+ *       machine-independent "speedup" ratios; --regress-only fails
+ *       only when b is below a, so an improvement prints but passes.
  *
  * Exit codes (the CLI contract, also in the README):
  *   0  success
@@ -88,7 +95,8 @@ usage()
         " [--require-complete]]\n"
         "       skybyte_sweep --merge a.json b.json... [-o out.json]"
         " [--require-complete]\n"
-        "       skybyte_sweep --diff a.json b.json [--tol pct]\n"
+        "       skybyte_sweep --diff a.json b.json [--tol pct]"
+        " [--keys a,b,...] [--regress-only]\n"
         "an unsharded in-process --run prints the sweep's paper table"
         " after the report\n"
         "(stdout; stderr with -o -)\n"
@@ -299,19 +307,45 @@ mergeCmd(const std::vector<std::string> &paths, std::string out_path,
     return 0;
 }
 
+std::vector<std::string>
+splitCsv(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string key; std::getline(in, key, ',');) {
+        if (!key.empty())
+            out.push_back(key);
+    }
+    if (out.empty())
+        throw std::invalid_argument("empty --keys");
+    return out;
+}
+
 int
-diffCmd(const std::vector<std::string> &paths, double tol_pct)
+diffCmd(const std::vector<std::string> &paths, const BenchDiffOptions &opt)
 {
     if (paths.size() != 2)
         throw std::invalid_argument("--diff needs exactly two reports");
-    const SweepReport a = readReportFile(paths[0]);
-    const SweepReport b = readReportFile(paths[1]);
-    const std::vector<std::string> drifts =
-        diffSweepReports(a, b, tol_pct);
+    const std::string text_a = readFileText(paths[0]);
+    const std::string text_b = readFileText(paths[1]);
+    if (text_a.find("\"skybyte_sweep_report\"") == std::string::npos) {
+        // Plain JSON documents (bench reports): one diff, no points.
+        const std::vector<BenchDrift> drifts =
+            diffBenchJson(text_a, text_b, opt);
+        for (const BenchDrift &d : drifts)
+            std::fprintf(stderr, "%s\n", formatBenchDrift(d, opt).c_str());
+        std::fprintf(stderr, "%s vs %s: %zu drift(s) beyond %g%%\n",
+                     paths[0].c_str(), paths[1].c_str(), drifts.size(),
+                     opt.tolPct);
+        return drifts.empty() ? 0 : 4;
+    }
+    const SweepReport a = parseSweepReport(text_a);
+    const SweepReport b = parseSweepReport(text_b);
+    const std::vector<std::string> drifts = diffSweepReports(a, b, opt);
     if (drifts.empty()) {
         std::fprintf(stderr,
                      "%s: %zu points agree within %g%% tolerance\n",
-                     a.sweep.c_str(), a.entries.size(), tol_pct);
+                     a.sweep.c_str(), a.entries.size(), opt.tolPct);
         return 0;
     }
     constexpr std::size_t kMaxShown = 50;
@@ -322,7 +356,7 @@ diffCmd(const std::vector<std::string> &paths, double tol_pct)
                      drifts.size() - kMaxShown);
     }
     std::fprintf(stderr, "%s: %zu metric(s) drifted beyond %g%%\n",
-                 a.sweep.c_str(), drifts.size(), tol_pct);
+                 a.sweep.c_str(), drifts.size(), opt.tolPct);
     return 4;
 }
 
@@ -337,7 +371,8 @@ main(int argc, char **argv)
     std::string out_path;
     std::vector<std::string> merge_paths;
     int nthreads = 0;
-    double tol_pct = 0.0;
+    BenchDiffOptions diff_opt;
+    diff_opt.tolPct = 0.0;
     RunFlags flags;
 
     try {
@@ -362,7 +397,11 @@ main(int argc, char **argv)
             } else if (arg == "--diff") {
                 mode = "diff";
             } else if (arg == "--tol") {
-                tol_pct = std::stod(next());
+                diff_opt.tolPct = std::stod(next());
+            } else if (arg == "--keys") {
+                diff_opt.keys = splitCsv(next());
+            } else if (arg == "--regress-only") {
+                diff_opt.regressOnly = true;
             } else if (arg == "--shard") {
                 shard_arg = next();
             } else if (arg == "--run-dir") {
@@ -410,7 +449,7 @@ main(int argc, char **argv)
             return runSweepCmd(name, shard_arg, out_path, nthreads,
                                flags);
         if (mode == "diff")
-            return diffCmd(merge_paths, tol_pct);
+            return diffCmd(merge_paths, diff_opt);
         if (merge_paths.empty())
             throw std::invalid_argument("--merge needs report files");
         return mergeCmd(merge_paths, out_path, flags.requireComplete);
