@@ -95,7 +95,10 @@ class Rng
 /**
  * Zipfian sampler over [0, n) using Gray/Jain rejection-inversion-free
  * approximation: cheap per-sample cost, accurate enough for locality
- * shaping (the same approach YCSB's generator takes).
+ * shaping (the same approach YCSB's generator takes). Every constant
+ * that depends only on (n, theta), the rank-1 bound included, is
+ * computed once at construction, so a draw is one uniform and at most
+ * one std::pow.
  */
 class ZipfSampler
 {
@@ -104,14 +107,14 @@ class ZipfSampler
      * @param n     population size
      * @param theta skew in (0,1); YCSB default is 0.99
      */
-    ZipfSampler(std::uint64_t n, double theta)
-        : n_(n), theta_(theta)
+    ZipfSampler(std::uint64_t n, double theta) : n_(n)
     {
-        zetan_ = zeta(n_, theta_);
-        zeta2_ = zeta(2, theta_);
-        alpha_ = 1.0 / (1.0 - theta_);
-        eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_))
+        zetan_ = zeta(n_, theta);
+        zeta2_ = zeta(2, theta);
+        alpha_ = 1.0 / (1.0 - theta);
+        eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta))
                / (1.0 - zeta2_ / zetan_);
+        rankOneBound_ = 1.0 + std::pow(0.5, theta);
     }
 
     /** Draw one zipf-distributed rank in [0, n). */
@@ -122,7 +125,7 @@ class ZipfSampler
         const double uz = u * zetan_;
         if (uz < 1.0)
             return 0;
-        if (uz < 1.0 + std::pow(0.5, theta_))
+        if (uz < rankOneBound_)
             return 1;
         const double frac =
             std::pow(eta_ * u - eta_ + 1.0, alpha_);
@@ -153,11 +156,12 @@ class ZipfSampler
     }
 
     std::uint64_t n_;
-    double theta_;
     double zetan_;
     double zeta2_;
     double alpha_;
     double eta_;
+    /** u * zetan_ below this (and at least 1) draws rank 1. */
+    double rankOneBound_;
 };
 
 } // namespace skybyte

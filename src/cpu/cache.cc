@@ -52,24 +52,37 @@ matchSse2(const std::uint16_t *group, std::uint16_t key)
 std::uint32_t
 firstMinSse2(const std::uint16_t *row, std::uint32_t groups)
 {
-    auto load = [row](std::uint32_t g) {
+    // A step reads 4 groups; past the row's end it rereads the last
+    // group, whose lanes then also sit at higher bits than the first
+    // read, so neither the minimum nor its first lane moves.
+    const std::uint32_t last = groups - 1;
+    auto load = [row, last](std::uint32_t g) {
         return _mm_loadu_si128(static_cast<const __m128i *>(
-            static_cast<const void *>(row + g * kLanes)));
+            static_cast<const void *>(row + std::min(g, last) * kLanes)));
     };
     // Lanes are at most 0x7FFF, so the signed minimum is the minimum.
-    __m128i m = load(0);
-    for (std::uint32_t g = 1; g < groups; ++g)
+    __m128i m = _mm_min_epi16(_mm_min_epi16(load(0), load(1)),
+                              _mm_min_epi16(load(2), load(3)));
+    for (std::uint32_t g = 4; g < groups; ++g)
         m = _mm_min_epi16(m, load(g));
     m = _mm_min_epi16(m, _mm_shuffle_epi32(m, 0x4E));
     m = _mm_min_epi16(m, _mm_shuffle_epi32(m, 0xB1));
     m = _mm_min_epi16(m, _mm_shufflelo_epi16(m, 0xB1));
     m = _mm_shuffle_epi32(_mm_shufflelo_epi16(m, 0), 0);
-    for (std::uint32_t g = 0;; ++g) {
-        const int eq = _mm_movemask_epi8(_mm_cmpeq_epi16(load(g), m));
+    // The equality masks of a step's 4 groups (2 bits per lane) share
+    // one word, whose lowest set bit is the first minimum: no branch on
+    // which group holds it. Only sets wider than 4 groups take a
+    // second step.
+    for (std::uint32_t g = 0;; g += 4) {
+        std::uint64_t eq = 0;
+        for (std::uint32_t k = 0; k < 4; ++k) {
+            eq |= std::uint64_t{static_cast<std::uint16_t>(
+                      _mm_movemask_epi8(_mm_cmpeq_epi16(load(g + k), m)))}
+                  << (16 * k);
+        }
         if (eq != 0)
-            return g * kLanes + static_cast<std::uint32_t>(
-                                    std::countr_zero(
-                                        static_cast<unsigned>(eq))) / 2;
+            return g * kLanes
+                   + static_cast<std::uint32_t>(std::countr_zero(eq)) / 2;
     }
 }
 

@@ -23,7 +23,11 @@
  * A lookup matches the fingerprint against the way words one group at
  * a time and checks each candidate's tag. The fill victim is the first
  * way holding the set's minimum stamp: the first empty way if one
- * exists, else the least recently used. When a set's clock reaches
+ * exists, else the least recently used. The victim scan takes the
+ * minimum over the row, then ORs the equality masks of up to 4 groups
+ * into one word and takes its lowest set bit, so up to 32 ways it has
+ * no data-dependent branch; wider sets take one more such step per 4
+ * groups. When a set's clock reaches
  * kMaxStamp its live stamps are renumbered 1..k in their current order,
  * so the order, and every victim, stays what a wide global clock gives.
  *

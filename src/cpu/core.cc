@@ -334,17 +334,4 @@ Core::onMissHint(const MissRef &status, Tick now)
         wake(now);
 }
 
-void
-Core::onMshrFree(Tick now)
-{
-    // Another line's LLC response can free an LLC MSHR, never one of
-    // this core's L1 MSHRs, so an L1-blocked retry would fail again.
-    // The pending-penalty wake is kept: the penalty is charged at the
-    // first wake after addPenalty, and skipping it would move the
-    // cursor (see the file comment).
-    if (state_ == State::StalledLlcMshr
-        || (state_ == State::StalledL1Mshr && pendingPenalty_ != 0))
-        wake(now);
-}
-
 } // namespace skybyte

@@ -387,6 +387,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{"BenchL2", 128 * 1024, 32},
                       Geometry{"BenchLlc", 2 * 1024 * 1024, 16},
                       Geometry{"NonPow2Ways12", 48 * 1024, 12},
+                      // 5 lane groups: the victim scan's second step.
+                      Geometry{"FiveGroups40Way", 40 * 1024, 40},
                       Geometry{"WaysExceedLines", 2 * kCachelineBytes, 6}),
     [](const ::testing::TestParamInfo<Geometry> &info) {
         return std::string(info.param.name);
@@ -492,20 +494,30 @@ TEST(CacheLanes, Sse2HelpersMatchScalar)
 #if defined(__SSE2__)
     using namespace cache_lanes;
     Rng rng(0x55e2ULL);
-    constexpr std::uint32_t kMaxGroups = 4;
+    constexpr std::uint32_t kMaxGroups = SetAssocCache::kMaxWays / kLanes;
+    // firstMinSse2 scans 4 groups per step: one step up to 4 groups,
+    // two from 5 to 8, three from 9, and 32 at kMaxWays.
+    const std::uint32_t group_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                          kMaxGroups};
     std::vector<std::uint16_t> row(kMaxGroups * kLanes);
-    for (int iter = 0; iter < 20000; ++iter) {
+    // A row of @p groups groups whose first @p ways lanes are ways and
+    // the rest pad lanes.
+    auto draw_row = [&](std::uint32_t groups, std::uint32_t ways) {
         // Draw from a small alphabet so ties and matches are common;
         // 0 stands for empty ways, 0x7FFF for pad-lane stamps.
         const std::uint16_t alphabet[] = {0, 1, 2, 3, 0x7FFE, 0x7FFF};
-        const std::uint32_t groups = 1 + rng.below(kMaxGroups);
-        const std::uint32_t ways = 1 + rng.below(groups * kLanes);
         for (std::uint32_t i = 0; i < groups * kLanes; ++i) {
             row[i] = i >= ways ? 0x7FFF
                      : rng.chance(0.5)
                          ? alphabet[rng.below(std::size(alphabet))]
                          : static_cast<std::uint16_t>(rng.below(0x8000));
         }
+    };
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::uint32_t groups =
+            group_counts[rng.below(std::size(group_counts))];
+        const std::uint32_t ways = 1 + rng.below(groups * kLanes);
+        draw_row(groups, ways);
         const std::uint32_t first = firstMinScalar(row.data(), groups);
         ASSERT_EQ(firstMinSse2(row.data(), groups), first) << iter;
         ASSERT_LT(first, ways) << iter;
@@ -522,6 +534,37 @@ TEST(CacheLanes, Sse2HelpersMatchScalar)
         }
         ASSERT_EQ(matchSse2(group, key), matchScalar(group, key)) << iter;
     }
+    // The minimum forced into each group in turn, half the time tied
+    // with a lane in another group, so it lands in every step of every
+    // width and the first of two equal lanes must win across groups.
+    for (const std::uint32_t groups : group_counts) {
+        for (int iter = 0; iter < 20; ++iter) {
+            // The last group holds at least one way.
+            const std::uint32_t ways = groups * kLanes - rng.below(kLanes);
+            draw_row(groups, ways);
+            for (std::uint32_t i = 0; i < ways; ++i)
+                row[i] = std::max<std::uint16_t>(row[i], 1);
+            for (std::uint32_t g = 0; g < groups; ++g) {
+                std::vector<std::uint16_t> forced(
+                    row.begin(), row.begin() + groups * kLanes);
+                const std::uint32_t at =
+                    g * kLanes
+                    + rng.below(std::min(kLanes, ways - g * kLanes));
+                forced[at] = 0;
+                std::uint32_t want = at;
+                if (rng.chance(0.5)) {
+                    const std::uint32_t tie = rng.below(ways);
+                    forced[tie] = 0;
+                    want = std::min(at, tie);
+                }
+                ASSERT_EQ(firstMinScalar(forced.data(), groups), want)
+                    << groups << " groups, minimum in group " << g;
+                ASSERT_EQ(firstMinSse2(forced.data(), groups), want)
+                    << groups << " groups, minimum in group " << g;
+            }
+        }
+    }
+
     // A pad lane (way word 0) matches no fingerprint.
     const std::uint16_t empty[kLanes] = {};
     EXPECT_EQ(matchSse2(empty, 2), 0u);

@@ -92,6 +92,66 @@ TEST(Zipf, LowerThetaIsLessSkewed)
     EXPECT_GT(strong_head, weak_head);
 }
 
+TEST(Zipf, DrawsArePinned)
+{
+    // The first 64 ranks from Rng(0x21bf). The zipf-shaped workloads
+    // draw their addresses here, so a sampler change that moves a draw
+    // moves the e2e digests and sweep references too; this names the
+    // cause. Ranks 0 and 1 both occur, so both early-out bounds count.
+    struct Case
+    {
+        double theta;
+        std::uint64_t n;
+        std::array<std::uint64_t, 64> ranks;
+    };
+    const Case cases[] = {
+        {0.5, 1000,
+         {754, 241, 258, 818, 818, 449, 33, 25,
+          74, 691, 66, 500, 205, 54, 373, 931,
+          26, 465, 627, 37, 404, 743, 122, 872,
+          177, 80, 382, 72, 917, 335, 864, 219,
+          8, 320, 156, 327, 723, 126, 622, 0,
+          332, 1, 281, 200, 804, 510, 374, 6,
+          233, 40, 793, 168, 36, 17, 260, 106,
+          686, 522, 474, 50, 551, 99, 588, 689}},
+        {0.5, 1u << 20,
+         {786964, 244562, 261571, 854812, 854601, 463634, 29566, 22147,
+          71242, 719967, 63114, 516935, 206103, 51233, 383224, 975700,
+          22922, 480749, 651707, 33924, 416004, 775473, 120587, 912832,
+          177206, 77489, 392084, 69126, 960989, 343456, 904349, 220754,
+          5830, 327015, 155416, 334998, 754233, 124223, 646969, 159,
+          339432, 804, 285788, 201457, 840447, 527550, 383640, 4437,
+          235736, 36926, 828008, 168502, 32623, 14267, 263936, 103618,
+          714706, 540445, 489882, 47068, 571120, 96918, 610810, 717511}},
+        {0.99, 1000,
+         {365, 19, 21, 482, 481, 78, 1, 1,
+          3, 274, 2, 104, 14, 2, 49, 767,
+          1, 86, 202, 1, 60, 348, 6, 605,
+          11, 3, 52, 3, 726, 38, 585, 16,
+          0, 34, 8, 36, 318, 6, 198, 0,
+          37, 0, 26, 13, 455, 110, 49, 0,
+          18, 1, 432, 10, 1, 0, 22, 5,
+          268, 118, 90, 2, 138, 4, 167, 272}},
+        {0.99, 1u << 20,
+         {165643, 684, 872, 275360, 274936, 9623, 5, 4,
+          24, 97832, 19, 16375, 381, 13, 4033, 645592,
+          4, 11454, 55579, 7, 5812, 151616, 80, 417791,
+          236, 29, 4459, 23, 583934, 2528, 393461, 479,
+          1, 2066, 160, 2280, 128490, 86, 53376, 0,
+          2407, 0, 1214, 354, 247750, 18137, 4052, 0,
+          601, 8, 225902, 202, 6, 2, 901, 55,
+          93762, 20504, 12552, 11, 27278, 47, 38982, 95913}},
+    };
+    for (const Case &c : cases) {
+        const ZipfSampler zipf(c.n, c.theta);
+        Rng rng(0x21bfULL);
+        for (std::size_t i = 0; i < c.ranks.size(); ++i) {
+            ASSERT_EQ(zipf.sample(rng), c.ranks[i])
+                << "theta " << c.theta << " n " << c.n << " draw " << i;
+        }
+    }
+}
+
 TEST(LatencyHistogram, MeanAndCount)
 {
     LatencyHistogram h;
